@@ -25,6 +25,7 @@ __all__ = [
     "AutCaps",
     "AutGroup",
     "DEFAULT_CAPS",
+    "VERIFY_CAPS",
     "automorphisms",
     "find_isomorphism",
     "is_automorphism",
@@ -49,6 +50,10 @@ class AutCaps:
 
 
 DEFAULT_CAPS = AutCaps()
+# The transformed graphs blow up quadratically (C(G) of an order-7 graph has
+# up to 28 vertices), so verification uses roomier caps than raw group
+# enumeration does.
+VERIFY_CAPS = AutCaps(max_vertices=64, max_group_order=10**8)
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,6 @@ class AutGroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def nontrivial(self) -> list[Permutation]:
-        identity = tuple(range(len(self.elements[0]))) if self.elements else ()
-        return [p for p in self.elements if p != identity]
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -220,19 +221,17 @@ def vertex_orbits(group: AutGroup, n: int) -> list[int]:
 
 def lift_to_central(alpha: Permutation, g: Graph) -> Permutation:
     """Extend alpha in Aut(G) to the central graph: w_{x,y} maps to w_{ax,ay}."""
-    return _lift_subdividing(alpha, g)
-
-
-def _lift_subdividing(alpha: Permutation, g: Graph) -> Permutation:
-    if not is_automorphism(g, alpha):
+    if sorted(alpha) != list(range(g.n)):
         raise ValueError("alpha is not an automorphism of the base graph")
     index = g.edge_index()
     image = list(alpha)
-    for u, v in g.edges():
+    # A vertex permutation that maps every edge onto an edge is an automorphism.
+    for u, v in index:  # the keys run in edges() order
         a, b = alpha[u], alpha[v]
-        if a > b:
-            a, b = b, a
-        image.append(g.n + index[(a, b)])
+        k = index.get((a, b) if a < b else (b, a))
+        if k is None:
+            raise ValueError("alpha is not an automorphism of the base graph")
+        image.append(g.n + k)
     return tuple(image)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from .autos import AutCaps, automorphisms, check_aut_chain
+from .autos import VERIFY_CAPS, automorphisms, check_aut_chain
 from .colorings import (
     TDCPartition,
     coloring_from_json,
@@ -30,13 +30,13 @@ from .colorings import (
     is_tdc,
 )
 from .constructive import (
-    VERIFY_CAPS,
     avd_coloring_central_join,
     avd_coloring_central_regular,
     avd_coloring_subdivision,
     dist_edge_coloring_central,
     dist_vertex_coloring_central,
     dist_vertex_coloring_middle,
+    oracle_witness,
     tdc_central,
     tdc_central_tree,
     tdc_to_complement,
@@ -55,14 +55,6 @@ from .latin import icls
 from .oracles import PARAM_KINDS, exact_parameter, upper_bound_witness
 from .transforms import central, endline, line_graph, middle, subdivision
 
-CONSTRUCT_TAGS = (
-    "3.2", "3.4", "3.6", "4.5", "4.9", "5.1", "5.3", "5.5",
-    "6.1", "6.2", "appendix-tree",
-)
-SWEEP_CHECKS = (
-    "2.11", "3.2", "3.4", "3.6", "4.5", "4.9", "5.1", "5.3",
-    "6.1", "6.2", "appendix-tree", "tcc-central",
-)
 MAX_BUILTIN_ORDER = 8
 
 
@@ -111,11 +103,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
-    caps = AutCaps(max_vertices=64, max_group_order=10**8)
     if args.chain:
-        _print_json(check_aut_chain(g, caps).to_json())
+        _print_json(check_aut_chain(g, VERIFY_CAPS).to_json())
         return 0
-    group = automorphisms(g, caps)
+    group = automorphisms(g, VERIFY_CAPS)
     doc = {"graph6": encode_graph6(g), "group_order": group.order}
     if group.order <= 10**4:
         doc["elements"] = [list(p) for p in group.elements]
@@ -132,7 +123,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             cap=args.cap,
             budget=args.budget,
             workers=args.workers,
-            aut_caps=AutCaps(max_vertices=64, max_group_order=10**8),
+            aut_caps=VERIFY_CAPS,
         )
     except BudgetExceededError as exc:
         _print_json({"error": "budget-exceeded", "detail": str(exc)})
@@ -155,19 +146,24 @@ def _infer_dist_kind(vc, ec) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.coloring).read_text())
+    try:
+        doc = json.loads(Path(args.coloring).read_text())
+        if args.property == "tdc":
+            partition = TDCPartition(tuple(frozenset(c) for c in doc["classes"]))
+        else:
+            g, f = coloring_from_json(doc)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _UsageError(f"cannot read --coloring {args.coloring}: {exc!r}") from exc
     if args.property == "tdc":
         if args.graph is None:
             raise _UsageError("--property tdc requires --in for the graph")
         g = _parse_graph(args.graph)
-        partition = TDCPartition(tuple(frozenset(c) for c in doc["classes"]))
         try:
             holds = is_tdc(g, partition)
         except ValueError as exc:
             print(f"symcol: partition rejected: {exc}", file=sys.stderr)
             holds = False
     else:
-        g, f = coloring_from_json(doc)
         if args.graph is not None and _parse_graph(args.graph) != g:
             raise _UsageError("--in disagrees with the coloring's graph")
         try:
@@ -185,6 +181,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if holds else 1
 
 
+def _result_doc(result) -> dict:
+    doc = result.to_json()
+    doc["verdict"] = "pass"
+    return doc
+
+
 def _partition_doc(tag: str, g: Graph, partition: TDCPartition, bound: int) -> dict:
     return {
         "tag": tag,
@@ -196,61 +198,81 @@ def _partition_doc(tag: str, g: Graph, partition: TDCPartition, bound: int) -> d
     }
 
 
-def _oracle_coloring(g: Graph, kind: str, cap: int):
-    res = exact_parameter(
-        g, kind, cap=cap, aut_caps=AutCaps(max_vertices=64, max_group_order=10**8)
-    )
-    if res.value is None or res.witness is None:
-        raise ConstructionDefectError(
-            f"no {kind} coloring of an input part within {cap} colors"
+def _complement_doc(g: Graph) -> dict:
+    p = tdc_central(g)
+    return _partition_doc("6.1", g.complement(), tdc_to_complement(p, g), len(p.classes))
+
+
+def _join_doc(g: Graph, g2: Graph | None) -> dict:
+    if g2 is None:
+        raise _UsageError("--theorem 5.5 takes the second part via --in2")
+    # Equal part orders take proper total colorings, unequal ones AVD colorings.
+    kind, extra = ("chi2", 1) if g.n == g2.n else ("chi2a", 2)
+    c1, c2 = (
+        oracle_witness(
+            central(part).graph, kind, part.n + extra,
+            f"no {kind} coloring of an input part within {part.n + extra} colors",
+            VERIFY_CAPS,
         )
-    return res.witness
+        for part in (g, g2)
+    )
+    return _result_doc(avd_coloring_central_join(g, g2, c1, c2))
 
 
-def _construct(tag: str, g: Graph, g2: Graph | None) -> dict:
-    if tag == "5.5":
-        if g2 is None:
-            raise _UsageError("--theorem 5.5 takes the second part via --in2")
-        if g.n == g2.n:
-            c1 = _oracle_coloring(central(g).graph, "chi2", g.n + 1)
-            c2 = _oracle_coloring(central(g2).graph, "chi2", g2.n + 1)
-        else:
-            c1 = _oracle_coloring(central(g).graph, "chi2a", g.n + 2)
-            c2 = _oracle_coloring(central(g2).graph, "chi2a", g2.n + 2)
-        result = avd_coloring_central_join(g, g2, c1, c2)
-        doc = result.to_json()
-        doc["verdict"] = "pass"
-        return doc
-    if tag == "6.2":
-        p = tdc_central(g)
-        return _partition_doc(tag, central(g).graph, p, g.n)
-    if tag == "6.1":
-        p = tdc_central(g)
-        q = tdc_to_complement(p, g)
-        return _partition_doc(tag, g.complement(), q, len(p.classes))
-    if tag == "appendix-tree":
-        p = tdc_central_tree(g)
-        return _partition_doc(tag, central(g).graph, p, g.n)
-    op = {
-        "3.2": dist_edge_coloring_central,
-        "3.4": dist_vertex_coloring_central,
-        "3.6": dist_vertex_coloring_middle,
-        "4.5": total_dist_coloring_central_regular,
-        "4.9": total_dist_coloring_subdivision,
-        "5.1": avd_coloring_central_regular,
-        "5.3": avd_coloring_subdivision,
-    }[tag]
-    result = op(g)
-    doc = result.to_json()
-    doc["verdict"] = "pass"
-    return doc
+def _chain_doc(g: Graph) -> dict:
+    report = check_aut_chain(g, VERIFY_CAPS)
+    if not report.applicable:
+        raise NotApplicableError(report.reason)
+    return {"verdict": "pass" if report.passed else "fail"}
+
+
+def _tcc_doc(g: Graph, budget: int | None) -> dict:
+    if g.n < 3 or not g.is_connected():
+        raise NotApplicableError("requires a connected graph of order at least 3")
+    cent = central(g).graph
+    bound = cent.max_degree() + 2
+    witness = upper_bound_witness(cent, "chi2", bound, budget=budget)
+    if witness is None:
+        return {"verdict": "fail", "promised_bound": bound}
+    return {"verdict": "pass", "promised_bound": bound, "palette_size": len(witness.palette())}
+
+
+_CONSTRUCT, _SWEEP = ("construct",), ("sweep",)
+_BOTH = _CONSTRUCT + _SWEEP
+
+# Every check by tag, in listing order: the subcommands that accept it, and
+# a function of (graph, second graph, budget) returning its document.  The
+# lambdas look each construction up by name when called, so a wrapper bound
+# to that name in this module later is the one that runs.
+CHECKS = {
+    "2.11": (_SWEEP, lambda g, *_: _chain_doc(g)),
+    "3.2": (_BOTH, lambda g, *_: _result_doc(dist_edge_coloring_central(g))),
+    "3.4": (_BOTH, lambda g, *_: _result_doc(dist_vertex_coloring_central(g))),
+    "3.6": (_BOTH, lambda g, *_: _result_doc(dist_vertex_coloring_middle(g))),
+    "4.5": (_BOTH, lambda g, *_: _result_doc(total_dist_coloring_central_regular(g))),
+    "4.9": (_BOTH, lambda g, *_: _result_doc(total_dist_coloring_subdivision(g))),
+    "5.1": (_BOTH, lambda g, *_: _result_doc(avd_coloring_central_regular(g))),
+    "5.3": (_BOTH, lambda g, *_: _result_doc(avd_coloring_subdivision(g))),
+    "5.5": (_CONSTRUCT, lambda g, g2, _: _join_doc(g, g2)),
+    "6.1": (_BOTH, lambda g, *_: _complement_doc(g)),
+    "6.2": (_BOTH, lambda g, *_: _partition_doc("6.2", central(g).graph, tdc_central(g), g.n)),
+    "appendix-tree": (
+        _BOTH,
+        lambda g, *_: _partition_doc("appendix-tree", central(g).graph, tdc_central_tree(g), g.n),
+    ),
+    "tcc-central": (_SWEEP, lambda g, _, budget: _tcc_doc(g, budget)),
+}
+
+
+def _tags(command: str) -> list[str]:
+    return [tag for tag, (commands, _) in CHECKS.items() if command in commands]
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
     g2 = _parse_graph(args.graph2) if args.graph2 else None
     try:
-        doc = _construct(args.theorem, g, g2)
+        doc = CHECKS[args.theorem][1](g, g2, None)
     except NotApplicableError as exc:
         _print_json({"verdict": "not-applicable", "detail": str(exc)})
         return 1
@@ -280,35 +302,11 @@ def run_check(graph6: str, check: str, budget: int | None = None) -> dict:
         "error": None,
     }
     start = time.perf_counter()
-    caps = AutCaps(max_vertices=64, max_group_order=10**8)
     try:
-        g = parse_graph6(graph6)
-        if check == "2.11":
-            report = check_aut_chain(g, caps)
-            if not report.applicable:
-                record["verdict"] = "not-applicable"
-                record["error"] = report.reason
-            elif not report.passed:
-                record["verdict"] = "fail"
-        elif check == "tcc-central":
-            if g.n < 3 or not g.is_connected():
-                raise NotApplicableError("requires a connected graph of order at least 3")
-            cent = central(g).graph
-            bound = cent.max_degree() + 2
-            record["promised_bound"] = bound
-            witness = upper_bound_witness(cent, "chi2", bound, budget=budget)
-            if witness is None:
-                record["verdict"] = "fail"
-            else:
-                record["achieved"] = len(witness.palette())
-        elif check in ("6.1", "6.2", "appendix-tree"):
-            doc = _construct(check, g, None)
-            record["promised_bound"] = doc["promised_bound"]
-            record["achieved"] = doc["class_count"]
-        else:
-            doc = _construct(check, g, None)
-            record["promised_bound"] = doc["promised_bound"]
-            record["achieved"] = doc["palette_size"]
+        doc = CHECKS[check][1](parse_graph6(graph6), None, budget)
+        record["verdict"] = doc["verdict"]
+        record["promised_bound"] = doc.get("promised_bound")
+        record["achieved"] = doc.get("palette_size", doc.get("class_count"))
     except NotApplicableError as exc:
         record["verdict"] = "not-applicable"
         record["error"] = str(exc)
@@ -337,6 +335,8 @@ def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
             "use --file for larger graphs"
         )
     lo = args.min_order or 1
+    if lo < 1:
+        raise _UsageError("--min-order must be at least 1")
     if args.family == "all-connected":
         for n in range(lo, args.max_order + 1):
             for g in connected_graphs(n):
@@ -346,15 +346,16 @@ def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
             for t in all_trees(n):
                 yield encode_graph6(t)
     else:
-        if args.degree is None:
-            raise _UsageError("--family regular needs --degree")
+        if args.degree is None or args.degree < 0:
+            raise _UsageError("--family regular needs a --degree of at least 0")
         for n in range(lo, args.max_order + 1):
             for g in regular_graphs(args.degree, n):
                 yield encode_graph6(g)
 
 
-def _cache_key(graph6: str, check: str) -> str:
-    text = f"{graph6}\n{check}\n{__version__}"
+def _cache_key(graph6: str, check: str, budget: int | None) -> str:
+    # Oracle calls given no budget read SYMCOL_BUDGET, so both are keyed.
+    text = f"{graph6}\n{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}\n{__version__}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -377,8 +378,6 @@ def _cache_get(cache_dir: Path, key: str) -> dict | None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.check not in SWEEP_CHECKS:
-        raise _UsageError(f"unknown check {args.check!r}")
     graphs = list(_family_graphs(args))
     report_path = Path(args.report)
     cache_dir = Path(args.cache) if args.cache else report_path.with_suffix(".cache")
@@ -387,7 +386,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     todo: list[tuple[int, str]] = []
     records: dict[int, dict] = {}
     for idx, graph6 in enumerate(graphs):
-        cached = _cache_get(cache_dir, _cache_key(graph6, args.check))
+        cached = _cache_get(cache_dir, _cache_key(graph6, args.check, args.budget))
         if cached is not None and cached.get("graph6") == graph6:
             records[idx] = cached
         else:
@@ -413,7 +412,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             record = records[idx]
             counts[record["verdict"]] += 1
             out.write(json.dumps(record, sort_keys=True) + "\n")
-            key = _cache_key(record["graph6"], args.check)
+            key = _cache_key(record["graph6"], args.check, args.budget)
             (cache_dir / f"{key}.json").write_text(
                 json.dumps(record, sort_keys=True) + "\n"
             )
@@ -453,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="compare group orders across the transformed graphs")
 
     p = sub.add_parser("construct", help="run a coloring construction")
-    p.add_argument("--theorem", required=True, choices=list(CONSTRUCT_TAGS))
+    p.add_argument("--theorem", required=True, choices=_tags("construct"))
     p.add_argument("--in", dest="graph", required=True, metavar="GRAPH6")
     p.add_argument("--in2", dest="graph2", metavar="GRAPH6",
                    help="second part for the join construction")
@@ -478,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parameter k; the square has order 2k-1")
 
     p = sub.add_parser("sweep", help="run one check across a graph family")
-    p.add_argument("--check", required=True, choices=list(SWEEP_CHECKS))
+    p.add_argument("--check", required=True, choices=_tags("sweep"))
     p.add_argument("--family", default="all-connected",
                    choices=["all-connected", "all-trees", "regular"])
     p.add_argument("--max-order", type=int, default=None)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .autos import AutCaps, automorphisms, vertex_orbits
+from .autos import DEFAULT_CAPS, VERIFY_CAPS, AutCaps, automorphisms, vertex_orbits
 from .colorings import (
     TDCPartition,
     TotalColoring,
@@ -26,7 +26,7 @@ from .colorings import (
     is_tdc,
 )
 from .errors import ConstructionDefectError, NotApplicableError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, join
 from .latin import LatinSquare, icls
 from .oracles import exact_parameter
 from .transforms import (
@@ -43,8 +43,7 @@ __all__ = [
     "ConstructionResult",
     "EndlineColoring",
     "BfsFrame",
-    "VERIFY_CAPS",
-    "join_graph",
+    "oracle_witness",
     "bipartite_edge_coloring",
     "list_edge_coloring_bipartite",
     "dist_edge_coloring_central",
@@ -61,12 +60,6 @@ __all__ = [
     "tdc_central_tree",
     "tdc_to_complement",
 ]
-
-# The transformed graphs blow up quadratically (C(G) of an order-7 graph has
-# up to 28 vertices), so verification defaults to roomier caps than raw group
-# enumeration does.
-VERIFY_CAPS = AutCaps(max_vertices=64, max_group_order=10**8)
-
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -115,16 +108,19 @@ class EndlineColoring:
     distinguishing: bool
 
 
-def join_graph(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union of g1 and g2 plus every cross edge.
+def oracle_witness(
+    g: Graph, kind: str, cap: int, defect: str, aut_caps: AutCaps = DEFAULT_CAPS
+) -> TotalColoring:
+    """The exact oracle's witness for ``kind`` within ``cap`` colors.
 
-    Vertices of g1 keep their labels; vertices of g2 are shifted by g1.n.
+    Raises ConstructionDefectError with the message ``defect`` when every
+    level up to the cap is refuted, or when a Dp witness has no edge colors.
     """
-    shift = g1.n
-    edges = list(g1.edges())
-    edges += [(shift + a, shift + b) for a, b in g2.edges()]
-    edges += [(a, shift + b) for a in range(g1.n) for b in range(g2.n)]
-    return Graph.from_edges(g1.n + g2.n, edges)
+    res = exact_parameter(g, kind, cap=cap, aut_caps=aut_caps)
+    witness = res.witness
+    if res.value is None or witness is None or (kind == "Dp" and witness.edge_colors is None):
+        raise ConstructionDefectError(defect)
+    return witness
 
 
 # --- bipartite edge colorings ------------------------------------------------
@@ -515,13 +511,12 @@ def dist_edge_coloring_central(
     cent = central(g)
     k = max(2, _sqrt_ceil(g.max_degree()))
     if g.is_complete() or g.is_cycle():
-        res = exact_parameter(cent.graph, "Dp", cap=2, aut_caps=aut_caps)
-        if res.value is None or res.witness is None or res.witness.edge_colors is None:
-            raise ConstructionDefectError(
-                "no 2-color distinguishing edge coloring found for the "
-                "complete/cycle case"
-            )
-        ec = dict(res.witness.edge_colors)
+        witness = oracle_witness(
+            cent.graph, "Dp", 2,
+            "no 2-color distinguishing edge coloring found for the complete/cycle case",
+            aut_caps,
+        )
+        ec = dict(witness.edge_colors)
         note = "complete-or-cycle case settled by bounded search"
     elif g.is_tree():
         ec = _central_edges_tree(g, cent, k)
@@ -547,12 +542,9 @@ def dist_vertex_coloring_central(
     if g.n < 4 or not g.is_connected():
         raise NotApplicableError("requires a connected graph of order at least 4")
     k = max(1, _sqrt_ceil(g.max_degree()))
-    res = exact_parameter(g, "Dpp", cap=k)
-    if res.value is None or res.witness is None:
-        raise ConstructionDefectError(
-            f"no total distinguishing coloring of the base graph with {k} colors"
-        )
-    f = res.witness
+    f = oracle_witness(
+        g, "Dpp", k, f"no total distinguishing coloring of the base graph with {k} colors"
+    )
     assert f.vertex_colors is not None and f.edge_colors is not None
     vc = list(f.vertex_colors)
     for e in g.edges():
@@ -600,21 +592,19 @@ def dist_vertex_coloring_middle(
     delta = g.max_degree()
     plus = endline(g)
     if g.is_cycle():
-        res = exact_parameter(plus.graph, "Dp", cap=2, aut_caps=aut_caps)
-        if res.value is None or res.witness is None:
-            raise ConstructionDefectError(
-                "no 2-color distinguishing edge coloring of the cycle's endline graph"
-            )
-        assert res.witness.edge_colors is not None
-        plus_ec = res.witness.edge_colors
+        plus_ec = oracle_witness(
+            plus.graph, "Dp", 2,
+            "no 2-color distinguishing edge coloring of the cycle's endline graph",
+            aut_caps,
+        ).edge_colors
         note = "cycle case settled on the endline graph directly"
     else:
-        res = exact_parameter(g, "Dp", cap=delta, aut_caps=aut_caps)
-        if res.value is None or res.witness is None:
-            raise ConstructionDefectError(
-                f"no distinguishing edge coloring of the base graph with {delta} colors"
-            )
-        ext = dist_edge_coloring_endline(g, res.witness, aut_caps)
+        base = oracle_witness(
+            g, "Dp", delta,
+            f"no distinguishing edge coloring of the base graph with {delta} colors",
+            aut_caps,
+        )
+        ext = dist_edge_coloring_endline(g, base, aut_caps)
         if not ext.distinguishing:
             raise ConstructionDefectError(
                 "endline extension lost the distinguishing property"
@@ -639,14 +629,19 @@ def dist_vertex_coloring_middle(
 # --- square-driven total colorings of central graphs -------------------------
 
 
-def _subdivision_graph_of(cent: TaggedGraph) -> Graph:
-    edges = []
-    for w, origin in cent.origin.items():
-        assert isinstance(origin, tuple)
-        u, v = origin
-        edges.append((u, w))
-        edges.append((v, w))
-    return Graph.from_edges(cent.graph.n, edges)
+def _color_subdivision_vertices(
+    cent: TaggedGraph,
+    ws: Iterable[int],
+    vc: list[int],
+    ec: Mapping[tuple[int, int], int],
+    palette: int,
+) -> None:
+    """Give each subdivision vertex in ``ws`` the smallest color in
+    1..palette that its two edges and two endpoints leave free."""
+    for w in ws:
+        a, b = cent.origin[w]  # type: ignore[misc]
+        blocked = {ec[(min(a, w), max(a, w))], ec[(min(b, w), max(b, w))], vc[a], vc[b]}
+        vc[w] = min(c for c in range(1, palette + 1) if c not in blocked)
 
 
 def _square_total_central(
@@ -668,7 +663,7 @@ def _square_total_central(
         vc[i] = square.entry(i + 1, i + 1)
     for i, j in comp.edges():
         ec[(i, j)] = square.entry(i + 1, j + 1)
-    bip = _subdivision_graph_of(cent)
+    bip = subdivision(g).graph
     lists: dict[tuple[int, int], set[int]] = {}
     for i in range(n):
         row = {square.entry(i + 1, j + 1) for j in range(n)}
@@ -679,15 +674,7 @@ def _square_total_central(
     selected = list_edge_coloring_bipartite(bip, lists)
     assert selected.edge_colors is not None
     ec.update(selected.edge_colors)
-    for w in range(n, cent.graph.n):
-        a, b = cent.origin[w]  # type: ignore[misc]
-        blocked = {
-            ec[(min(a, w), max(a, w))],
-            ec[(min(b, w), max(b, w))],
-            vc[a],
-            vc[b],
-        }
-        vc[w] = min(c for c in range(1, square_order + 1) if c not in blocked)
+    _color_subdivision_vertices(cent, range(n, cent.graph.n), vc, ec, square_order)
     for i in range(n):
         row = {square.entry(i + 1, j + 1) for j in range(n)}
         incident = [vc[i]]
@@ -755,7 +742,7 @@ def total_dist_coloring_central_regular(
         assert f1.vertex_colors is not None and f1.edge_colors is not None
         cent = central(g)
         cent_graph = cent.graph
-        bip = _subdivision_graph_of(cent)
+        bip = subdivision(g).graph
         shifted = bipartite_edge_coloring(bip)
         assert shifted.edge_colors is not None
         ec = {(i, j): f1.edge_colors[(i, j)] for i, j in comp.edges()}
@@ -776,15 +763,7 @@ def total_dist_coloring_central_regular(
                 ec[e] = min(
                     c for c in range(1, comp_delta + 3) if c not in blocked
                 )
-        for w in range(n, cent_graph.n):
-            a, b = cent.origin[w]  # type: ignore[misc]
-            blocked = {
-                ec[(min(a, w), max(a, w))],
-                ec[(min(b, w), max(b, w))],
-                vc[a],
-                vc[b],
-            }
-            vc[w] = min(c for c in range(1, cent_bound + 1) if c not in blocked)
+        _color_subdivision_vertices(cent, range(n, cent_graph.n), vc, ec, cent_bound)
         coloring = TotalColoring(tuple(vc), ec)
         notes = ("complement coloring from the oracle, fresh subdivision colors",)
     if not is_proper(cent_graph, coloring, "total"):
@@ -868,13 +847,12 @@ def total_dist_coloring_subdivision(
     orbits = vertex_orbits(automorphisms(g), g.n)
     fixed = any(orbits.count(o) == 1 for o in set(orbits))
     if g.is_cycle():
-        res = exact_parameter(s, "chi2D", cap=delta + 2, aut_caps=aut_caps)
-        if res.value is None or res.witness is None:
-            raise ConstructionDefectError(
-                "no total distinguishing coloring of the subdivided cycle "
-                "within two colors past its max degree"
-            )
-        coloring = res.witness
+        coloring = oracle_witness(
+            s, "chi2D", delta + 2,
+            "no total distinguishing coloring of the subdivided cycle "
+            "within two colors past its max degree",
+            aut_caps,
+        )
         bound = delta + 2
         notes = ("cycle case settled by bounded search",)
     else:
@@ -888,13 +866,12 @@ def total_dist_coloring_subdivision(
             assert edge_part.edge_colors is not None
             vc = _complete_vertex_lists(s, edge_part.edge_colors, delta + 1)
             if vc is None:
-                res = exact_parameter(s, "chi2", cap=delta + 1, aut_caps=aut_caps)
-                if res.value is None or res.witness is None:
-                    raise ConstructionDefectError(
-                        "no proper total coloring within one color past the "
-                        "subdivision max degree"
-                    )
-                coloring = res.witness
+                coloring = oracle_witness(
+                    s, "chi2", delta + 1,
+                    "no proper total coloring within one color past the "
+                    "subdivision max degree",
+                    aut_caps,
+                )
             else:
                 coloring = TotalColoring(vc, dict(edge_part.edge_colors))
         if fixed:
@@ -1034,7 +1011,7 @@ def avd_coloring_central_join(
     n1, n2 = g1.n, g2.n
     if n1 < 2 or n2 < 2:
         raise NotApplicableError("both parts must have at least 2 vertices")
-    joined = join_graph(g1, g2)
+    joined = join(g1, g2)
     cent = central(joined)
     budget = n1 + n2 + 2
     cent1, cent2 = central(g1).graph, central(g2).graph
@@ -1078,17 +1055,8 @@ def avd_coloring_central_join(
                 v_color = i + 1
             ec[(min(u, w), max(u, w))] = u_color
             ec[(min(q, w), max(q, w))] = v_color
-    for q in range(n1):
-        for i in range(n2):
-            u = n1 + i
-            w = cent.subdivided(q, u)
-            blocked = {
-                ec[(min(u, w), max(u, w))],
-                ec[(min(q, w), max(q, w))],
-                vc[u],
-                vc[q],
-            }
-            vc[w] = min(c for c in range(1, budget + 1) if c not in blocked)
+    cross = (cent.subdivided(q, n1 + i) for q in range(n1) for i in range(n2))
+    _color_subdivision_vertices(cent, cross, vc, ec, budget)
     coloring = TotalColoring(tuple(vc), ec)
     if n1 != n2:
         u_sets = {

@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .autos import DEFAULT_CAPS, AutCaps, automorphisms
+from .autos import DEFAULT_CAPS, AutCaps, automorphisms, lift_to_central
 from .colorings import TDCPartition, TotalColoring, coloring_to_json
 from .errors import BudgetExceededError, NotApplicableError
 from .graphs import Graph
@@ -140,19 +140,13 @@ class _Search:
         self.perm_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         if kind in _DISTINGUISHING:
             group = automorphisms(g, aut_caps)
-            eidx = g.edge_index()
             pairs = []
             for phi in group:
                 if all(phi[v] == v for v in range(n)):
                     continue
-                elem = list(range(n + m))
-                for v in range(n):
-                    elem[v] = phi[v]
-                for k, (u, v) in enumerate(edges):
-                    a, b = phi[u], phi[v]
-                    if a > b:
-                        a, b = b, a
-                    elem[n + k] = n + eidx[(a, b)]
+                # Edge k is element n + k, where the central graph puts the
+                # vertex subdividing it, so the lift is the action on elements.
+                elem = lift_to_central(phi, g)
                 inv = [0] * (n + m)
                 for i, j in enumerate(elem):
                     inv[j] = i

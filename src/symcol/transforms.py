@@ -9,6 +9,7 @@ of their source edges; the endline pendant of vertex v is n+v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph, encode_graph6
 
@@ -40,17 +41,14 @@ class TaggedGraph:
     def subdivided(self, u: int, v: int) -> int:
         """The added vertex sitting on base edge {u, v}."""
         key = (u, v) if u < v else (v, u)
-        w = self._edge_to_added().get(key)
+        w = self._edge_to_added.get(key)
         if w is None:
             raise KeyError(f"{key} is not a subdivided base edge")
         return w
 
+    @cached_property
     def _edge_to_added(self) -> dict[tuple[int, int], int]:
-        cached = getattr(self, "_edge_map", None)
-        if cached is None:
-            cached = {e: w for w, e in self.origin.items() if isinstance(e, tuple)}
-            self._edge_map = cached
-        return cached
+        return {e: w for w, e in self.origin.items() if isinstance(e, tuple)}
 
     def to_json(self) -> dict:
         return {
@@ -89,13 +87,9 @@ def central(g: Graph) -> TaggedGraph:
 def middle(g: Graph) -> TaggedGraph:
     """Subdivide every edge, then join subdivided vertices of adjacent edges."""
     sub_edges, origin = _subdivision_parts(g)
-    edges = g.edges()
-    extra = []
-    for b in range(len(edges)):
-        for a in range(b):
-            if set(edges[a]) & set(edges[b]):
-                extra.append((g.n + a, g.n + b))
-    graph = Graph.from_edges(g.n + len(edges), sub_edges + extra)
+    lg, _ = line_graph(g)
+    extra = [(g.n + a, g.n + b) for a, b in lg.edges()]
+    graph = Graph.from_edges(g.n + lg.n, sub_edges + extra)
     return TaggedGraph(graph, g, tuple(range(g.n)), tuple(sorted(origin)), origin)
 
 

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from symcol.cli import main, run_check
+from symcol.cli import CHECKS, main, run_check
 from symcol.graphs import (
     complete_graph,
     cycle_graph,
     encode_graph6,
     parse_graph6,
+    path_graph,
     star_graph,
 )
 
@@ -185,7 +186,7 @@ def test_latin_csv(capsys):
     assert [int(rows[i][i]) for i in range(5)] == [1, 2, 3, 4, 5]
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "transform", "--kind", "central")[0] == 2
     assert run_cli(capsys, "sweep", "--check", "3.2",
@@ -195,6 +196,22 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "order 8" in err
     assert run_cli(capsys, "latin", "--k", "1")[0] == 2
     assert run_cli(capsys, "construct", "--theorem", "5.5", "--in", C5)[0] == 2
+    report = str(tmp_path / "r.jsonl")
+    assert run_cli(capsys, "sweep", "--check", "3.2", "--min-order", "-1",
+                   "--max-order", "4", "--report", report)[0] == 2
+    assert run_cli(capsys, "sweep", "--check", "3.2", "--family", "regular",
+                   "--degree", "-1", "--max-order", "4", "--report", report)[0] == 2
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{ not json")
+    no_classes = tmp_path / "no_classes.json"
+    no_classes.write_text(json.dumps({"graph6": C5}))
+    bad_graph6 = tmp_path / "bad_graph6.json"
+    bad_graph6.write_text(json.dumps({"graph6": "!!bad!!", "vertex_colors": [1]}))
+    for prop, path in [("avd", tmp_path / "missing.json"), ("avd", not_json),
+                       ("tdc", no_classes), ("proper-total", bad_graph6)]:
+        code, _, err = run_cli(capsys, "verify", "--property", prop, "--in", C5,
+                               "--coloring", str(path))
+        assert code == 2 and "--coloring" in err
 
 
 def test_run_check_record_shape():
@@ -207,6 +224,37 @@ def test_run_check_record_shape():
         "oracle_value", "seconds", "error",
     }
     assert run_check("A_", "3.2")["verdict"] == "not-applicable"
+
+
+# One graph per sweep check on which that check applies.
+SWEEP_CASES = {
+    "2.11": path_graph(5),
+    "3.2": cycle_graph(5),
+    "3.4": cycle_graph(5),
+    "3.6": cycle_graph(5),
+    "4.5": cycle_graph(5),
+    "4.9": cycle_graph(5),
+    "5.1": cycle_graph(5),
+    "5.3": star_graph(6),
+    "6.1": cycle_graph(5),
+    "6.2": cycle_graph(5),
+    "appendix-tree": star_graph(6),
+    "tcc-central": cycle_graph(5),
+}
+
+
+def test_sweep_cases_cover_every_sweep_check():
+    assert set(SWEEP_CASES) == {t for t, (cmds, _) in CHECKS.items() if "sweep" in cmds}
+
+
+@pytest.mark.parametrize("check", list(SWEEP_CASES))
+def test_run_check_passes_every_sweep_check(check):
+    record = run_check(encode_graph6(SWEEP_CASES[check]), check)
+    assert record["verdict"] == "pass" and record["error"] is None
+    if check == "2.11":  # the order chain promises no bound
+        assert record["promised_bound"] is None and record["achieved"] is None
+    else:
+        assert record["achieved"] <= record["promised_bound"]
 
 
 def test_sweep_report_cache_and_resume(capsys, tmp_path):
@@ -277,13 +325,38 @@ def test_sweep_corrupt_cache_entry_recomputed(capsys, tmp_path):
     args = ["sweep", "--check", "3.2", "--family", "all-connected",
             "--min-order", "4", "--max-order", "4", "--report", str(report)]
     run_cli(capsys, *args)
-    first = report.read_bytes()
+    first = report.read_text().splitlines(keepends=True)
     victim = sorted((tmp_path / "r.cache").glob("*.json"))[0]
+    redone = json.loads(victim.read_text())["graph6"]
     victim.write_text("{ not json")
     code, _, err = run_cli(capsys, *args)
     assert code == 0
-    assert report.read_bytes() == first
     assert "discarding corrupt cache entry" in err
+
+    def strip_seconds(line):
+        row = json.loads(line)
+        row.pop("seconds")
+        return row
+
+    # Cached records replay byte for byte; the recomputed one carries a new
+    # wall-clock time, so it is compared without its seconds field.
+    second = report.read_text().splitlines(keepends=True)
+    assert len(second) == len(first)
+    for old, new in zip(first, second):
+        if json.loads(old)["graph6"] == redone:
+            assert strip_seconds(new) == strip_seconds(old)
+        else:
+            assert new == old
+
+
+def test_sweep_cache_keyed_by_budget(capsys, tmp_path):
+    args = ["sweep", "--check", "tcc-central", "--min-order", "5",
+            "--max-order", "5", "--report", str(tmp_path / "r.jsonl")]
+    code, out, _ = run_cli(capsys, *args, "--budget", "10")
+    assert code == 0 and json.loads(out)["budget_exceeded"] == 21
+    # A budget-exceeded verdict must not be replayed under another budget.
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["pass"] == 21
 
 
 def test_sweep_tcc_check(capsys, tmp_path):

@@ -17,7 +17,6 @@ from symcol.constructive import (
     dist_edge_coloring_endline,
     dist_vertex_coloring_central,
     dist_vertex_coloring_middle,
-    join_graph,
     list_edge_coloring_bipartite,
     tdc_central,
     tdc_central_tree,
@@ -34,6 +33,7 @@ from symcol.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    join,
     path_graph,
     star_graph,
 )
@@ -324,9 +324,9 @@ def test_avd_join_covers_bipartite_and_self_joins():
 
 
 def test_join_graph_shape():
-    j = join_graph(empty_graph(2), empty_graph(3))
+    j = join(empty_graph(2), empty_graph(3))
     assert j == complete_bipartite(2, 3)
-    j = join_graph(complete_graph(2), complete_graph(3))
+    j = join(complete_graph(2), complete_graph(3))
     assert j.is_complete()
 
 
