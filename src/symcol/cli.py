@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__
 from .autos import VERIFY_CAPS, automorphisms, check_aut_chain
@@ -116,18 +116,14 @@ def _cmd_aut(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
-    try:
-        res = exact_parameter(
-            g,
-            args.param,
-            cap=args.cap,
-            budget=args.budget,
-            workers=args.workers,
-            aut_caps=VERIFY_CAPS,
-        )
-    except BudgetExceededError as exc:
-        _print_json({"error": "budget-exceeded", "detail": str(exc)})
-        return 1
+    res = exact_parameter(
+        g,
+        args.param,
+        cap=args.cap,
+        budget=args.budget,
+        workers=args.workers,
+        aut_caps=VERIFY_CAPS,
+    )
     _print_json(res.to_json(g))
     return 0
 
@@ -268,16 +264,26 @@ def _tags(command: str) -> list[str]:
     return [tag for tag, (commands, _) in CHECKS.items() if command in commands]
 
 
+def _attempt(run: Callable[[], dict]) -> dict:
+    """The document ``run`` returns, or a verdict document with a ``detail``
+    for the failure it raised."""
+    try:
+        return run()
+    except NotApplicableError as exc:
+        verdict, detail = "not-applicable", str(exc)
+    except BudgetExceededError as exc:
+        verdict, detail = "budget-exceeded", str(exc)
+    except (ConstructionDefectError, ValueError) as exc:
+        verdict, detail = "fail", str(exc)
+    return {"verdict": verdict, "detail": detail}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
     g2 = _parse_graph(args.graph2) if args.graph2 else None
-    try:
-        doc = CHECKS[args.theorem][1](g, g2, None)
-    except NotApplicableError as exc:
-        _print_json({"verdict": "not-applicable", "detail": str(exc)})
-        return 1
-    except (ConstructionDefectError, ValueError) as exc:
-        _print_json({"verdict": "fail", "detail": str(exc)})
+    doc = _attempt(lambda: CHECKS[args.theorem][1](g, g2, None))
+    if doc["verdict"] != "pass":
+        _print_json(doc)
         return 1
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -302,20 +308,11 @@ def run_check(graph6: str, check: str, budget: int | None = None) -> dict:
         "error": None,
     }
     start = time.perf_counter()
-    try:
-        doc = CHECKS[check][1](parse_graph6(graph6), None, budget)
-        record["verdict"] = doc["verdict"]
-        record["promised_bound"] = doc.get("promised_bound")
-        record["achieved"] = doc.get("palette_size", doc.get("class_count"))
-    except NotApplicableError as exc:
-        record["verdict"] = "not-applicable"
-        record["error"] = str(exc)
-    except BudgetExceededError as exc:
-        record["verdict"] = "budget-exceeded"
-        record["error"] = str(exc)
-    except (ConstructionDefectError, ValueError) as exc:
-        record["verdict"] = "fail"
-        record["error"] = str(exc)
+    doc = _attempt(lambda: CHECKS[check][1](parse_graph6(graph6), None, budget))
+    record["verdict"] = doc["verdict"]
+    record["promised_bound"] = doc.get("promised_bound")
+    record["achieved"] = doc.get("palette_size", doc.get("class_count"))
+    record["error"] = doc.get("detail")
     record["seconds"] = round(time.perf_counter() - start, 3)
     return record
 
@@ -377,6 +374,13 @@ def _cache_get(cache_dir: Path, key: str) -> dict | None:
         return None
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    # A reader, or a run killed mid-write, sees the old file or the new one.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     graphs = list(_family_graphs(args))
     report_path = Path(args.report)
@@ -392,6 +396,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             todo.append((idx, graph6))
 
+    def finish(idx: int, record: dict) -> None:
+        # Cached as soon as it completes, so a killed sweep resumes from here.
+        records[idx] = record
+        key = _cache_key(record["graph6"], args.check, args.budget)
+        _write_atomic(cache_dir / f"{key}.json", json.dumps(record, sort_keys=True) + "\n")
+
     if todo and args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = {
@@ -399,23 +409,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 for idx, graph6 in todo
             }
             for fut in concurrent.futures.as_completed(futures):
-                records[futures[fut]] = fut.result()
+                finish(futures[fut], fut.result())
     else:
         for idx, graph6 in todo:
-            records[idx] = run_check(graph6, args.check, args.budget)
+            finish(idx, run_check(graph6, args.check, args.budget))
 
     # Records land in the report in enumeration order so that a resumed run
     # reproduces the file byte for byte.
     counts = {"pass": 0, "fail": 0, "not-applicable": 0, "budget-exceeded": 0}
-    with report_path.open("w") as out:
-        for idx in range(len(graphs)):
-            record = records[idx]
-            counts[record["verdict"]] += 1
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-            key = _cache_key(record["graph6"], args.check, args.budget)
-            (cache_dir / f"{key}.json").write_text(
-                json.dumps(record, sort_keys=True) + "\n"
-            )
+    lines = []
+    for idx in range(len(graphs)):
+        counts[records[idx]["verdict"]] += 1
+        lines.append(json.dumps(records[idx], sort_keys=True) + "\n")
+    _write_atomic(report_path, "".join(lines))
     fails = counts["fail"]
     summary = {
         "check": args.check,
@@ -509,6 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"symcol: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceededError as exc:
+        _print_json({"error": "budget-exceeded", "detail": str(exc)})
+        return 1
 
 
 if __name__ == "__main__":

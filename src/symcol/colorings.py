@@ -129,8 +129,9 @@ def _require_edge_cover(g: Graph, f: TotalColoring) -> dict[tuple[int, int], int
     missing = [e for e in edges if e not in f.edge_colors]
     if missing:
         raise ValueError(f"edge colors missing for {missing[:5]}")
-    extra = [e for e in f.edge_colors if e not in set(edges)]
-    if extra:
+    if len(f.edge_colors) > len(edges):
+        edge_set = set(edges)
+        extra = [e for e in f.edge_colors if e not in edge_set]
         raise ValueError(f"edge colors given for non-edges {extra[:5]}")
     return f.edge_colors
 

@@ -457,7 +457,6 @@ def _root_mark_counts(
         b = ec[(min(y, w), max(y, w))]
         if a == 1 and b == 1:
             counts[x] += 1
-        if b == 1 and a == 1:
             counts[y] += 1
     return counts
 

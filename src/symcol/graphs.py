@@ -24,7 +24,6 @@ __all__ = [
     "cycle_graph",
     "star_graph",
     "complete_bipartite",
-    "circulant_graph",
     "petersen_graph",
     "paw_graph",
     "diamond_graph",
@@ -251,17 +250,6 @@ def star_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def circulant_graph(n: int, connections: Iterable[int]) -> Graph:
-    edges = []
-    for s in connections:
-        s %= n
-        if s == 0:
-            raise ValueError("connection offset 0 would be a self-loop")
-        for v in range(n):
-            edges.append((v, (v + s) % n))
-    return Graph.from_edges(n, edges)
 
 
 def petersen_graph() -> Graph:

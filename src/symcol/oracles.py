@@ -6,8 +6,11 @@ colors have appeared, which collapses color permutations without affecting
 minima. Witnesses are the first solutions in a fixed deterministic branch
 order (lowest color first for the proper kinds, newest color first for the
 unconstrained distinguishing kinds), so they are reproducible run to run.
-Searches accept a node budget and an optional worker count; neither the
-computed value nor the witness depends on the worker count.
+Searches accept a node budget and an optional worker count. None of the
+value, the witness, ``nodes`` and the budget verdict depends on the worker
+count: the parallel search is the sequential one cut into slices, charged in
+the sequential order. ``nodes`` and the budget cover every search a call
+makes, the chromatic-number search behind the chitd lower bound included.
 
 Parameter kinds:
 
@@ -253,8 +256,10 @@ class _Search:
         """Search this level.
 
         Returns (status, data, nodes): data is the full assignment tuple on
-        SAT, the list of depth-``stop_depth`` prefixes in collection mode,
-        and None otherwise.
+        SAT, and None otherwise.  In collection mode it is the list of
+        (node count when reached, prefix) pairs for the prefixes of depth
+        ``stop_depth`` in tree order; the list ends early, with a shorter
+        prefix, at a node where the sequential search would stop.
         """
         self.f = [0] * (self.n + self.m)
         self.maxused = 0
@@ -262,7 +267,7 @@ class _Search:
         self.budget = budget
         self.prefix = tuple(prefix)
         self.stop_depth = stop_depth
-        self.collected: list[tuple[int, ...]] | None = (
+        self.collected: list[tuple[int, tuple[int, ...]]] | None = (
             [] if stop_depth is not None else None
         )
         if self.kind == "chitd":
@@ -272,16 +277,20 @@ class _Search:
             sat = self._dfs(0, live)
         except _BudgetHit:
             return (_BUDGET, None, self.nodes)
-        if sat:
-            return (_SAT, tuple(self.f), self.nodes)
         if self.collected is not None:
             return (_COLLECT, self.collected, self.nodes)
+        if sat:
+            return (_SAT, tuple(self.f), self.nodes)
         return (_UNSAT, None, self.nodes)
+
+    def _collect(self, depth: int) -> None:
+        assert self.collected is not None
+        prefix = tuple(self.f[self.order[q]] for q in range(depth))
+        self.collected.append((self.nodes, prefix))
 
     def _dfs(self, p: int, live: list) -> bool:
         if p == self.stop_depth:
-            assert self.collected is not None
-            self.collected.append(tuple(self.f[self.order[q]] for q in range(p)))
+            self._collect(p)
             return False
         if p == self.N:
             return self._leaf_ok(live)
@@ -324,20 +333,19 @@ class _Search:
                         continue
                     new_live.append(pair)
                 if not new_live and self.kind in ("D", "Dp", "Dpp"):
-                    # No symmetry survives, so every completion succeeds.
-                    # Take the one the branch order would reach first: any
-                    # still-forced positions keep their assigned color, the
-                    # rest greedily take the newest color available.
-                    if self.stop_depth is None:
-                        for q in range(p + 1, self.N):
-                            if q < len(self.prefix):
-                                fq = self.prefix[q]
-                            else:
-                                fq = min(self.level, self.maxused + 1)
-                            self.f[self.order[q]] = fq
-                            if fq > self.maxused:
-                                self.maxused = fq
+                    # No symmetry survives, so every completion succeeds and
+                    # the search stops here.  A collection pass ends with this
+                    # node as its last prefix.  Otherwise take the completion
+                    # the branch order reaches first: each remaining position
+                    # takes the newest color available.  A slice never gets
+                    # here inside its prefix, since collection stops first.
+                    if self.collected is not None:
+                        self._collect(p + 1)
                         return True
+                    for q in range(p + 1, self.N):
+                        self.maxused = min(self.level, self.maxused + 1)
+                        self.f[self.order[q]] = self.maxused
+                    return True
             if ok and self._dfs(p + 1, new_live):
                 return True
             for v, bit in trail:
@@ -418,74 +426,42 @@ def _run_level(
     if pool is None or search.N <= 1:
         return search.run(budget)
 
-    # Slice the canonical tree into prefixes and fan them out. The slices
-    # partition the sequential tree, so the first satisfiable slice holds
-    # the same witness the sequential search would return.
-    nodes = 0
-    prefixes: list[tuple[int, ...]] = [()]
-    depth = 0
-    while depth + 1 < search.N and depth < _MAX_PREFIX_DEPTH:
-        depth += 1
-        status, data, used = search.run(budget, stop_depth=depth)
-        nodes += used
-        if status == _SAT:
-            return (_SAT, data, nodes)
+    # Cut the sequential search into slices, the subtrees below the prefixes
+    # of one collection pass.  That pass walks the nodes above the slices in
+    # the sequential order and records the node count at each prefix, so
+    # charging the slices in tree order reproduces the sequential status,
+    # data and node count.  Shallower passes only choose the depth and are
+    # not charged.
+    for depth in range(1, min(search.N, _MAX_PREFIX_DEPTH + 1)):
+        status, prefixes, above = search.run(budget, stop_depth=depth)
         if status == _BUDGET:
-            return (_BUDGET, None, nodes)
-        assert status == _COLLECT
-        prefixes = data  # type: ignore[assignment]
+            # The sequential search may stop before it has walked all of the
+            # nodes above the slices.
+            return search.run(budget)
         if not prefixes or len(prefixes) >= _PREFIX_TARGET:
             break
-    if not prefixes:
-        return (_UNSAT, None, nodes)
 
-    per_budget = max(budget // len(prefixes), 1000)
+    # A slice's forced prefix costs one node per position, already counted
+    # in ``at``, so it gets what the budget leaves after ``at`` plus those.
     futures = [
-        pool.submit(_worker_run, (g.n, g.adj, kind, level, pfx, per_budget, caps))
-        for pfx in prefixes
+        pool.submit(_worker_run, (g.n, g.adj, kind, level, pfx, budget - at + len(pfx), caps))
+        for at, pfx in prefixes
     ]
-    sat_data = None
-    budget_hit = False
+    below = 0
     try:
-        for fut in futures:
+        for (at, pfx), fut in zip(prefixes, futures):
             status, data, used = fut.result()
-            nodes += used
-            if status == _BUDGET:
-                budget_hit = True
-            elif status == _SAT:
-                sat_data = data
-                break
+            below += used - len(pfx)
+            if status == _BUDGET or at + below > budget:
+                return (_BUDGET, None, budget + 1)
+            if status == _SAT:
+                return (_SAT, data, at + below)
     finally:
         for fut in futures:
             fut.cancel()
-    if budget_hit:
-        # Either no witness was found, or a slice before the witness was cut
-        # short, which would make the reported witness unreproducible.
-        return (_BUDGET, None, nodes)
-    if sat_data is not None:
-        return (_SAT, sat_data, nodes)
-    return (_UNSAT, None, nodes)
-
-
-def _chromatic_number(g: Graph, budget: int) -> int:
-    for level in range(1, g.n + 1):
-        status, _, _ = _Search(g, "chi", level).run(budget)
-        if status == _SAT:
-            return level
-        if status == _BUDGET:
-            raise BudgetExceededError(
-                f"node budget exhausted computing the chromatic number at {level} colors",
-                nodes=budget,
-            )
-    return g.n
-
-
-def _lower_bound(g: Graph, kind: str, budget: int) -> int:
-    if kind in ("chi2", "chi2D", "chi2a"):
-        return g.max_degree() + 1
-    if kind == "chitd":
-        return max(2, _chromatic_number(g, budget))
-    return 1
+    if above + below > budget:
+        return (_BUDGET, None, budget + 1)
+    return (_UNSAT, None, above + below)
 
 
 def _default_cap(g: Graph, kind: str) -> int:
@@ -494,6 +470,61 @@ def _default_cap(g: Graph, kind: str) -> int:
     if kind == "Dp":
         return max(g.edge_count(), 1)
     return g.n + g.edge_count()
+
+
+def _solve(
+    g: Graph,
+    kind: str,
+    lo: int | None,
+    hi: int,
+    message: str,
+    budget: int | None,
+    workers: int,
+    aut_caps: AutCaps,
+):
+    """Search ``kind`` at levels lo..hi in order up to the first satisfiable one.
+
+    Levels below 1 are skipped.  ``lo`` None starts at a sound lower bound;
+    for chitd that is the chromatic number, searched first on the same
+    budget, pool and node count.  Returns (level, witness, nodes), with level
+    and witness None when every level is refuted.  Raises
+    BudgetExceededError, with ``message`` filled in for the level it stopped
+    at, when the node budget runs out.
+    """
+    if kind not in PARAM_KINDS:
+        raise ValueError(f"unknown parameter kind {kind!r}")
+    budget = _resolve_budget(budget)
+    nodes = 0
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def first_sat(kind: str, levels: range, message: str):
+        nonlocal nodes
+        for level in levels:
+            status, data, used = _run_level(g, kind, level, aut_caps, budget - nodes, pool)
+            nodes += used
+            if status == _SAT:
+                return level, data
+            if status == _BUDGET:
+                raise BudgetExceededError(
+                    "node budget exhausted " + message.format(kind=kind, level=level),
+                    nodes=nodes,
+                )
+        return None, None
+
+    try:
+        if lo is None and kind == "chitd":
+            chi, _ = first_sat(
+                "chi", range(1, g.n + 1), "computing the chromatic number at {level} colors"
+            )
+            lo = max(2, chi or 0)
+        elif lo is None:
+            lo = g.max_degree() + 1 if kind in ("chi2", "chi2D", "chi2a") else 1
+        level, data = first_sat(kind, range(max(lo, 1), hi + 1), message)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    witness = None if data is None else _witness_from(g, kind, data)
+    return level, witness, nodes
 
 
 def exact_parameter(
@@ -512,35 +543,13 @@ def exact_parameter(
     ``value`` is None if every level up to the cap was refuted. Raises
     BudgetExceededError when the node budget runs out first.
     """
-    if kind not in PARAM_KINDS:
-        raise ValueError(f"unknown parameter kind {kind!r}")
     start = time.perf_counter()
-    remaining = _resolve_budget(budget)
-    if cap is None:
-        cap = _default_cap(g, kind)
-    total_nodes = 0
-    lb = _lower_bound(g, kind, remaining)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for level in range(lb, cap + 1):
-            status, data, nodes = _run_level(g, kind, level, aut_caps, remaining, pool)
-            total_nodes += nodes
-            remaining -= nodes
-            if status == _SAT:
-                witness = _witness_from(g, kind, data)
-                return OracleResult(
-                    kind, level, witness, total_nodes, time.perf_counter() - start
-                )
-            if status == _BUDGET:
-                raise BudgetExceededError(
-                    f"node budget exhausted searching {kind} at {level} colors; "
-                    f"all levels below {level} are refuted",
-                    nodes=total_nodes,
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return OracleResult(kind, None, None, total_nodes, time.perf_counter() - start)
+    level, witness, nodes = _solve(
+        g, kind, None, _default_cap(g, kind) if cap is None else cap,
+        "searching {kind} at {level} colors; all levels below {level} are refuted",
+        budget, workers, aut_caps,
+    )
+    return OracleResult(kind, level, witness, nodes, time.perf_counter() - start)
 
 
 def lower_bound_certificate(
@@ -553,24 +562,11 @@ def lower_bound_certificate(
     aut_caps: AutCaps = DEFAULT_CAPS,
 ) -> bool:
     """True iff exhaustive search refutes every coloring with value-1 colors."""
-    if kind not in PARAM_KINDS:
-        raise ValueError(f"unknown parameter kind {kind!r}")
-    level = value - 1
-    if level < 1:
-        return True
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        status, _, nodes = _run_level(
-            g, kind, level, aut_caps, _resolve_budget(budget), pool
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    if status == _BUDGET:
-        raise BudgetExceededError(
-            f"node budget exhausted refuting {kind} at {level} colors", nodes=nodes
-        )
-    return status == _UNSAT
+    level, _, _ = _solve(
+        g, kind, value - 1, value - 1, "refuting {kind} at {level} colors",
+        budget, workers, aut_caps,
+    )
+    return level is None
 
 
 def upper_bound_witness(
@@ -587,22 +583,8 @@ def upper_bound_witness(
     Satisfiability check at one level, for bound verification without the
     cost of refuting smaller levels first.
     """
-    if kind not in PARAM_KINDS:
-        raise ValueError(f"unknown parameter kind {kind!r}")
-    if value < 1:
-        return None
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        status, data, nodes = _run_level(
-            g, kind, value, aut_caps, _resolve_budget(budget), pool
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    if status == _BUDGET:
-        raise BudgetExceededError(
-            f"node budget exhausted searching {kind} at {value} colors", nodes=nodes
-        )
-    if status == _SAT:
-        return _witness_from(g, kind, data)
-    return None
+    _, witness, _ = _solve(
+        g, kind, value, value, "searching {kind} at {level} colors",
+        budget, workers, aut_caps,
+    )
+    return witness

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from symcol import cli
 from symcol.cli import CHECKS, main, run_check
 from symcol.graphs import (
     complete_graph,
@@ -178,6 +179,21 @@ def test_oracle_budget_exceeded_exit(capsys):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+def test_construct_and_aut_budget_exceeded_exit(capsys):
+    # Construction 3.4 searches its base graph under the 24-vertex cap, and
+    # S(P33) has 65 vertices, past the 64-vertex cap of `aut`.
+    code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4",
+                           "--in", encode_graph6(path_graph(25)))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "budget-exceeded" and "24-vertex" in doc["detail"]
+    code, out, _ = run_cli(capsys, "aut", "--chain",
+                           "--in", encode_graph6(path_graph(33)))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "budget-exceeded" and "64-vertex" in doc["detail"]
+
+
 def test_latin_csv(capsys):
     code, out, _ = run_cli(capsys, "latin", "--k", "3")
     assert code == 0
@@ -347,6 +363,41 @@ def test_sweep_corrupt_cache_entry_recomputed(capsys, tmp_path):
             assert strip_seconds(new) == strip_seconds(old)
         else:
             assert new == old
+
+
+def test_sweep_resumes_after_interrupt(capsys, tmp_path, monkeypatch):
+    def args(report):
+        return ["sweep", "--check", "3.2", "--min-order", "4", "--max-order", "4",
+                "--report", str(report)]
+
+    def rows(path):
+        out = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in out:
+            row.pop("seconds")
+        return out
+
+    whole = tmp_path / "whole.jsonl"
+    run_cli(capsys, *args(whole))
+    graphs = [row["graph6"] for row in rows(whole)]
+
+    computed = []
+
+    def interrupted_run_check(graph6, *rest):
+        computed.append(graph6)
+        if len(computed) == 3:
+            raise KeyboardInterrupt
+        return run_check(graph6, *rest)
+
+    monkeypatch.setattr(cli, "run_check", interrupted_run_check)
+    report = tmp_path / "r.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        main(args(report))
+    assert computed == graphs[:3]
+    code, _, _ = run_cli(capsys, *args(report))
+    assert code == 0
+    # Only the interrupted graph and those after it are computed again.
+    assert computed[3:] == graphs[2:]
+    assert rows(report) == rows(whole)
 
 
 def test_sweep_cache_keyed_by_budget(capsys, tmp_path):

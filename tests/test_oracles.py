@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -22,9 +23,16 @@ from symcol.graphs import (
     empty_graph,
     path_graph,
     paw_graph,
+    petersen_graph,
     star_graph,
 )
-from symcol.oracles import exact_parameter, lower_bound_certificate, upper_bound_witness
+from symcol.oracles import (
+    OracleResult,
+    exact_parameter,
+    lower_bound_certificate,
+    upper_bound_witness,
+)
+from symcol.transforms import central
 
 
 # --- reference implementations, deliberately unpruned -----------------------
@@ -233,16 +241,63 @@ def test_bad_kind():
         lower_bound_certificate(path_graph(3), "X", 2)
 
 
+def test_chitd_budget_covers_the_chromatic_number_search():
+    # chi(K4) = 4 costs 1 + 2 + 3 + 4 nodes before chitd's own level 4.
+    assert exact_parameter(complete_graph(4), "chitd").nodes == 14
+    with pytest.raises(BudgetExceededError, match="chromatic number") as info:
+        exact_parameter(complete_graph(4), "chitd", budget=5)
+    assert info.value.nodes == 6
+
+
+DETERMINISM_CASES = [
+    (cycle_graph(5), "D"),
+    (complete_graph(4), "chi2"),
+    (cycle_graph(4), "chitd"),
+    (cycle_graph(5), "Dp"),
+    (complete_graph(3), "chi2a"),
+]
+
+
 def test_worker_determinism():
-    cases = [
-        (cycle_graph(5), "D"),
-        (complete_graph(4), "chi2"),
-        (cycle_graph(4), "chitd"),
-        (cycle_graph(5), "Dp"),
-        (complete_graph(3), "chi2a"),
-    ]
-    for g, kind in cases:
+    for g, kind in DETERMINISM_CASES:
         seq = exact_parameter(g, kind, workers=1)
         par = exact_parameter(g, kind, workers=2)
         assert seq.value == par.value, (kind, g)
         assert seq.witness == par.witness, (kind, g)
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except BudgetExceededError as exc:
+        return ("budget-exceeded", str(exc), exc.nodes)
+    if isinstance(result, OracleResult):
+        return (result.value, result.witness, result.nodes)
+    return result
+
+
+@pytest.mark.parametrize(
+    "g, kind",
+    [
+        (central(complete_graph(4)).graph, "chi2a"),
+        (petersen_graph(), "Dpp"),
+        (central(cycle_graph(5)).graph, "chi2"),
+        *DETERMINISM_CASES,
+    ],
+    ids=["C(K4)-chi2a", "Petersen-Dpp", "C(C5)-chi2", "C5-D", "K4-chi2", "C4-chitd",
+         "C5-Dp", "K3-chi2a"],
+)
+def test_tight_budgets_do_not_depend_on_workers(g, kind):
+    full = exact_parameter(g, kind)
+    n = full.nodes
+    for budget in (n - 1, n, math.ceil(1.05 * n)):
+        calls = [
+            lambda w: exact_parameter(g, kind, budget=budget, workers=w),
+            lambda w: lower_bound_certificate(g, kind, full.value, budget=budget, workers=w),
+            lambda w: upper_bound_witness(g, kind, full.value, budget=budget, workers=w),
+        ]
+        outcomes = []
+        for call in calls:
+            outcomes.append(_outcome(lambda: call(1)))
+            assert outcomes[-1] == _outcome(lambda: call(2)), (kind, budget)
+        assert (outcomes[0][0] == "budget-exceeded") == (budget < n)
