@@ -1,18 +1,23 @@
 """Exact automorphism enumeration, isomorphism search, and lifting maps.
 
-The engine is classic individualization-refinement: vertices start colored by
-degree, colors are refined by sorted neighbor-color profiles until stable, and
-a smallest non-singleton class is split by trying every target vertex.  Colors
-are assigned by ranking profile keys, so they are comparable across the two
-graphs of an isomorphism search.  Every complete leaf is adjacency-checked, so
-refinement only prunes, it never decides.
+The engine is classic individualization-refinement: vertices start in one
+class, or in the classes of a given starting coloring, colors are refined by
+sorted neighbor-color profiles until stable, and a smallest non-singleton
+class is split by trying every target vertex.  Colors are assigned by ranking
+profile keys, so they are comparable across the two graphs of an isomorphism
+search.  Every complete leaf is adjacency-checked, so refinement only prunes,
+it never decides.
 
-Groups are enumerated in full (the distinguishing verifiers quantify over all
-automorphisms), deterministically sorted, and memoized per graph.
+``automorphisms`` enumerates a group in full, deterministically sorted; the
+chain check, ``symcol aut`` and the oracles' symmetry pruning list its
+elements.  The last groups are kept in a bounded least-recently-used cache.
+The distinguishing verifier enumerates no group: one search on the colored
+graph stops at the first automorphism other than the identity.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -117,8 +122,14 @@ def _refine(
         cg, ch = ng, nh
 
 
-def _isomorphisms(g: Graph, h: Graph) -> Iterator[Permutation]:
-    """All isomorphisms g -> h, in deterministic search order."""
+def _isomorphisms(
+    g: Graph, h: Graph, colors: list[int] | None = None
+) -> Iterator[Permutation]:
+    """All isomorphisms g -> h, in deterministic search order.
+
+    ``colors`` is the starting partition of both graphs, as ints below n
+    (default: one class); only isomorphisms that keep it are found.
+    """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return
     if g.n == 0:
@@ -160,18 +171,31 @@ def _isomorphisms(g: Graph, h: Graph) -> Iterator[Permutation]:
             ch2[u] = n
             yield from walk(cg2, ch2)
 
-    yield from walk([0] * n, [0] * n)
+    start = [0] * n if colors is None else list(colors)
+    yield from walk(start, start.copy())
 
 
-_aut_cache: dict[Graph, AutGroup] = {}
+def _nontrivial_automorphism(g: Graph, colors: list[int]) -> Permutation | None:
+    """The first automorphism of g that keeps ``colors`` and is not the identity."""
+    identity = tuple(range(g.n))
+    return next((p for p in _isomorphisms(g, g, colors) if p != identity), None)
+
+
+def _check_order(n: int, caps: AutCaps) -> None:
+    if n > caps.max_vertices:
+        raise BudgetExceededError(
+            f"graph order {n} exceeds the {caps.max_vertices}-vertex enumeration cap"
+        )
+
+
+# Large enough for every graph one oracle pass or one construction re-reads.
+_AUT_CACHE_SIZE = 64
+_aut_cache: OrderedDict[Graph, AutGroup] = OrderedDict()
 
 
 def automorphisms(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutGroup:
     """The full automorphism group, sorted lexicographically by image array."""
-    if g.n > caps.max_vertices:
-        raise BudgetExceededError(
-            f"graph order {g.n} exceeds the {caps.max_vertices}-vertex enumeration cap"
-        )
+    _check_order(g.n, caps)
     cached = _aut_cache.get(g)
     if cached is None:
         elements = []
@@ -183,16 +207,17 @@ def automorphisms(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutGroup:
                 )
         cached = AutGroup(tuple(sorted(elements)))
         _aut_cache[g] = cached
+        if len(_aut_cache) > _AUT_CACHE_SIZE:
+            _aut_cache.popitem(last=False)
+    else:
+        _aut_cache.move_to_end(g)
     if cached.order > caps.max_group_order:
         raise BudgetExceededError(f"group order exceeds the cap of {caps.max_group_order}")
     return cached
 
 
 def find_isomorphism(g: Graph, h: Graph, caps: AutCaps = DEFAULT_CAPS) -> Permutation | None:
-    if max(g.n, h.n) > caps.max_vertices:
-        raise BudgetExceededError(
-            f"graph order {max(g.n, h.n)} exceeds the {caps.max_vertices}-vertex enumeration cap"
-        )
+    _check_order(max(g.n, h.n), caps)
     for perm in _isomorphisms(g, h):
         return perm
     return None

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .autos import AutCaps, DEFAULT_CAPS, Permutation, automorphisms, is_automorphism
+from .autos import AutCaps, DEFAULT_CAPS, Permutation, is_automorphism
+from .autos import _check_order, _nontrivial_automorphism
 from .graphs import Graph, encode_graph6, iter_bits, parse_graph6
+from .transforms import subdivision
 
 __all__ = [
     "TotalColoring",
@@ -227,7 +229,14 @@ def is_distinguishing(
 ) -> bool:
     """True iff only the identity automorphism preserves the coloring.
 
-    `kind` selects which part matters: "vertex", "edge", or "total".
+    `kind` selects which part matters: "vertex", "edge", or "total".  One
+    colored search decides it, up to the first automorphism other than the
+    identity.  Edge colors ride on the subdivision graph S(g), whose
+    automorphisms that keep the original vertices are those of g: when edge
+    colors matter, S(g) is searched with the vertex colors on the original
+    vertices and the edge colors on the subdividing ones; otherwise g itself
+    is searched.  No group is enumerated, so of `caps` only `max_vertices`
+    applies, to g.
     """
     if kind == "vertex":
         view = TotalColoring(_require_vertex_cover(g, f), None)
@@ -237,11 +246,20 @@ def is_distinguishing(
         view = TotalColoring(_require_vertex_cover(g, f), dict(_require_edge_cover(g, f)))
     else:
         raise ValueError(f"unknown distinguishing kind {kind!r}")
-    identity = tuple(range(g.n))
-    for phi in automorphisms(g, caps):
-        if phi != identity and preserves(phi, g, view):
-            return False
-    return True
+    _check_order(g.n, caps)
+    vc, ec = view.vertex_colors, view.edge_colors
+    keys = [(0, vc[v] if vc else 0) for v in range(g.n)]
+    searched = g
+    if ec is not None:
+        keys += [(1, ec[e]) for e in g.edges()]
+        searched = subdivision(g).graph
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    psi = _nontrivial_automorphism(searched, [rank[k] for k in keys])
+    if psi is None:
+        return True
+    if not preserves(psi[: g.n], g, view):
+        raise AssertionError("the colored search found a map that moves a color")
+    return False
 
 
 # --- JSON ---------------------------------------------------------------

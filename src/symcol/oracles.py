@@ -408,10 +408,19 @@ def _witness_from(g: Graph, kind: str, assignment: tuple[int, ...]):
     return TotalColoring(vertex_part, edge_part)
 
 
+# A worker keeps the search of its last slice and reuses it for the next
+# slice of the same level: building one looks up the group and lifts every
+# element, and ``run`` resets all of its mutable state.
+_worker_search: tuple[tuple, _Search] | None = None
+
+
 def _worker_run(args):
-    n, adj, kind, level, prefix, budget, caps = args
-    search = _Search(Graph(n, adj), kind, level, caps)
-    return search.run(budget, prefix=prefix)
+    global _worker_search
+    key, prefix, budget = args
+    if _worker_search is None or _worker_search[0] != key:
+        n, adj, kind, level, caps = key
+        _worker_search = (key, _Search(Graph(n, adj), kind, level, caps))
+    return _worker_search[1].run(budget, prefix=prefix)
 
 
 def _run_level(
@@ -443,9 +452,9 @@ def _run_level(
 
     # A slice's forced prefix costs one node per position, already counted
     # in ``at``, so it gets what the budget leaves after ``at`` plus those.
+    key = (g.n, g.adj, kind, level, caps)
     futures = [
-        pool.submit(_worker_run, (g.n, g.adj, kind, level, pfx, budget - at + len(pfx), caps))
-        for at, pfx in prefixes
+        pool.submit(_worker_run, (key, pfx, budget - at + len(pfx))) for at, pfx in prefixes
     ]
     below = 0
     try:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 
+from symcol import autos
 from symcol.autos import (
     AutCaps,
     automorphisms,
@@ -21,6 +23,7 @@ from symcol.autos import (
 )
 from symcol.errors import BudgetExceededError
 from symcol.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -114,6 +117,25 @@ def test_caps_raise():
         automorphisms(empty_graph(25))
     with pytest.raises(BudgetExceededError):
         automorphisms(complete_graph(8), AutCaps(max_vertices=24, max_group_order=1000))
+
+
+def test_group_cache_stays_at_its_bound():
+    # Distinct labelings of P8, each a new cache key with a group of order 2.
+    labelings = (p for p in itertools.permutations(range(8)) if p[0] < p[-1])
+    paths = [
+        Graph.from_edges(8, [(p[i], p[i + 1]) for i in range(7)])
+        for p in itertools.islice(labelings, autos._AUT_CACHE_SIZE + 11)
+    ]
+    for g in paths[:-1]:
+        assert automorphisms(g).order == 2
+        assert len(autos._aut_cache) <= autos._AUT_CACHE_SIZE
+    assert len(autos._aut_cache) == autos._AUT_CACHE_SIZE
+    assert paths[-2] in autos._aut_cache and paths[0] not in autos._aut_cache
+    # A hit makes a group the most recently used, so the next miss keeps it.
+    first_kept = next(iter(autos._aut_cache))
+    automorphisms(first_kept)
+    automorphisms(paths[-1])
+    assert first_kept in autos._aut_cache
 
 
 def test_find_isomorphism():

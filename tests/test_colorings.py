@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 
-from symcol.autos import automorphisms, compose
+from symcol.autos import DEFAULT_CAPS, automorphisms, compose
 from symcol.colorings import (
     TDCPartition,
     TotalColoring,
@@ -27,6 +29,8 @@ from symcol.graphs import (
     random_graph,
     star_graph,
 )
+from symcol.families import connected_graphs
+from symcol.transforms import central, endline, middle
 
 
 def total_of(g, vertex_colors, edge_colors_by_index):
@@ -169,6 +173,49 @@ def test_is_distinguishing():
     assert is_distinguishing(p3, f, "edge")
     assert not is_distinguishing(p3, f, "vertex")
     assert is_distinguishing(p3, f, "total")
+
+
+def _distinguishing_by_enumeration(g, f, kind):
+    """Reference verdict: test every element of the full group."""
+    view = TotalColoring(
+        None if kind == "edge" else f.vertex_colors,
+        None if kind == "vertex" else f.edge_colors,
+    )
+    identity = tuple(range(g.n))
+    return not any(p != identity and preserves(p, g, view) for p in automorphisms(g))
+
+
+def test_distinguishing_matches_full_enumeration():
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    graphs += [t(g).graph for n in range(1, 6) for g in connected_graphs(n)
+               for t in (central, middle, endline)]
+    rng = random.Random(59)
+    verdicts = {True: 0, False: 0}
+    for g in graphs:
+        edges = g.edges()
+        for colors in (1, 2, 3):
+            for kind in ("vertex", "edge", "total"):
+                for _ in range(3):
+                    f = TotalColoring(
+                        tuple(rng.randint(1, colors) for _ in range(g.n)),
+                        {e: rng.randint(1, colors) for e in edges},
+                    )
+                    expected = _distinguishing_by_enumeration(g, f, kind)
+                    assert is_distinguishing(g, f, kind) == expected, (g, f, kind)
+                    verdicts[expected] += 1
+    assert sum(verdicts.values()) == len(graphs) * 27
+    assert min(verdicts.values()) > 1000
+
+
+def test_distinguishing_star_past_the_group_order_cap():
+    star = star_graph(12)  # K1,11: its group has order 11!
+    assert math.factorial(11) > DEFAULT_CAPS.max_group_order
+    distinct = TotalColoring(tuple(range(1, 13)), None)
+    two = TotalColoring(tuple(1 + v % 2 for v in range(12)), None)
+    for f, expected in ((distinct, True), (two, False)):
+        start = time.perf_counter()
+        assert is_distinguishing(star, f, "vertex", DEFAULT_CAPS) is expected
+        assert time.perf_counter() - start < 1.0
 
 
 def test_distinguishing_is_monotone_under_refinement():

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from symcol import oracles
 from symcol.colorings import (
     TDCPartition,
     TotalColoring,
@@ -264,6 +265,22 @@ def test_worker_determinism():
         par = exact_parameter(g, kind, workers=2)
         assert seq.value == par.value, (kind, g)
         assert seq.witness == par.witness, (kind, g)
+
+
+def test_worker_reuses_its_search_across_slices(monkeypatch):
+    g = central(star_graph(5)).graph
+    key = (g.n, g.adj, "D", 3, oracles.DEFAULT_CAPS)
+    monkeypatch.setattr(oracles, "_worker_search", None)
+    first = None
+    for prefix in ((1,), (1, 2), (1, 1), (1,)):
+        fresh = oracles._Search(g, "D", 3).run(10**6, prefix=prefix)
+        assert oracles._worker_run((key, prefix, 10**6)) == fresh
+        if first is None:
+            first = oracles._worker_search[1]
+        assert oracles._worker_search[1] is first
+    other = (g.n, g.adj, "D", 2, oracles.DEFAULT_CAPS)
+    oracles._worker_run((other, (1,), 10**6))
+    assert oracles._worker_search[0] == other
 
 
 def _outcome(call):
