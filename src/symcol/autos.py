@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
 from .graphs import Graph, iter_bits
@@ -216,15 +216,16 @@ def automorphisms(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutGroup:
     return cached
 
 
-def find_isomorphism(g: Graph, h: Graph, caps: AutCaps = DEFAULT_CAPS) -> Permutation | None:
-    _check_order(max(g.n, h.n), caps)
+def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
+    _check_order(max(g.n, h.n), DEFAULT_CAPS)
     for perm in _isomorphisms(g, h):
         return perm
     return None
 
 
-def vertex_orbits(group: AutGroup, n: int) -> list[int]:
-    """Orbit id per vertex (ids are the minimum vertex of each orbit)."""
+def vertex_orbits(group: Iterable[Permutation], n: int) -> list[int]:
+    """Orbit id per point 0..n-1 under the permutations of ``group`` (ids
+    are the minimum point of each orbit)."""
     root = list(range(n))
 
     def find(x: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -19,7 +20,6 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
-from . import __version__
 from .autos import VERIFY_CAPS, automorphisms, check_aut_chain
 from .colorings import (
     TDCPartition,
@@ -52,7 +52,7 @@ from .errors import (
 from .families import all_trees, connected_graphs, regular_graphs
 from .graphs import Graph, encode_graph6, parse_graph6
 from .latin import icls
-from .oracles import PARAM_KINDS, exact_parameter, upper_bound_witness
+from .oracles import PARAM_KINDS, _check_budget, exact_parameter, upper_bound_witness
 from .transforms import central, endline, line_graph, middle, subdivision
 
 MAX_BUILTIN_ORDER = 8
@@ -208,7 +208,6 @@ def _join_doc(g: Graph, g2: Graph | None) -> dict:
         oracle_witness(
             central(part).graph, kind, part.n + extra,
             f"no {kind} coloring of an input part within {part.n + extra} colors",
-            VERIFY_CAPS,
         )
         for part in (g, g2)
     )
@@ -222,12 +221,12 @@ def _chain_doc(g: Graph) -> dict:
     return {"verdict": "pass" if report.passed else "fail"}
 
 
-def _tcc_doc(g: Graph, budget: int | None) -> dict:
+def _tcc_doc(g: Graph) -> dict:
     if g.n < 3 or not g.is_connected():
         raise NotApplicableError("requires a connected graph of order at least 3")
     cent = central(g).graph
     bound = cent.max_degree() + 2
-    witness = upper_bound_witness(cent, "chi2", bound, budget=budget)
+    witness = upper_bound_witness(cent, "chi2", bound)
     if witness is None:
         return {"verdict": "fail", "promised_bound": bound}
     return {"verdict": "pass", "promised_bound": bound, "palette_size": len(witness.palette())}
@@ -237,26 +236,27 @@ _CONSTRUCT, _SWEEP = ("construct",), ("sweep",)
 _BOTH = _CONSTRUCT + _SWEEP
 
 # Every check by tag, in listing order: the subcommands that accept it, and
-# a function of (graph, second graph, budget) returning its document.  The
-# lambdas look each construction up by name when called, so a wrapper bound
-# to that name in this module later is the one that runs.
+# a function of (graph, second graph) returning its document.  Its oracle
+# searches, those inside the constructions included, read the budget that
+# run_check sets.  The lambdas look each construction up by name when called,
+# so a wrapper bound to that name in this module later is the one that runs.
 CHECKS = {
-    "2.11": (_SWEEP, lambda g, *_: _chain_doc(g)),
-    "3.2": (_BOTH, lambda g, *_: _result_doc(dist_edge_coloring_central(g))),
-    "3.4": (_BOTH, lambda g, *_: _result_doc(dist_vertex_coloring_central(g))),
-    "3.6": (_BOTH, lambda g, *_: _result_doc(dist_vertex_coloring_middle(g))),
-    "4.5": (_BOTH, lambda g, *_: _result_doc(total_dist_coloring_central_regular(g))),
-    "4.9": (_BOTH, lambda g, *_: _result_doc(total_dist_coloring_subdivision(g))),
-    "5.1": (_BOTH, lambda g, *_: _result_doc(avd_coloring_central_regular(g))),
-    "5.3": (_BOTH, lambda g, *_: _result_doc(avd_coloring_subdivision(g))),
-    "5.5": (_CONSTRUCT, lambda g, g2, _: _join_doc(g, g2)),
-    "6.1": (_BOTH, lambda g, *_: _complement_doc(g)),
-    "6.2": (_BOTH, lambda g, *_: _partition_doc("6.2", central(g).graph, tdc_central(g), g.n)),
+    "2.11": (_SWEEP, lambda g, _: _chain_doc(g)),
+    "3.2": (_BOTH, lambda g, _: _result_doc(dist_edge_coloring_central(g))),
+    "3.4": (_BOTH, lambda g, _: _result_doc(dist_vertex_coloring_central(g))),
+    "3.6": (_BOTH, lambda g, _: _result_doc(dist_vertex_coloring_middle(g))),
+    "4.5": (_BOTH, lambda g, _: _result_doc(total_dist_coloring_central_regular(g))),
+    "4.9": (_BOTH, lambda g, _: _result_doc(total_dist_coloring_subdivision(g))),
+    "5.1": (_BOTH, lambda g, _: _result_doc(avd_coloring_central_regular(g))),
+    "5.3": (_BOTH, lambda g, _: _result_doc(avd_coloring_subdivision(g))),
+    "5.5": (_CONSTRUCT, _join_doc),
+    "6.1": (_BOTH, lambda g, _: _complement_doc(g)),
+    "6.2": (_BOTH, lambda g, _: _partition_doc("6.2", central(g).graph, tdc_central(g), g.n)),
     "appendix-tree": (
         _BOTH,
-        lambda g, *_: _partition_doc("appendix-tree", central(g).graph, tdc_central_tree(g), g.n),
+        lambda g, _: _partition_doc("appendix-tree", central(g).graph, tdc_central_tree(g), g.n),
     ),
-    "tcc-central": (_SWEEP, lambda g, _, budget: _tcc_doc(g, budget)),
+    "tcc-central": (_SWEEP, lambda g, _: _tcc_doc(g)),
 }
 
 
@@ -281,7 +281,7 @@ def _attempt(run: Callable[[], dict]) -> dict:
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
     g2 = _parse_graph(args.graph2) if args.graph2 else None
-    doc = _attempt(lambda: CHECKS[args.theorem][1](g, g2, None))
+    doc = _attempt(lambda: CHECKS[args.theorem][1](g, g2))
     if doc["verdict"] != "pass":
         _print_json(doc)
         return 1
@@ -308,7 +308,12 @@ def run_check(graph6: str, check: str, budget: int | None = None) -> dict:
         "error": None,
     }
     start = time.perf_counter()
-    doc = _attempt(lambda: CHECKS[check][1](parse_graph6(graph6), None, budget))
+    # Set for this check only, so no budget outlives it.
+    token = _check_budget.set(budget)
+    try:
+        doc = _attempt(lambda: CHECKS[check][1](parse_graph6(graph6), None))
+    finally:
+        _check_budget.reset(token)
     record["verdict"] = doc["verdict"]
     record["promised_bound"] = doc.get("promised_bound")
     record["achieved"] = doc.get("palette_size", doc.get("class_count"))
@@ -350,9 +355,20 @@ def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
                 yield encode_graph6(g)
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the package's .py sources, so that editing the code
+    retires every cached record; computed once, on first use."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f"{path.name}\n".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_key(graph6: str, check: str, budget: int | None) -> str:
     # Oracle calls given no budget read SYMCOL_BUDGET, so both are keyed.
-    text = f"{graph6}\n{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}\n{__version__}"
+    text = f"{graph6}\n{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}\n{_source_digest()}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 

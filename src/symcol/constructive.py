@@ -109,7 +109,7 @@ class EndlineColoring:
 
 
 def oracle_witness(
-    g: Graph, kind: str, cap: int, defect: str, aut_caps: AutCaps = DEFAULT_CAPS
+    g: Graph, kind: str, cap: int, defect: str, aut_caps: AutCaps = VERIFY_CAPS
 ) -> TotalColoring:
     """The exact oracle's witness for ``kind`` within ``cap`` colors.
 
@@ -205,7 +205,7 @@ def list_edge_coloring_bipartite(
     loses the color to a dominating neighbor, so lists of size at least the
     maximum degree never run dry.
     """
-    _require_bipartite(g)
+    side_a, _ = _require_bipartite(g)
     delta = g.max_degree()
     lmap = _normalize_lists(g, lists)
     for e, colors in lmap.items():
@@ -215,7 +215,6 @@ def list_edge_coloring_bipartite(
             )
     if not lmap:
         return TotalColoring(None, {})
-    side_a, _ = _require_bipartite(g)
     phi = bipartite_edge_coloring(g).edge_colors
     assert phi is not None
 
@@ -501,9 +500,7 @@ def _central_edges_tree(g: Graph, cent: TaggedGraph, k: int) -> dict[tuple[int, 
     return ec
 
 
-def dist_edge_coloring_central(
-    g: Graph, aut_caps: AutCaps = VERIFY_CAPS
-) -> ConstructionResult:
+def dist_edge_coloring_central(g: Graph) -> ConstructionResult:
     """Distinguishing edge coloring of the central graph, within ceil(sqrt(max degree)) colors."""
     if g.n < 4 or not g.is_connected():
         raise NotApplicableError("requires a connected graph of order at least 4")
@@ -513,7 +510,6 @@ def dist_edge_coloring_central(
         witness = oracle_witness(
             cent.graph, "Dp", 2,
             "no 2-color distinguishing edge coloring found for the complete/cycle case",
-            aut_caps,
         )
         ec = dict(witness.edge_colors)
         note = "complete-or-cycle case settled by bounded search"
@@ -524,7 +520,7 @@ def dist_edge_coloring_central(
         ec = _central_edges_cyclic(g, cent, k)
         note = "cyclic case with a doubled root pair"
     coloring = TotalColoring(None, ec)
-    if not is_distinguishing(cent.graph, coloring, "edge", aut_caps):
+    if not is_distinguishing(cent.graph, coloring, "edge", VERIFY_CAPS):
         raise ConstructionDefectError(
             "central edge coloring is preserved by a nontrivial automorphism"
         )
@@ -533,16 +529,15 @@ def dist_edge_coloring_central(
     )
 
 
-def dist_vertex_coloring_central(
-    g: Graph, aut_caps: AutCaps = VERIFY_CAPS
-) -> ConstructionResult:
+def dist_vertex_coloring_central(g: Graph) -> ConstructionResult:
     """Distinguishing vertex coloring of the central graph, lifted from a
     total distinguishing coloring of the base graph."""
     if g.n < 4 or not g.is_connected():
         raise NotApplicableError("requires a connected graph of order at least 4")
     k = max(1, _sqrt_ceil(g.max_degree()))
     f = oracle_witness(
-        g, "Dpp", k, f"no total distinguishing coloring of the base graph with {k} colors"
+        g, "Dpp", k, f"no total distinguishing coloring of the base graph with {k} colors",
+        DEFAULT_CAPS,
     )
     assert f.vertex_colors is not None and f.edge_colors is not None
     vc = list(f.vertex_colors)
@@ -550,7 +545,7 @@ def dist_vertex_coloring_central(
         vc.append(f.edge_colors[e])
     cent = central(g)
     coloring = TotalColoring(tuple(vc), None)
-    if not is_distinguishing(cent.graph, coloring, "vertex", aut_caps):
+    if not is_distinguishing(cent.graph, coloring, "vertex", VERIFY_CAPS):
         raise ConstructionDefectError(
             "lifted vertex coloring is preserved by a nontrivial automorphism"
         )
@@ -563,27 +558,23 @@ def dist_vertex_coloring_central(
 # --- endline and middle graphs ------------------------------------------------
 
 
-def dist_edge_coloring_endline(
-    g: Graph, coloring: TotalColoring, aut_caps: AutCaps = VERIFY_CAPS
-) -> EndlineColoring:
+def dist_edge_coloring_endline(g: Graph, coloring: TotalColoring) -> EndlineColoring:
     """Extend a distinguishing edge coloring to the endline graph by coloring
     every pendant edge 1."""
-    if g.edge_count() and not is_distinguishing(g, coloring, "edge", aut_caps):
+    if g.edge_count() and not is_distinguishing(g, coloring, "edge", VERIFY_CAPS):
         raise ValueError("input edge coloring is not distinguishing for the base graph")
-    if not g.edge_count() and automorphisms(g, aut_caps).order > 1:
+    if not g.edge_count() and automorphisms(g, VERIFY_CAPS).order > 1:
         raise ValueError("input edge coloring is not distinguishing for the base graph")
     plus = endline(g)
     ec = dict(coloring.edge_colors or {})
     for v in range(g.n):
         ec[(v, g.n + v)] = 1
     extended = TotalColoring(None, ec)
-    ok = is_distinguishing(plus.graph, extended, "edge", aut_caps)
+    ok = is_distinguishing(plus.graph, extended, "edge", VERIFY_CAPS)
     return EndlineColoring(plus, extended, ok)
 
 
-def dist_vertex_coloring_middle(
-    g: Graph, aut_caps: AutCaps = VERIFY_CAPS
-) -> ConstructionResult:
+def dist_vertex_coloring_middle(g: Graph) -> ConstructionResult:
     """Distinguishing vertex coloring of the middle graph within max-degree
     colors, transported from an edge coloring of the endline graph."""
     if g.n < 3 or not g.is_connected():
@@ -594,16 +585,14 @@ def dist_vertex_coloring_middle(
         plus_ec = oracle_witness(
             plus.graph, "Dp", 2,
             "no 2-color distinguishing edge coloring of the cycle's endline graph",
-            aut_caps,
         ).edge_colors
         note = "cycle case settled on the endline graph directly"
     else:
         base = oracle_witness(
             g, "Dp", delta,
             f"no distinguishing edge coloring of the base graph with {delta} colors",
-            aut_caps,
         )
-        ext = dist_edge_coloring_endline(g, base, aut_caps)
+        ext = dist_edge_coloring_endline(g, base)
         if not ext.distinguishing:
             raise ConstructionDefectError(
                 "endline extension lost the distinguishing property"
@@ -616,7 +605,7 @@ def dist_vertex_coloring_middle(
     _, labels = line_graph(plus.graph)
     vc = tuple(plus_ec[labels[image[v]]] for v in range(mid.graph.n))
     coloring = TotalColoring(vc, None)
-    if not is_distinguishing(mid.graph, coloring, "vertex", aut_caps):
+    if not is_distinguishing(mid.graph, coloring, "vertex", VERIFY_CAPS):
         raise ConstructionDefectError(
             "middle-graph vertex coloring is preserved by a nontrivial automorphism"
         )
@@ -703,9 +692,7 @@ def total_coloring_central_regular_odd(g: Graph) -> ConstructionResult:
     )
 
 
-def total_dist_coloring_central_regular(
-    g: Graph, aut_caps: AutCaps = VERIFY_CAPS
-) -> ConstructionResult:
+def total_dist_coloring_central_regular(g: Graph) -> ConstructionResult:
     """Total distinguishing chromatic coloring of the central graph of a
     connected regular graph, one more color than the central max degree.
 
@@ -767,7 +754,7 @@ def total_dist_coloring_central_regular(
         notes = ("complement coloring from the oracle, fresh subdivision colors",)
     if not is_proper(cent_graph, coloring, "total"):
         raise ConstructionDefectError("total coloring is not proper")
-    if not is_distinguishing(cent_graph, coloring, "total", aut_caps):
+    if not is_distinguishing(cent_graph, coloring, "total", VERIFY_CAPS):
         raise ConstructionDefectError(
             "total coloring is preserved by a nontrivial automorphism"
         )
@@ -828,9 +815,7 @@ def _complete_vertex_lists(
     return tuple(vc) if place(0) else None
 
 
-def total_dist_coloring_subdivision(
-    g: Graph, aut_caps: AutCaps = VERIFY_CAPS
-) -> ConstructionResult:
+def total_dist_coloring_subdivision(g: Graph) -> ConstructionResult:
     """Total distinguishing chromatic coloring of the subdivision graph.
 
     When some vertex of the base graph is fixed by its whole automorphism
@@ -850,7 +835,6 @@ def total_dist_coloring_subdivision(
             s, "chi2D", delta + 2,
             "no total distinguishing coloring of the subdivided cycle "
             "within two colors past its max degree",
-            aut_caps,
         )
         bound = delta + 2
         notes = ("cycle case settled by bounded search",)
@@ -869,7 +853,6 @@ def total_dist_coloring_subdivision(
                     s, "chi2", delta + 1,
                     "no proper total coloring within one color past the "
                     "subdivision max degree",
-                    aut_caps,
                 )
             else:
                 coloring = TotalColoring(vc, dict(edge_part.edge_colors))
@@ -885,7 +868,7 @@ def total_dist_coloring_subdivision(
             notes = ("vertex 0 recolored with a fresh color to break symmetry",)
     if not is_proper(s, coloring, "total"):
         raise ConstructionDefectError("subdivision total coloring is not proper")
-    if not is_distinguishing(s, coloring, "total", aut_caps):
+    if not is_distinguishing(s, coloring, "total", VERIFY_CAPS):
         raise ConstructionDefectError(
             "subdivision total coloring is preserved by a nontrivial automorphism"
         )

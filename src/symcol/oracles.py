@@ -6,7 +6,8 @@ colors have appeared, which collapses color permutations without affecting
 minima. Witnesses are the first solutions in a fixed deterministic branch
 order (lowest color first for the proper kinds, newest color first for the
 unconstrained distinguishing kinds), so they are reproducible run to run.
-Searches accept a node budget and an optional worker count. None of the
+Searches accept a node budget and an optional worker count; one given no
+budget takes that of the running check, then SYMCOL_BUDGET. None of the
 value, the witness, ``nodes`` and the budget verdict depends on the worker
 count: the parallel search is the sequential one cut into slices, charged in
 the sequential order. ``nodes`` and the budget cover every search a call
@@ -28,12 +29,13 @@ chitd  total dominator chromatic number (proper vertex coloring where
 
 from __future__ import annotations
 
+import contextvars
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .autos import DEFAULT_CAPS, AutCaps, automorphisms, lift_to_central
+from .autos import DEFAULT_CAPS, AutCaps, automorphisms, lift_to_central, vertex_orbits
 from .colorings import TDCPartition, TotalColoring, coloring_to_json
 from .errors import BudgetExceededError, NotApplicableError
 from .graphs import Graph
@@ -94,7 +96,14 @@ class OracleResult:
         }
 
 
+# The budget of the check now running, for every search given none; the
+# command line's run_check sets it around each check.
+_check_budget: contextvars.ContextVar[int | None] = contextvars.ContextVar("budget", default=None)
+
+
 def _resolve_budget(budget: int | None) -> int:
+    if budget is None:
+        budget = _check_budget.get()
     if budget is not None:
         return budget
     return int(os.environ.get("SYMCOL_BUDGET", DEFAULT_BUDGET))
@@ -203,24 +212,13 @@ class _Search:
             ]
 
     def _orbit_order(self) -> list[int]:
-        size = self.n + self.m
-        parent = list(range(size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for elem, _ in self.perm_pairs or ():
-            for e in self.universe:
-                ra, rb = find(e), find(elem[e])
-                if ra != rb:
-                    parent[rb] = ra
+        # The lifts keep vertices and edges apart, so each orbit lies inside
+        # or outside the universe as a whole.
+        orbit = vertex_orbits((elem for elem, _ in self.perm_pairs or ()), self.n + self.m)
         counts: dict[int, int] = {}
         for e in self.universe:
-            counts[find(e)] = counts.get(find(e), 0) + 1
-        return sorted(self.universe, key=lambda e: (-counts[find(e)], e))
+            counts[orbit[e]] = counts.get(orbit[e], 0) + 1
+        return sorted(self.universe, key=lambda e: (-counts[orbit[e]], e))
 
     def _conflict_order(self) -> list[int]:
         return sorted(self.universe, key=lambda e: (-len(self.conflicts[e]), e))

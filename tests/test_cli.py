@@ -435,3 +435,69 @@ def test_construct_tags_on_c5(capsys, theorem):
                            "--in", C5)
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def record_rows(path):
+    rows = []
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        row.pop("seconds")
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("check", ["3.2", "3.6"])
+def test_sweep_budget_reaches_oracles_inside_constructions(capsys, tmp_path, check):
+    # Both constructions settle K4 with an oracle search, which one node
+    # cannot finish.
+    listing = tmp_path / "k4.txt"
+    listing.write_text(f"{K4}\n")
+    args = ["sweep", "--check", check, "--file", str(listing),
+            "--report", str(tmp_path / "r.jsonl")]
+    code, out, _ = run_cli(capsys, *args, "--budget", "1")
+    assert code == 0 and json.loads(out)["budget_exceeded"] == 1
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["pass"] == 1
+
+
+def test_run_check_budget_does_not_outlive_its_check():
+    assert run_check(K4, "3.2", 1)["verdict"] == "budget-exceeded"
+    assert run_check(K4, "3.2")["verdict"] == "pass"
+
+
+def test_sweep_budget_verdicts_do_not_depend_on_workers(capsys, tmp_path):
+    # K4 and C5 go through the oracle, P5 and the star do not.
+    listing = tmp_path / "graphs.txt"
+    listing.write_text("".join(
+        f"{encode_graph6(g)}\n"
+        for g in (complete_graph(4), cycle_graph(5), path_graph(5), star_graph(6))
+    ))
+    reports = []
+    for workers in ("1", "2"):
+        report = tmp_path / f"w{workers}.jsonl"
+        run_cli(capsys, "sweep", "--check", "3.2", "--file", str(listing),
+                "--report", str(report), "--cache", str(tmp_path / f"c{workers}"),
+                "--budget", "1", "--workers", workers)
+        reports.append(record_rows(report))
+    assert reports[0] == reports[1]
+    assert [r["verdict"] for r in reports[0]] == [
+        "budget-exceeded", "budget-exceeded", "pass", "pass",
+    ]
+
+
+def test_sweep_cache_keyed_by_source_digest(capsys, tmp_path, monkeypatch):
+    listing = tmp_path / "c5.txt"
+    listing.write_text(f"{C5}\n")
+    report = tmp_path / "r.jsonl"
+    args = ["sweep", "--check", "3.2", "--file", str(listing), "--report", str(report)]
+    run_cli(capsys, *args)
+    (entry,) = (tmp_path / "r.cache").glob("*.json")
+    tampered = dict(json.loads(entry.read_text()), verdict="fail", error="stale")
+    entry.write_text(json.dumps(tampered) + "\n")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1 and json.loads(out)["fail"] == 1  # replayed from the cache
+    # Edited sources give a new digest, so the stale record is recomputed.
+    monkeypatch.setattr(cli, "_source_digest", lambda: "edited sources")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["pass"] == 1
+    assert record_rows(report)[0]["verdict"] == "pass"
