@@ -52,7 +52,13 @@ from .errors import (
 from .families import all_trees, connected_graphs, regular_graphs
 from .graphs import Graph, encode_graph6, parse_graph6
 from .latin import icls
-from .oracles import PARAM_KINDS, _check_budget, exact_parameter, upper_bound_witness
+from .oracles import (
+    PARAM_KINDS,
+    _check_budget,
+    _resolve_budget,
+    exact_parameter,
+    upper_bound_witness,
+)
 from .transforms import central, endline, line_graph, middle, subdivision
 
 MAX_BUILTIN_ORDER = 8
@@ -145,6 +151,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.coloring).read_text())
         if args.property == "tdc":
+            if not all(type(v) is int for c in doc["classes"] for v in c):
+                raise ValueError("class members must be integer vertices")
             partition = TDCPartition(tuple(frozenset(c) for c in doc["classes"]))
         else:
             g, f = coloring_from_json(doc)
@@ -286,7 +294,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         _print_json(doc)
         return 1
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        try:
+            Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out}: {exc}") from exc
         print(f"symcol: wrote {args.out}", file=sys.stderr)
     _print_json(doc)
     return 0
@@ -526,6 +537,11 @@ def main(argv: list[str] | None = None) -> int:
         "latin": _cmd_latin,
         "sweep": _cmd_sweep,
     }[args.command]
+    try:
+        _resolve_budget(None)
+    except ValueError as exc:  # a malformed SYMCOL_BUDGET stops every command up front
+        print(f"symcol: {exc}", file=sys.stderr)
+        return 2
     try:
         return handler(args)
     except _UsageError as exc:

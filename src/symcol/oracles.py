@@ -30,12 +30,13 @@ chitd  total dominator chromatic number (proper vertex coloring where
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .autos import DEFAULT_CAPS, AutCaps, automorphisms, lift_to_central, vertex_orbits
+from .autos import DEFAULT_CAPS, AutCaps, automorphisms, invert, lift_to_central, vertex_orbits
 from .colorings import TDCPartition, TotalColoring, coloring_to_json
 from .errors import BudgetExceededError, NotApplicableError
 from .graphs import Graph
@@ -106,16 +107,22 @@ def _resolve_budget(budget: int | None) -> int:
         budget = _check_budget.get()
     if budget is not None:
         return budget
-    return int(os.environ.get("SYMCOL_BUDGET", DEFAULT_BUDGET))
+    text = os.environ.get("SYMCOL_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SYMCOL_BUDGET must be an integer node count, not {text!r}") from None
 
 
 class _Search:
-    """One (graph, kind, level) satisfiability problem."""
+    """One (graph, kind) satisfiability problem, searched at the level ``run``
+    is given.  Building it looks up the group and lifts every element, none of
+    which depends on the level, so an oracle call builds one per kind."""
 
-    def __init__(self, g: Graph, kind: str, level: int, aut_caps: AutCaps = DEFAULT_CAPS):
+    def __init__(self, g: Graph, kind: str, aut_caps: AutCaps = DEFAULT_CAPS):
         self.g = g
         self.kind = kind
-        self.level = level
+        self.aut_caps = aut_caps
         n = g.n
         edges = g.edges()
         m = len(edges)
@@ -159,10 +166,7 @@ class _Search:
                 # Edge k is element n + k, where the central graph puts the
                 # vertex subdividing it, so the lift is the action on elements.
                 elem = lift_to_central(phi, g)
-                inv = [0] * (n + m)
-                for i, j in enumerate(elem):
-                    inv[j] = i
-                pairs.append((tuple(elem), tuple(inv)))
+                pairs.append((elem, invert(elem)))
             for elem, _ in pairs:
                 if all(elem[e] == e for e in universe):
                     raise NotApplicableError(
@@ -249,9 +253,9 @@ class _Search:
     # -- the DFS -----------------------------------------------------------
 
     def run(
-        self, budget: int, prefix: tuple[int, ...] = (), stop_depth: int | None = None
+        self, level: int, budget: int, prefix: tuple[int, ...] = (), stop_depth: int | None = None
     ) -> tuple[str, object, int]:
-        """Search this level.
+        """Search for a coloring with at most ``level`` colors.
 
         Returns (status, data, nodes): data is the full assignment tuple on
         SAT, and None otherwise.  In collection mode it is the list of
@@ -259,6 +263,7 @@ class _Search:
         ``stop_depth`` in tree order; the list ends early, with a shorter
         prefix, at a node where the sequential search would stop.
         """
+        self.level = level
         self.f = [0] * (self.n + self.m)
         self.maxused = 0
         self.nodes = 0
@@ -406,32 +411,24 @@ def _witness_from(g: Graph, kind: str, assignment: tuple[int, ...]):
     return TotalColoring(vertex_part, edge_part)
 
 
-# A worker keeps the search of its last slice and reuses it for the next
-# slice of the same level: building one looks up the group and lifts every
-# element, and ``run`` resets all of its mutable state.
-_worker_search: tuple[tuple, _Search] | None = None
+# A worker builds the search of its first slice and keeps it for every later
+# slice of the same (graph, kind), at any level: building one looks up the
+# group and lifts every element, and ``run`` resets all of its mutable state.
+@functools.lru_cache(maxsize=1)
+def _worker_search(n: int, adj: tuple[int, ...], kind: str, caps: AutCaps) -> _Search:
+    return _Search(Graph(n, adj), kind, caps)
 
 
 def _worker_run(args):
-    global _worker_search
-    key, prefix, budget = args
-    if _worker_search is None or _worker_search[0] != key:
-        n, adj, kind, level, caps = key
-        _worker_search = (key, _Search(Graph(n, adj), kind, level, caps))
-    return _worker_search[1].run(budget, prefix=prefix)
+    key, level, prefix, budget = args
+    return _worker_search(*key).run(level, budget, prefix=prefix)
 
 
 def _run_level(
-    g: Graph,
-    kind: str,
-    level: int,
-    caps: AutCaps,
-    budget: int,
-    pool: ProcessPoolExecutor | None,
+    search: _Search, level: int, budget: int, pool: ProcessPoolExecutor | None
 ) -> tuple[str, object, int]:
-    search = _Search(g, kind, level, caps)
     if pool is None or search.N <= 1:
-        return search.run(budget)
+        return search.run(level, budget)
 
     # Cut the sequential search into slices, the subtrees below the prefixes
     # of one collection pass.  That pass walks the nodes above the slices in
@@ -440,19 +437,20 @@ def _run_level(
     # data and node count.  Shallower passes only choose the depth and are
     # not charged.
     for depth in range(1, min(search.N, _MAX_PREFIX_DEPTH + 1)):
-        status, prefixes, above = search.run(budget, stop_depth=depth)
+        status, prefixes, above = search.run(level, budget, stop_depth=depth)
         if status == _BUDGET:
             # The sequential search may stop before it has walked all of the
             # nodes above the slices.
-            return search.run(budget)
+            return search.run(level, budget)
         if not prefixes or len(prefixes) >= _PREFIX_TARGET:
             break
 
     # A slice's forced prefix costs one node per position, already counted
     # in ``at``, so it gets what the budget leaves after ``at`` plus those.
-    key = (g.n, g.adj, kind, level, caps)
+    key = (search.n, search.g.adj, search.kind, search.aut_caps)
     futures = [
-        pool.submit(_worker_run, (key, pfx, budget - at + len(pfx))) for at, pfx in prefixes
+        pool.submit(_worker_run, (key, level, pfx, budget - at + len(pfx)))
+        for at, pfx in prefixes
     ]
     below = 0
     try:
@@ -506,8 +504,9 @@ def _solve(
 
     def first_sat(kind: str, levels: range, message: str):
         nonlocal nodes
+        search = _Search(g, kind, aut_caps) if levels else None
         for level in levels:
-            status, data, used = _run_level(g, kind, level, aut_caps, budget - nodes, pool)
+            status, data, used = _run_level(search, level, budget - nodes, pool)
             nodes += used
             if status == _SAT:
                 return level, data

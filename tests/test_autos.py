@@ -10,6 +10,7 @@ import pytest
 
 from symcol import autos
 from symcol.autos import (
+    VERIFY_CAPS,
     AutCaps,
     automorphisms,
     check_aut_chain,
@@ -31,6 +32,7 @@ from symcol.graphs import (
     path_graph,
     petersen_graph,
     random_graph,
+    random_tree,
     star_graph,
 )
 from symcol.transforms import central, endline, subdivision
@@ -277,3 +279,17 @@ def test_check_aut_chain():
 
     doc = check_aut_chain(star_graph(5), WIDE).to_json()
     assert doc["passed"] is True and doc["orders"]["base"] == 24
+
+
+def test_check_aut_chain_past_order_seven():
+    # Acceptance gate 1 runs the chain over every graph up to order 7.  Dense
+    # random graphs are mostly rigid, so every other sample is a random tree.
+    rng = random.Random(23)
+    graphs = [petersen_graph(), complete_bipartite(3, 5)]
+    while len(graphs) < 32:
+        n = rng.randint(8, 10)
+        g = random_tree(n, rng) if len(graphs) % 2 else random_graph(n, rng.uniform(0.25, 0.6), rng)
+        if g.is_connected() and not g.is_cycle():
+            graphs.append(g)
+    for g in graphs:
+        assert check_aut_chain(g, VERIFY_CAPS).passed, g

@@ -223,11 +223,33 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     no_classes.write_text(json.dumps({"graph6": C5}))
     bad_graph6 = tmp_path / "bad_graph6.json"
     bad_graph6.write_text(json.dumps({"graph6": "!!bad!!", "vertex_colors": [1]}))
+    letter_member = tmp_path / "letter_member.json"
+    letter_member.write_text(json.dumps({"classes": [["a"], [1, 2, 3, 4]]}))
+    fraction_member = tmp_path / "fraction_member.json"
+    fraction_member.write_text(json.dumps({"classes": [[0.5], [1, 2, 3, 4]]}))
     for prop, path in [("avd", tmp_path / "missing.json"), ("avd", not_json),
-                       ("tdc", no_classes), ("proper-total", bad_graph6)]:
+                       ("tdc", no_classes), ("proper-total", bad_graph6),
+                       ("tdc", letter_member), ("tdc", fraction_member)]:
         code, _, err = run_cli(capsys, "verify", "--property", prop, "--in", C5,
                                "--coloring", str(path))
         assert code == 2 and "--coloring" in err
+    out_path = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "construct", "--theorem", "3.2", "--in", C5,
+                           "--out", str(out_path))
+    assert code == 2 and "--out" in err
+
+
+def test_malformed_budget_variable_exits_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMCOL_BUDGET", "abc")
+    report = tmp_path / "r.jsonl"
+    for argv in (
+        ("oracle", "--param", "D", "--in", C5),
+        ("construct", "--theorem", "3.2", "--in", C5),
+        ("sweep", "--check", "3.2", "--max-order", "4", "--report", str(report)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "SYMCOL_BUDGET" in err, argv
+    assert not report.exists() and not report.with_suffix(".cache").exists()
 
 
 def test_run_check_record_shape():

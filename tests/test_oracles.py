@@ -235,6 +235,13 @@ def test_budget_errors(monkeypatch):
         lower_bound_certificate(cycle_graph(6), "chi2", 4, budget=5)
 
 
+def test_malformed_budget_variable_is_named(monkeypatch):
+    monkeypatch.setenv("SYMCOL_BUDGET", "abc")
+    with pytest.raises(ValueError, match="SYMCOL_BUDGET"):
+        exact_parameter(cycle_graph(6), "chi2")
+    assert exact_parameter(cycle_graph(6), "chi2", budget=10**6).value == 3
+
+
 def test_bad_kind():
     with pytest.raises(ValueError):
         exact_parameter(path_graph(3), "chromatic")
@@ -267,20 +274,39 @@ def test_worker_determinism():
         assert seq.witness == par.witness, (kind, g)
 
 
-def test_worker_reuses_its_search_across_slices(monkeypatch):
+def test_worker_reuses_its_search_across_slices():
     g = central(star_graph(5)).graph
-    key = (g.n, g.adj, "D", 3, oracles.DEFAULT_CAPS)
-    monkeypatch.setattr(oracles, "_worker_search", None)
-    first = None
-    for prefix in ((1,), (1, 2), (1, 1), (1,)):
-        fresh = oracles._Search(g, "D", 3).run(10**6, prefix=prefix)
-        assert oracles._worker_run((key, prefix, 10**6)) == fresh
-        if first is None:
-            first = oracles._worker_search[1]
-        assert oracles._worker_search[1] is first
-    other = (g.n, g.adj, "D", 2, oracles.DEFAULT_CAPS)
-    oracles._worker_run((other, (1,), 10**6))
-    assert oracles._worker_search[0] == other
+    key = (g.n, g.adj, "D", oracles.DEFAULT_CAPS)
+    oracles._worker_search.cache_clear()
+    for level, prefix in ((3, (1,)), (3, (1, 2)), (2, (1, 1)), (2, (1, 2)), (3, (1,))):
+        fresh = oracles._Search(g, "D").run(level, 10**6, prefix=prefix)
+        assert oracles._worker_run((key, level, prefix, 10**6)) == fresh
+    assert oracles._worker_search.cache_info().misses == 1
+    other = (g.n, g.adj, "Dp", oracles.DEFAULT_CAPS)
+    oracles._worker_run((other, 2, (1,), 10**6))
+    assert oracles._worker_search.cache_info().misses == 2
+    assert oracles._worker_search(*other).kind == "Dp"
+    oracles._worker_search.cache_clear()
+
+
+def test_one_search_per_call_and_kind(monkeypatch):
+    built = []
+    search = oracles._Search
+
+    def counted(g, kind, *args):
+        built.append(kind)
+        return search(g, kind, *args)
+
+    monkeypatch.setattr(oracles, "_Search", counted)
+    assert exact_parameter(central(star_graph(7)).graph, "D").value == 3
+    assert built == ["D"]
+    built.clear()
+    assert exact_parameter(complete_graph(4), "chitd").value == 4
+    assert built == ["chi", "chitd"]
+    built.clear()
+    # An empty level range builds nothing.
+    assert lower_bound_certificate(complete_graph(4), "D", 1)
+    assert built == []
 
 
 def _outcome(call):
