@@ -1,4 +1,4 @@
-"""Exact automorphism enumeration, isomorphism search, and lifting maps.
+"""Automorphism groups, isomorphism search, and lifting maps.
 
 The engine is classic individualization-refinement: vertices start in one
 class, or in the classes of a given starting coloring, colors are refined by
@@ -8,15 +8,20 @@ profile keys, so they are comparable across the two graphs of an isomorphism
 search.  Every complete leaf is adjacency-checked, so refinement only prunes,
 it never decides.
 
-``automorphisms`` enumerates a group in full, deterministically sorted; the
-chain check, ``symcol aut`` and the oracles' symmetry pruning list its
-elements.  The last groups are kept in a bounded least-recently-used cache.
-The distinguishing verifier enumerates no group: one search on the colored
-graph stops at the first automorphism other than the identity.
-"""
+``automorphisms`` returns a group as a stabilizer chain read off the search's
+first path: generators, plus one transversal per base point.  Its order is
+the product of the transversal lengths; its elements, deterministically
+sorted, are multiplied out of the transversals only on demand, for
+``symcol aut`` and the oracles' symmetry pruning.  The chain check and the
+vertex orbits use the generators alone.  The last groups are kept in a
+bounded least-recently-used cache.  The distinguishing verifier builds no
+group: one search on the colored graph stops at the first automorphism other
+than the identity."""
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -63,17 +68,35 @@ VERIFY_CAPS = AutCaps(max_vertices=64, max_group_order=10**8)
 
 @dataclass(frozen=True)
 class AutGroup:
-    elements: tuple[Permutation, ...]
+    """A permutation group on 0..n-1 as a stabilizer chain.
+
+    ``transversals[i]`` holds one element per point of the i-th basic orbit,
+    mapping the i-th base point there and fixing the base points before it,
+    so every element is one product t_0 t_1 ... t_k (t_k applied first) of
+    one representative per level.
+    """
+
+    n: int
+    generators: tuple[Permutation, ...]
+    transversals: tuple[tuple[Permutation, ...], ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(len(reps) for reps in self.transversals)
+
+    @functools.cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted lexicographically by image array."""
+        products = [tuple(range(self.n))]
+        for reps in reversed(self.transversals):
+            products = [compose(t, p) for t in reps for p in products]
+        return tuple(sorted(products))
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -122,6 +145,56 @@ def _refine(
         cg, ch = ng, nh
 
 
+def _target_class(colors: list[int]) -> int | None:
+    """The color of a smallest class with more than one vertex, if any."""
+    size: dict[int, int] = {}
+    for c in colors:
+        size[c] = size.get(c, 0) + 1
+    return min(((sz, c) for c, sz in size.items() if sz > 1), default=(0, None))[1]
+
+
+def _individualize(colors: list[int], v: int) -> list[int]:
+    out = colors.copy()
+    out[v] = len(colors)
+    return out
+
+
+def _neighbors(g: Graph) -> list[list[int]]:
+    return [list(iter_bits(m)) for m in g.adj]
+
+
+def _walk(
+    nbrs_g: list[list[int]],
+    nbrs_h: list[list[int]],
+    adj_h: tuple[int, ...],
+    cg: list[int],
+    ch: list[int],
+) -> Iterator[Permutation]:
+    """Every isomorphism below the search node (cg, ch), in search order.
+
+    The node's children individualize the first g-vertex of the target class
+    against each h-vertex of that class in turn.
+    """
+    refined = _refine(nbrs_g, nbrs_h, cg, ch)
+    if refined is None:
+        return
+    cg, ch = refined
+    c = _target_class(cg)
+    if c is None:
+        # Everything is singleton on both sides: read off the bijection.
+        where_h = {c: v for v, c in enumerate(ch)}
+        perm = tuple(where_h[c] for c in cg)
+        for v, nbrs in enumerate(nbrs_g):
+            for u in nbrs:
+                if not adj_h[perm[v]] >> perm[u] & 1:
+                    return
+        yield perm
+        return
+    v = cg.index(c)
+    for u in (x for x in range(len(ch)) if ch[x] == c):
+        yield from _walk(nbrs_g, nbrs_h, adj_h, _individualize(cg, v), _individualize(ch, u))
+
+
 def _isomorphisms(
     g: Graph, h: Graph, colors: list[int] | None = None
 ) -> Iterator[Permutation]:
@@ -132,47 +205,66 @@ def _isomorphisms(
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return
-    if g.n == 0:
-        yield ()
-        return
+    start = [0] * g.n if colors is None else list(colors)
+    yield from _walk(_neighbors(g), _neighbors(h), h.adj, start, start.copy())
+
+
+def _orbit(v: int, generators: list[Permutation], identity: Permutation) -> dict[int, Permutation]:
+    """The orbit of v under the generators, each point with an element
+    that maps v to it."""
+    reps = {v: identity}
+    queue = [v]
+    for w in queue:
+        for s in generators:
+            x = s[w]
+            if x not in reps:
+                reps[x] = compose(s, reps[w])
+                queue.append(x)
+    return reps
+
+
+def _stabilizer_chain(g: Graph) -> AutGroup:
+    """Aut(g) as the pointwise stabilizer chain of the search's first path.
+
+    The first path individualizes base points v_0, v_1, ... and ends in the
+    identity.  Going up from its deepest node, each point u of the target
+    class at level i that the generators found so far do not already reach
+    from v_i gets one search: the first leaf of the branch that
+    individualizes u against v_i, if any, is an automorphism fixing
+    v_0..v_{i-1} and mapping v_i to u, and a new generator.  The generators
+    found at levels i and below thus generate the stabilizer of
+    v_0..v_{i-1}, with no Schreier-Sims step (McKay & Piperno, "Practical
+    graph isomorphism, II", J. Symb. Comput. 60, 2014).
+    """
     n = g.n
-    nbrs_g = [list(iter_bits(m)) for m in g.adj]
-    nbrs_h = [list(iter_bits(m)) for m in h.adj]
-
-    def walk(cg: list[int], ch: list[int]) -> Iterator[Permutation]:
-        refined = _refine(nbrs_g, nbrs_h, cg, ch)
-        if refined is None:
-            return
-        cg, ch = refined
-        # Find the smallest class with more than one g-vertex.
-        size: dict[int, int] = {}
-        for c in cg:
-            size[c] = size.get(c, 0) + 1
-        split = min(
-            ((sz, c) for c, sz in size.items() if sz > 1),
-            default=None,
-        )
-        if split is None:
-            # Everything is singleton on both sides: read off the bijection.
-            where_h = {c: v for v, c in enumerate(ch)}
-            perm = tuple(where_h[c] for c in cg)
-            for v in range(n):
-                for u in nbrs_g[v]:
-                    if not h.adj[perm[v]] >> perm[u] & 1:
-                        return
-            yield perm
-            return
-        c = split[1]
-        v = cg.index(c)
-        for u in (x for x in range(n) if ch[x] == c):
-            cg2 = cg.copy()
-            ch2 = ch.copy()
-            cg2[v] = n
-            ch2[u] = n
-            yield from walk(cg2, ch2)
-
-    start = [0] * n if colors is None else list(colors)
-    yield from walk(start, start.copy())
+    nbrs = _neighbors(g)
+    identity = tuple(range(n))
+    path: list[tuple[list[int], int]] = []
+    colors = [0] * n
+    while True:
+        # Both sides of the first path individualize the same vertex, so
+        # they stay equal and never diverge.
+        colors, _ = _refine(nbrs, nbrs, colors, colors)
+        c = _target_class(colors)
+        if c is None:
+            break
+        v = colors.index(c)
+        path.append((colors, v))
+        colors = _individualize(colors, v)
+    generators: list[Permutation] = []
+    transversals = []
+    for colors, v in reversed(path):
+        reps = {v: identity}
+        for u in range(n):
+            if colors[u] != colors[v] or u in reps:
+                continue
+            branch = _walk(nbrs, nbrs, g.adj, _individualize(colors, v), _individualize(colors, u))
+            leaf = next(branch, None)
+            if leaf is not None:
+                generators.append(leaf)
+                reps = _orbit(v, generators, identity)
+        transversals.append(tuple(reps[u] for u in sorted(reps)))
+    return AutGroup(n, tuple(generators), tuple(reversed(transversals)))
 
 
 def _nontrivial_automorphism(g: Graph, colors: list[int]) -> Permutation | None:
@@ -194,33 +286,23 @@ _aut_cache: OrderedDict[Graph, AutGroup] = OrderedDict()
 
 
 def automorphisms(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutGroup:
-    """The full automorphism group, sorted lexicographically by image array."""
+    """The full automorphism group, as a stabilizer chain."""
     _check_order(g.n, caps)
-    cached = _aut_cache.get(g)
-    if cached is None:
-        elements = []
-        for perm in _isomorphisms(g, g):
-            elements.append(perm)
-            if len(elements) > caps.max_group_order:
-                raise BudgetExceededError(
-                    f"group order exceeds the cap of {caps.max_group_order}"
-                )
-        cached = AutGroup(tuple(sorted(elements)))
-        _aut_cache[g] = cached
+    group = _aut_cache.get(g)
+    if group is None:
+        group = _aut_cache[g] = _stabilizer_chain(g)
         if len(_aut_cache) > _AUT_CACHE_SIZE:
             _aut_cache.popitem(last=False)
     else:
         _aut_cache.move_to_end(g)
-    if cached.order > caps.max_group_order:
+    if group.order > caps.max_group_order:
         raise BudgetExceededError(f"group order exceeds the cap of {caps.max_group_order}")
-    return cached
+    return group
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
     _check_order(max(g.n, h.n), DEFAULT_CAPS)
-    for perm in _isomorphisms(g, h):
-        return perm
-    return None
+    return next(_isomorphisms(g, h), None)
 
 
 def vertex_orbits(group: Iterable[Permutation], n: int) -> list[int]:
@@ -349,12 +431,11 @@ def check_aut_chain(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutChainReport:
     }
     report.all_equal = orders == {report.base_order}
 
-    central_lifts = {lift_to_central(a, g) for a in base}
-    endline_lifts = {lift_to_endline(a, g) for a in base}
+    # A lift is an injective homomorphism, so when the orders agree the
+    # lifted generators generate the whole group they land in.
     report.lifts_exhaust = (
-        len(central_lifts) == base.order == report.central_order
-        and all(is_automorphism(cent.graph, p) for p in central_lifts)
-        and len(endline_lifts) == base.order == report.endline_order
-        and all(is_automorphism(plus.graph, p) for p in endline_lifts)
+        all(is_automorphism(cent.graph, lift_to_central(a, g)) for a in base.generators)
+        and all(is_automorphism(plus.graph, lift_to_endline(a, g)) for a in base.generators)
+        and base.order == report.central_order == report.endline_order
     )
     return report

@@ -335,7 +335,11 @@ def run_check(graph6: str, check: str, budget: int | None = None) -> dict:
 
 def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
     if args.file:
-        for line in Path(args.file).read_text().splitlines():
+        try:
+            text = Path(args.file).read_text()
+        except OSError as exc:
+            raise _UsageError(f"cannot read --file {args.file}: {exc}") from exc
+        for line in text.splitlines():
             line = line.strip()
             if line:
                 yield line
@@ -412,7 +416,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graphs = list(_family_graphs(args))
     report_path = Path(args.report)
     cache_dir = Path(args.cache) if args.cache else report_path.with_suffix(".cache")
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        option = "--cache" if args.cache else "--report"
+        raise _UsageError(f"cannot make the record cache {cache_dir} for {option}: {exc}") from exc
 
     todo: list[tuple[int, str]] = []
     records: dict[int, dict] = {}

@@ -828,7 +828,7 @@ def total_dist_coloring_subdivision(g: Graph) -> ConstructionResult:
     sub = subdivision(g)
     s = sub.graph
     delta = s.max_degree()
-    orbits = vertex_orbits(automorphisms(g), g.n)
+    orbits = vertex_orbits(automorphisms(g).generators, g.n)
     fixed = any(orbits.count(o) == 1 for o in set(orbits))
     if g.is_cycle():
         coloring = oracle_witness(

@@ -157,8 +157,10 @@ class _Search:
         self.conflicts = conflicts
 
         self.perm_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        lifted_generators: list[tuple[int, ...]] = []
         if kind in _DISTINGUISHING:
             group = automorphisms(g, aut_caps)
+            lifted_generators = [lift_to_central(phi, g) for phi in group.generators]
             pairs = []
             for phi in group:
                 if all(phi[v] == v for v in range(n)):
@@ -184,7 +186,7 @@ class _Search:
         self.newest_first = kind in ("D", "Dp", "Dpp")
 
         if kind in ("D", "Dp", "Dpp"):
-            order = self._orbit_order()
+            order = self._orbit_order(lifted_generators)
         elif kind == "chi2a":
             order = self._avd_order()
         elif kind in ("chi2", "chi2D"):
@@ -215,10 +217,10 @@ class _Search:
                 tuple(u for u in range(n) if not g.has_edge(v, u)) for v in range(n)
             ]
 
-    def _orbit_order(self) -> list[int]:
+    def _orbit_order(self, generators: list[tuple[int, ...]]) -> list[int]:
         # The lifts keep vertices and edges apart, so each orbit lies inside
         # or outside the universe as a whole.
-        orbit = vertex_orbits((elem for elem, _ in self.perm_pairs or ()), self.n + self.m)
+        orbit = vertex_orbits(generators, self.n + self.m)
         counts: dict[int, int] = {}
         for e in self.universe:
             counts[orbit[e]] = counts.get(orbit[e], 0) + 1

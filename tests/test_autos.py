@@ -22,7 +22,9 @@ from symcol.autos import (
     lift_to_endline,
     vertex_orbits,
 )
+from symcol.autos import _isomorphisms
 from symcol.errors import BudgetExceededError
+from symcol.families import connected_graphs
 from symcol.graphs import (
     Graph,
     complete_bipartite,
@@ -35,7 +37,7 @@ from symcol.graphs import (
     random_tree,
     star_graph,
 )
-from symcol.transforms import central, endline, subdivision
+from symcol.transforms import central, endline, line_graph, middle, subdivision
 
 WIDE = AutCaps(max_vertices=40)
 
@@ -93,6 +95,30 @@ def test_known_group_orders():
         assert automorphisms(cycle_graph(n)).order == 2 * n
     assert automorphisms(star_graph(5)).order == math.factorial(4)
     assert automorphisms(empty_graph(1)).order == 1
+
+
+def test_chain_matches_full_search_on_small_graphs():
+    # Every leaf of the unpruned search is an automorphism, so the chain's
+    # elements must be exactly the leaves.
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for h in (g, line_graph(g)[0], subdivision(g).graph, central(g).graph,
+                      middle(g).graph, endline(g).graph):
+                group = automorphisms(h, VERIFY_CAPS)
+                assert group.elements == tuple(sorted(_isomorphisms(h, h)))
+                assert group.order == len(group.elements)
+                assert all(is_automorphism(h, p) for p in group.generators)
+
+
+def test_chain_check_builds_no_elements():
+    for g, order in ((complete_graph(8), math.factorial(8)),
+                     (complete_graph(9), math.factorial(9)),
+                     (star_graph(10), math.factorial(9))):
+        autos._aut_cache.clear()
+        rep = check_aut_chain(g, VERIFY_CAPS)
+        assert rep.passed and rep.base_order == order
+        assert autos._aut_cache
+        assert all("elements" not in vars(group) for group in autos._aut_cache.values())
 
 
 def test_petersen_group_order():
@@ -293,3 +319,29 @@ def test_check_aut_chain_past_order_seven():
             graphs.append(g)
     for g in graphs:
         assert check_aut_chain(g, VERIFY_CAPS).passed, g
+
+
+def test_chain_theorem_on_drawn_graphs():
+    # The paper's theorem past the orders gate 1 covers: the six group orders
+    # agree and both lifts exhaust, on connected non-cycle graphs of order 5-10.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def connected_non_cycles(draw):
+        n = draw(st.integers(5, 10))
+        # A random spanning tree (each vertex joins an earlier one) plus
+        # any set of extra pairs keeps the graph connected.
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+        g = Graph.from_edges(n, sorted(edges))
+        hypothesis.assume(not g.is_cycle())
+        return g
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @hypothesis.given(connected_non_cycles())
+    def check(g):
+        assert check_aut_chain(g, VERIFY_CAPS).passed
+
+    check()

@@ -237,6 +237,12 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "construct", "--theorem", "3.2", "--in", C5,
                            "--out", str(out_path))
     assert code == 2 and "--out" in err
+    code, _, err = run_cli(capsys, "sweep", "--check", "3.2", "--file",
+                           str(tmp_path / "missing.g6"), "--report", report)
+    assert code == 2 and "--file" in err
+    code, _, err = run_cli(capsys, "sweep", "--check", "3.2", "--max-order", "4",
+                           "--report", str(not_json / "r.jsonl"))
+    assert code == 2 and "--report" in err
 
 
 def test_malformed_budget_variable_exits_two(capsys, tmp_path, monkeypatch):
