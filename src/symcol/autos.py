@@ -3,10 +3,15 @@
 The engine is classic individualization-refinement: vertices start in one
 class, or in the classes of a given starting coloring, colors are refined by
 sorted neighbor-color profiles until stable, and a smallest non-singleton
-class is split by trying every target vertex.  Colors are assigned by ranking
-profile keys, so they are comparable across the two graphs of an isomorphism
-search.  Every complete leaf is adjacency-checked, so refinement only prunes,
-it never decides.
+class is split by trying every target vertex.  On the first graph a search
+always individualizes the first vertex of the target class, so that side of
+every node lies on one path, the search's first path.  It is refined once,
+lazily, one round at a time.  Colors are ranks of one side's profile keys:
+the second graph is refined alone, and each of its rounds is checked against
+the path's round through the multiset of keys, which stops the node at the
+first difference and otherwise gives both sides the same colors.  Every
+complete leaf is adjacency-checked, so refinement only prunes, it never
+decides.
 
 ``automorphisms`` returns a group as a stabilizer chain read off the search's
 first path: generators, plus one transversal per base point.  Its order is
@@ -121,28 +126,22 @@ def is_automorphism(g: Graph, perm: Permutation) -> bool:
     return True
 
 
-def _refine(
-    nbrs_g: list[list[int]],
-    nbrs_h: list[list[int]],
-    cg: list[int],
-    ch: list[int],
-) -> tuple[list[int], list[int]] | None:
-    """Refine both colorings to a joint stable partition.
+def _refine(nbrs: list[list[int]], colors: list[int]) -> tuple[tuple, list[int], bool]:
+    """One refinement round of one coloring.
 
-    Returns None as soon as the color multisets diverge (no isomorphism can
-    respect the current partition).
+    Each vertex's key is its color and its sorted neighbor colors; the new
+    colors rank the keys.  Returns the round's trace, the multiset of keys as
+    the sorted distinct keys plus the sorted new colors (the class sizes),
+    the new colors, and whether they are stable (equal to the old ones).
+    Two colorings with equal multisets of colors and equal traces get equal
+    new colors for equal keys, and are stable together, so a second graph is
+    compared with the first round by round through the traces alone.
     """
-    while True:
-        keys_g = [(cg[v], *sorted(cg[u] for u in nbrs_g[v])) for v in range(len(cg))]
-        keys_h = [(ch[v], *sorted(ch[u] for u in nbrs_h[v])) for v in range(len(ch))]
-        rank = {key: i for i, key in enumerate(sorted(set(keys_g) | set(keys_h)))}
-        ng = [rank[k] for k in keys_g]
-        nh = [rank[k] for k in keys_h]
-        if sorted(ng) != sorted(nh):
-            return None
-        if ng == cg and nh == ch:
-            return cg, ch
-        cg, ch = ng, nh
+    keys = [(c, *sorted(map(colors.__getitem__, nb))) for c, nb in zip(colors, nbrs)]
+    distinct = sorted(set(keys))
+    rank = {key: i for i, key in enumerate(distinct)}
+    new = [rank[k] for k in keys]
+    return (distinct, sorted(new)), new, new == colors
 
 
 def _target_class(colors: list[int]) -> int | None:
@@ -163,36 +162,131 @@ def _neighbors(g: Graph) -> list[list[int]]:
     return [list(iter_bits(m)) for m in g.adj]
 
 
-def _walk(
-    nbrs_g: list[list[int]],
-    nbrs_h: list[list[int]],
-    adj_h: tuple[int, ...],
-    cg: list[int],
-    ch: list[int],
-) -> Iterator[Permutation]:
-    """Every isomorphism below the search node (cg, ch), in search order.
+def _digest(trace: tuple) -> int:
+    # One byte: CPython shares the objects of ints this small, so a kept
+    # path's digests cost one list slot each.  Two traces that differ still
+    # collide only once in about 256 rounds.
+    return hash((*trace[0], *trace[1])) & 0xFF
 
-    The node's children individualize the first g-vertex of the target class
-    against each h-vertex of that class in turn.
+
+class _Path:
+    """The first graph's side of a search.
+
+    At every node that side individualizes the first vertex of the target
+    class, so all its nodes lie on one path, one per depth.  Each is refined
+    one round at a time, only as far as some node of the second graph at that
+    depth has matched it, and never twice.  A ``compact`` path, kept for many
+    searches, holds a digest of each round's trace in place of the trace and
+    only the deepest coloring.  A collision can only weaken the pruning:
+    stability is compared too, and a leaf must be a bijection that passes
+    the adjacency check.
     """
-    refined = _refine(nbrs_g, nbrs_h, cg, ch)
-    if refined is None:
-        return
-    cg, ch = refined
-    c = _target_class(cg)
+
+    __slots__ = ("graph", "nbrs", "compact", "colors", "traces", "ends", "targets")
+
+    def __init__(self, g: Graph, colors: list[int] | None = None, compact: bool = False) -> None:
+        self.graph = g
+        self.nbrs = None if compact else _neighbors(g)
+        self.compact = compact
+        # The coloring of each depth after the rounds made so far, and the
+        # traces of all rounds, depth after depth.  A depth is stable once it
+        # has a target class (None at the leaf) and the end of its rounds in
+        # ``traces``; the next depth starts with the class's first vertex
+        # individualized.
+        self.colors = [[0] * g.n if colors is None else list(colors)]
+        self.traces: list = []
+        self.ends: list[int] = []
+        self.targets: list[int | None] = []
+
+    def _round(self) -> None:
+        """One more round at the deepest depth, which is not yet stable."""
+        nbrs = _neighbors(self.graph) if self.compact else self.nbrs
+        trace, new, stable = _refine(nbrs, self.colors[-1])
+        self.traces.append(_digest(trace) if self.compact else trace)
+        self.colors[-1] = new
+        if stable:
+            c = _target_class(new)
+            self.targets.append(c)
+            self.ends.append(len(self.traces))
+            if c is not None:
+                self.colors.append(_individualize(new, new.index(c)))
+                if self.compact:
+                    self.colors[-2] = None
+
+    def target(self, depth: int) -> int | None:
+        """The target class at ``depth``, refining the path down to it."""
+        while len(self.targets) <= depth:
+            self._round()
+        return self.targets[depth]
+
+    def matches(self, depth: int, r: int, trace: tuple, stable: bool) -> bool:
+        """Whether round r of a second-graph node at ``depth`` has the trace
+        and the stability of the path's round r."""
+        i = (self.ends[depth - 1] if depth else 0) + r
+        if i == len(self.traces) and depth == len(self.ends):
+            self._round()
+        end = self.ends[depth] if depth < len(self.ends) else len(self.traces)
+        if i >= end or self.traces[i] != (_digest(trace) if self.compact else trace):
+            return False
+        # Equal traces make equal stability; a digest collision may not.
+        return stable == (depth < len(self.ends) and i == end - 1)
+
+
+def _walk(
+    path: _Path, depth: int, nbrs_h: list[list[int]], ch: list[int], same: bool
+) -> Iterator[Permutation]:
+    """Every isomorphism below the search node at ``depth`` whose second-graph
+    coloring is ch, in search order.
+
+    Only the second graph is refined; each round is checked against the
+    path's round.  The node's children individualize the path's vertex
+    against each vertex of the target class on the second graph in turn.
+    ``same`` says that the node is the path's own (the same graph and
+    coloring), so it is not refined at all.
+    """
+    if same:
+        path.target(depth)
+        ch = path.colors[depth]
+    else:
+        r = 0
+        while True:
+            trace, ch, stable = _refine(nbrs_h, ch)
+            if not path.matches(depth, r, trace, stable):
+                return
+            if stable:
+                break
+            r += 1
+    c = path.targets[depth]
     if c is None:
         # Everything is singleton on both sides: read off the bijection.
-        where_h = {c: v for v, c in enumerate(ch)}
-        perm = tuple(where_h[c] for c in cg)
-        for v, nbrs in enumerate(nbrs_g):
-            for u in nbrs:
-                if not adj_h[perm[v]] >> perm[u] & 1:
+        # The edge counts agree, so it is an isomorphism if it maps every
+        # edge of h back onto an edge of g.  Only a digest collision can
+        # leave h's coloring short of discrete.
+        where_g = {c: v for v, c in enumerate(path.colors[depth])}
+        back = [where_g[c] for c in ch]
+        if len(set(back)) < len(back):
+            return
+        adj_g = path.graph.adj
+        for x, nbrs in enumerate(nbrs_h):
+            row = adj_g[back[x]]
+            for y in nbrs:
+                if not row >> back[y] & 1:
                     return
-        yield perm
+        yield invert(back)
         return
-    v = cg.index(c)
+    v = ch.index(c) if same else None
     for u in (x for x in range(len(ch)) if ch[x] == c):
-        yield from _walk(nbrs_g, nbrs_h, adj_h, _individualize(cg, v), _individualize(ch, u))
+        yield from _walk(path, depth + 1, nbrs_h, _individualize(ch, u), same and u == v)
+
+
+def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
+    """All isomorphisms from the path's graph to h that keep ``start``, the
+    coloring the path starts from, in deterministic search order."""
+    g = path.graph
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return
+    same = g == h and not path.compact
+    yield from _walk(path, 0, path.nbrs if same else _neighbors(h), start, same)
 
 
 def _isomorphisms(
@@ -203,10 +297,8 @@ def _isomorphisms(
     ``colors`` is the starting partition of both graphs, as ints below n
     (default: one class); only isomorphisms that keep it are found.
     """
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return
     start = [0] * g.n if colors is None else list(colors)
-    yield from _walk(_neighbors(g), _neighbors(h), h.adj, start, start.copy())
+    return _search(_Path(g, start), h, start)
 
 
 def _orbit(v: int, generators: list[Permutation], identity: Permutation) -> dict[int, Permutation]:
@@ -237,28 +329,21 @@ def _stabilizer_chain(g: Graph) -> AutGroup:
     graph isomorphism, II", J. Symb. Comput. 60, 2014).
     """
     n = g.n
-    nbrs = _neighbors(g)
+    path = _Path(g)
     identity = tuple(range(n))
-    path: list[tuple[list[int], int]] = []
-    colors = [0] * n
-    while True:
-        # Both sides of the first path individualize the same vertex, so
-        # they stay equal and never diverge.
-        colors, _ = _refine(nbrs, nbrs, colors, colors)
-        c = _target_class(colors)
-        if c is None:
-            break
-        v = colors.index(c)
-        path.append((colors, v))
-        colors = _individualize(colors, v)
+    levels = 0
+    while path.target(levels) is not None:
+        levels += 1
     generators: list[Permutation] = []
     transversals = []
-    for colors, v in reversed(path):
+    for depth in reversed(range(levels)):
+        colors = path.colors[depth]
+        v = colors.index(path.targets[depth])
         reps = {v: identity}
         for u in range(n):
             if colors[u] != colors[v] or u in reps:
                 continue
-            branch = _walk(nbrs, nbrs, g.adj, _individualize(colors, v), _individualize(colors, u))
+            branch = _walk(path, depth + 1, path.nbrs, _individualize(colors, u), False)
             leaf = next(branch, None)
             if leaf is not None:
                 generators.append(leaf)
@@ -300,9 +385,15 @@ def automorphisms(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutGroup:
     return group
 
 
+def _first_isomorphism(path: _Path, h: Graph) -> Permutation | None:
+    """The first isomorphism from the graph of a path started from one
+    class to h."""
+    _check_order(max(path.graph.n, h.n), DEFAULT_CAPS)
+    return next(_search(path, h, [0] * h.n), None)
+
+
 def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
-    _check_order(max(g.n, h.n), DEFAULT_CAPS)
-    return next(_isomorphisms(g, h), None)
+    return _first_isomorphism(_Path(g), h)
 
 
 def vertex_orbits(group: Iterable[Permutation], n: int) -> list[int]:

@@ -120,7 +120,15 @@ def _cmd_aut(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_run_limits(args: argparse.Namespace) -> None:
+    if args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
+    if args.budget is not None and args.budget < 0:
+        raise _UsageError("--budget must be at least 0")
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    _check_run_limits(args)
     g = _parse_graph(args.graph)
     res = exact_parameter(
         g,
@@ -351,7 +359,7 @@ def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
             f"built-in enumeration stops at order {MAX_BUILTIN_ORDER}; "
             "use --file for larger graphs"
         )
-    lo = args.min_order or 1
+    lo = 1 if args.min_order is None else args.min_order
     if lo < 1:
         raise _UsageError("--min-order must be at least 1")
     if args.family == "all-connected":
@@ -359,7 +367,7 @@ def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
             for g in connected_graphs(n):
                 yield encode_graph6(g)
     elif args.family == "all-trees":
-        for n in range(max(lo, 1), args.max_order + 1):
+        for n in range(lo, args.max_order + 1):
             for t in all_trees(n):
                 yield encode_graph6(t)
     else:
@@ -413,6 +421,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_run_limits(args)
     graphs = list(_family_graphs(args))
     report_path = Path(args.report)
     cache_dir = Path(args.cache) if args.cache else report_path.with_suffix(".cache")

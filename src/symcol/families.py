@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .autos import find_isomorphism
+from .autos import _first_isomorphism, _Path
 from .graphs import Graph, empty_graph
 
 __all__ = ["all_graphs", "connected_graphs", "all_trees", "regular_graphs"]
@@ -26,13 +26,17 @@ def _fingerprint(g: Graph) -> tuple:
 
 
 def _dedup(candidates: Iterable[Graph]) -> tuple[Graph, ...]:
-    buckets: dict[tuple, list[Graph]] = {}
+    # Each representative keeps its side of the searches, so it is refined
+    # once however many candidates meet it.  Buckets are keyed by the
+    # fingerprint's hash: a collision only merges two buckets, whose pairs
+    # are still tested exactly.
+    buckets: dict[int, list[_Path]] = {}
     out: list[Graph] = []
     for g in candidates:
-        bucket = buckets.setdefault(_fingerprint(g), [])
-        if any(find_isomorphism(g, seen) is not None for seen in bucket):
+        bucket = buckets.setdefault(hash(_fingerprint(g)), [])
+        if any(_first_isomorphism(seen, g) is not None for seen in bucket):
             continue
-        bucket.append(g)
+        bucket.append(_Path(g, compact=True))
         out.append(g)
     return tuple(out)
 

@@ -24,7 +24,7 @@ from symcol.autos import (
 )
 from symcol.autos import _isomorphisms
 from symcol.errors import BudgetExceededError
-from symcol.families import connected_graphs
+from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
     Graph,
     complete_bipartite,
@@ -108,6 +108,68 @@ def test_chain_matches_full_search_on_small_graphs():
                 assert group.elements == tuple(sorted(_isomorphisms(h, h)))
                 assert group.order == len(group.elements)
                 assert all(is_automorphism(h, p) for p in group.generators)
+
+
+def test_chain_matches_naive_matcher_on_small_graphs():
+    # Independent of the search: the chain against plain backtracking.
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            assert automorphisms(g).elements == tuple(sorted(naive_automorphisms(g))), g
+
+
+def test_find_isomorphism_across_relabelings():
+    rng = random.Random(29)
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            found = find_isomorphism(g, h)
+            assert found is not None and g.relabel(found) == h, (g, perm)
+
+
+def _brute_isomorphic(g, h) -> bool:
+    edges = g.edges()
+    return any(all(h.has_edge(p[u], p[v]) for u, v in edges)
+               for p in itertools.permutations(range(g.n)))
+
+
+def test_find_isomorphism_rejects_pairs_alike_in_early_rounds():
+    # Equal degree sequences make the first refinement round agree.  Of
+    # order 7, only pairs that also agree on the multiset of (degree, sorted
+    # neighbor degrees) are kept, so the second round agrees too and the
+    # difference shows in a later round or only after individualizing.
+    def profile(g):
+        degs = g.degrees()
+        return sorted((degs[v], sorted(degs[u] for u in g.neighbors(v))) for v in range(g.n))
+
+    pairs = []
+    for n in range(4, 8):
+        for g, h in itertools.combinations(connected_graphs(n), 2):
+            if sorted(g.degrees()) == sorted(h.degrees()) and (n < 7 or profile(g) == profile(h)):
+                pairs.append((g, h))
+    assert len(pairs) > 150
+    for g, h in pairs:
+        assert not _brute_isomorphic(g, h), (g, h)
+        assert find_isomorphism(g, h) is None and find_isomorphism(h, g) is None, (g, h)
+        h2 = h.relabel(tuple(reversed(range(h.n))))
+        assert find_isomorphism(g, h2) is None, (g, h2)
+
+
+def test_compact_paths_stay_exact_under_digest_collisions(monkeypatch):
+    # With every digest equal, a compact path prunes on stability alone: a
+    # map it returns must still be an isomorphism, and it must find one
+    # whenever one exists.  The graphs of all_graphs(n) are pairwise
+    # non-isomorphic.
+    monkeypatch.setattr(autos, "_digest", lambda trace: 0)
+    for n in range(1, 6):
+        graphs = all_graphs(n)
+        shift = [(v + 1) % n for v in range(n)]
+        for g, h in itertools.product(graphs, graphs):
+            for target in (h, h.relabel(shift)):
+                found = autos._first_isomorphism(autos._Path(g, compact=True), target)
+                assert (found is not None) == (g is h), (g, target)
+                assert found is None or g.relabel(found) == target
 
 
 def test_chain_check_builds_no_elements():

@@ -213,8 +213,15 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "latin", "--k", "1")[0] == 2
     assert run_cli(capsys, "construct", "--theorem", "5.5", "--in", C5)[0] == 2
     report = str(tmp_path / "r.jsonl")
-    assert run_cli(capsys, "sweep", "--check", "3.2", "--min-order", "-1",
-                   "--max-order", "4", "--report", report)[0] == 2
+    for low in ("-1", "0"):
+        code, _, err = run_cli(capsys, "sweep", "--check", "3.2", "--min-order", low,
+                               "--max-order", "4", "--report", report)
+        assert code == 2 and "--min-order" in err, low
+    for option, value in (("--workers", "0"), ("--workers", "-3"), ("--budget", "-1")):
+        for argv in (("oracle", "--param", "D", "--in", C5),
+                     ("sweep", "--check", "3.2", "--max-order", "4", "--report", report)):
+            code, out, err = run_cli(capsys, *argv, option, value)
+            assert (code, out) == (2, "") and option in err, (argv, option, value)
     assert run_cli(capsys, "sweep", "--check", "3.2", "--family", "regular",
                    "--degree", "-1", "--max-order", "4", "--report", report)[0] == 2
     not_json = tmp_path / "not.json"

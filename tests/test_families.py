@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from symcol import autos
 from symcol.autos import find_isomorphism
 from symcol.families import all_graphs, all_trees, connected_graphs, regular_graphs
 from symcol.graphs import complete_graph, cycle_graph, path_graph, star_graph
@@ -23,6 +24,16 @@ def test_connected_graph_counts():
         got = connected_graphs(n)
         assert len(got) == want
         assert all(g.is_connected() for g in got)
+
+
+def test_dedup_survives_digest_collisions(monkeypatch):
+    # With every round digest equal, the representatives' searches prune
+    # only on stability, so the checks at the leaves must keep the classes
+    # apart.
+    graphs, trees = connected_graphs(7), all_trees(8)
+    monkeypatch.setattr(autos, "_digest", lambda trace: 0)
+    assert connected_graphs.__wrapped__(7) == graphs
+    assert all_trees.__wrapped__(8) == trees
 
 
 def test_connected_graph_count_order_8():
