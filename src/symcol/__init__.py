@@ -4,7 +4,7 @@ The package is organized bottom-up:
 
 - graphs: immutable Graph substrate, graph6 I/O, generators
 - transforms: subdivision, central, middle, endline, line graph
-- autos: automorphism enumeration, isomorphism search, lifting maps
+- autos: automorphism groups as stabilizer chains, isomorphism search, lifting maps
 - colorings: coloring containers and all property verifiers
 - latin: idempotent commutative Latin squares
 - families: exhaustive enumeration of small graphs up to isomorphism

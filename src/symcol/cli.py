@@ -567,6 +567,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         _print_json({"error": "budget-exceeded", "detail": str(exc)})
         return 1
+    except NotApplicableError as exc:
+        _print_json({"error": "not-applicable", "detail": str(exc)})
+        return 1
 
 
 if __name__ == "__main__":

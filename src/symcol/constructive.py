@@ -1,9 +1,9 @@
 """Coloring and partition constructions, each returning its promised bound.
 
 Every public operation re-checks its own output with the matching verifier
-(properness, AVD, total domination, or distinguishing against the full
-automorphism group of the transformed graph) before returning.  A verifier
-rejection raises ConstructionDefectError instead of returning a bad object.
+(properness, AVD, total domination, or one colored search for the
+distinguishing property) before returning.  A verifier rejection raises
+ConstructionDefectError instead of returning a bad object.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned in lexicographic order by child label, and roots or
@@ -33,7 +33,6 @@ from .transforms import (
     TaggedGraph,
     central,
     endline,
-    line_graph,
     middle,
     middle_to_line_of_endline,
     subdivision,
@@ -114,13 +113,12 @@ def oracle_witness(
     """The exact oracle's witness for ``kind`` within ``cap`` colors.
 
     Raises ConstructionDefectError with the message ``defect`` when every
-    level up to the cap is refuted, or when a Dp witness has no edge colors.
+    level up to the cap is refuted.
     """
     res = exact_parameter(g, kind, cap=cap, aut_caps=aut_caps)
-    witness = res.witness
-    if res.value is None or witness is None or (kind == "Dp" and witness.edge_colors is None):
+    if res.value is None or res.witness is None:
         raise ConstructionDefectError(defect)
-    return witness
+    return res.witness
 
 
 # --- bipartite edge colorings ------------------------------------------------
@@ -558,6 +556,14 @@ def dist_vertex_coloring_central(g: Graph) -> ConstructionResult:
 # --- endline and middle graphs ------------------------------------------------
 
 
+def _endline_edge_colors(g: Graph, coloring: TotalColoring) -> dict[tuple[int, int], int]:
+    """The edge colors of ``coloring``, and color 1 on each pendant edge (v, n+v) of G+."""
+    ec = dict(coloring.edge_colors or {})
+    for v in range(g.n):
+        ec[(v, g.n + v)] = 1
+    return ec
+
+
 def dist_edge_coloring_endline(g: Graph, coloring: TotalColoring) -> EndlineColoring:
     """Extend a distinguishing edge coloring to the endline graph by coloring
     every pendant edge 1."""
@@ -566,10 +572,7 @@ def dist_edge_coloring_endline(g: Graph, coloring: TotalColoring) -> EndlineColo
     if not g.edge_count() and automorphisms(g, VERIFY_CAPS).order > 1:
         raise ValueError("input edge coloring is not distinguishing for the base graph")
     plus = endline(g)
-    ec = dict(coloring.edge_colors or {})
-    for v in range(g.n):
-        ec[(v, g.n + v)] = 1
-    extended = TotalColoring(None, ec)
+    extended = TotalColoring(None, _endline_edge_colors(g, coloring))
     ok = is_distinguishing(plus.graph, extended, "edge", VERIFY_CAPS)
     return EndlineColoring(plus, extended, ok)
 
@@ -588,22 +591,15 @@ def dist_vertex_coloring_middle(g: Graph) -> ConstructionResult:
         ).edge_colors
         note = "cycle case settled on the endline graph directly"
     else:
-        base = oracle_witness(
+        plus_ec = _endline_edge_colors(g, oracle_witness(
             g, "Dp", delta,
             f"no distinguishing edge coloring of the base graph with {delta} colors",
-        )
-        ext = dist_edge_coloring_endline(g, base)
-        if not ext.distinguishing:
-            raise ConstructionDefectError(
-                "endline extension lost the distinguishing property"
-            )
-        assert ext.coloring.edge_colors is not None
-        plus_ec = ext.coloring.edge_colors
+        ))
         note = "transported from an endline edge coloring"
     mid = middle(g)
-    image = middle_to_line_of_endline(g)
-    _, labels = line_graph(plus.graph)
-    vc = tuple(plus_ec[labels[image[v]]] for v in range(mid.graph.n))
+    # Vertex k of L(G+) is edge k of G+, so M(G) reads its colors off G+'s edges.
+    plus_edges = plus.graph.edges()
+    vc = tuple(plus_ec[plus_edges[k]] for k in middle_to_line_of_endline(g))
     coloring = TotalColoring(vc, None)
     if not is_distinguishing(mid.graph, coloring, "vertex", VERIFY_CAPS):
         raise ConstructionDefectError(

@@ -319,7 +319,7 @@ def random_tree(n: int, rng: random.Random) -> Graph:
 
 # --- graph6 ----------------------------------------------------------------
 #
-# Header byte n+63 (only orders up to 62 are supported), then the upper
+# Header byte n+63 (only orders 1 to 62 are supported), then the upper
 # triangle bits x(i,j) for j = 1..n-1, i = 0..j-1, packed six per byte, most
 # significant bit first, zero padded, each 6-bit group offset by 63.
 
@@ -353,6 +353,8 @@ def parse_graph6(text: str) -> Graph:
     if not 63 <= head <= 125:
         raise Graph6Error(f"invalid header byte {head}", 0)
     n = head - 63
+    if n == 0:
+        raise Graph6Error("order 0 is not supported", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(text) < 1 + nbytes:

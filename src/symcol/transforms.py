@@ -124,10 +124,7 @@ def middle_to_line_of_endline(g: Graph) -> tuple[int, ...]:
     graph with the same endpoints).  Returns the image array indexed by
     middle-graph vertex.
     """
-    plus = endline(g)
-    _, labels = line_graph(plus.graph)
-    position = {e: k for k, e in enumerate(labels)}
-    image = [position[(v, g.n + v)] for v in range(g.n)]
-    for e in g.edges():
-        image.append(position[e])
-    return tuple(image)
+    # line_graph labels its vertex k with edge k of its input.
+    position = endline(g).graph.edge_index()
+    pendants = [position[(v, g.n + v)] for v in range(g.n)]
+    return tuple(pendants + [position[e] for e in g.edges()])

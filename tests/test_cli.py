@@ -94,6 +94,15 @@ def test_construct_not_applicable_exit(capsys):
     assert json.loads(out)["verdict"] == "not-applicable"
 
 
+def test_oracle_not_applicable_exit(capsys):
+    # K2's swap fixes its only edge; an isolated vertex cannot be dominated.
+    for param, graph6 in (("Dp", "A_"), ("chitd", "A?")):
+        code, out, _ = run_cli(capsys, "oracle", "--param", param, "--in", graph6)
+        assert code == 1, param
+        doc = json.loads(out)
+        assert doc["error"] == "not-applicable" and doc["detail"], param
+
+
 def test_construct_tdc_partition_output(capsys):
     code, out, _ = run_cli(capsys, "construct", "--theorem", "6.2", "--in", C5)
     assert code == 0
@@ -212,6 +221,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "order 8" in err
     assert run_cli(capsys, "latin", "--k", "1")[0] == 2
     assert run_cli(capsys, "construct", "--theorem", "5.5", "--in", C5)[0] == 2
+    code, _, err = run_cli(capsys, "aut", "--in", "?")
+    assert code == 2 and "invalid graph6 input" in err
     report = str(tmp_path / "r.jsonl")
     for low in ("-1", "0"):
         code, _, err = run_cli(capsys, "sweep", "--check", "3.2", "--min-order", low,

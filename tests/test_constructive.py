@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from symcol import constructive
 from symcol.autos import automorphisms
 from symcol.colorings import TotalColoring, is_avd_total, is_proper, is_tdc
 from symcol.constructive import (
@@ -38,7 +39,7 @@ from symcol.graphs import (
     star_graph,
 )
 from symcol.oracles import exact_parameter
-from symcol.transforms import central, subdivision
+from symcol.transforms import central, endline, line_graph, middle_to_line_of_endline, subdivision
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +190,34 @@ def test_middle_vertex_coloring_sweep_orders_3_to_7():
         for g in connected_graphs(n):
             r = dist_vertex_coloring_middle(g)
             assert r.palette_size <= g.max_degree()
+
+
+def test_middle_vertex_coloring_matches_the_endline_route():
+    # The route through an edge coloring of G+ and the labels of L(G+),
+    # rebuilt from public pieces.
+    for n in range(3, 7):
+        for g in connected_graphs(n):
+            plus = endline(g).graph
+            if g.is_cycle():
+                plus_ec = exact_parameter(plus, "Dp", cap=2).witness.edge_colors
+            else:
+                base = exact_parameter(g, "Dp", cap=g.max_degree()).witness
+                plus_ec = dist_edge_coloring_endline(g, base).coloring.edge_colors
+            _, labels = line_graph(plus)
+            expected = tuple(plus_ec[labels[k]] for k in middle_to_line_of_endline(g))
+            assert dist_vertex_coloring_middle(g).coloring.vertex_colors == expected, g
+
+
+def test_middle_vertex_coloring_makes_one_colored_search(monkeypatch):
+    searched = []
+    real = constructive.is_distinguishing
+    monkeypatch.setattr(
+        constructive, "is_distinguishing", lambda g, *rest: searched.append(g) or real(g, *rest)
+    )
+    for g in (cycle_graph(5), path_graph(4), star_graph(4), complete_graph(4)):
+        searched.clear()
+        r = dist_vertex_coloring_middle(g)
+        assert searched == [r.graph], g
 
 
 def test_total_coloring_central_regular_odd():

@@ -175,6 +175,9 @@ def test_graph6_error_offsets():
         parse_graph6("~??")  # multi-byte order header
     assert err.value.offset == 0
     with pytest.raises(Graph6Error) as err:
+        parse_graph6("?")  # order 0, which encode_graph6 refuses too
+    assert err.value.offset == 0
+    with pytest.raises(Graph6Error) as err:
         parse_graph6("C")  # K4-sized header with no edge bytes
     assert err.value.offset == 1
     with pytest.raises(Graph6Error) as err:
