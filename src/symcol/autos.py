@@ -422,7 +422,12 @@ def lift_to_central(alpha: Permutation, g: Graph) -> Permutation:
     """Extend alpha in Aut(G) to the central graph: w_{x,y} maps to w_{ax,ay}."""
     if sorted(alpha) != list(range(g.n)):
         raise ValueError("alpha is not an automorphism of the base graph")
-    index = g.edge_index()
+    return _lift_through(alpha, g.n, g.edge_index())
+
+
+def _lift_through(alpha: Permutation, n: int, index: dict[tuple[int, int], int]) -> Permutation:
+    """``lift_to_central`` of a permutation of 0..n-1, against the base
+    graph's edge index, built once for every element a caller lifts."""
     image = list(alpha)
     # A vertex permutation that maps every edge onto an edge is an automorphism.
     for u, v in index:  # the keys run in edges() order
@@ -430,7 +435,7 @@ def lift_to_central(alpha: Permutation, g: Graph) -> Permutation:
         k = index.get((a, b) if a < b else (b, a))
         if k is None:
             raise ValueError("alpha is not an automorphism of the base graph")
-        image.append(g.n + k)
+        image.append(n + k)
     return tuple(image)
 
 

@@ -86,6 +86,9 @@ def _parse_graph(text: str) -> Graph:
 def _cmd_transform(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
     if args.kind == "line":
+        if g.edge_count() == 0:
+            raise _UsageError("the line graph of a graph with no edges has no vertices, "
+                              "and graph6 has no order-0 form")
         lg, labels = line_graph(g)
         _print_json(
             {

@@ -223,6 +223,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "construct", "--theorem", "5.5", "--in", C5)[0] == 2
     code, _, err = run_cli(capsys, "aut", "--in", "?")
     assert code == 2 and "invalid graph6 input" in err
+    for edgeless in ("@", "A?"):
+        code, out, err = run_cli(capsys, "transform", "--kind", "line", "--in", edgeless)
+        assert (code, out) == (2, "") and "no edges" in err, edgeless
     report = str(tmp_path / "r.jsonl")
     for low in ("-1", "0"):
         code, _, err = run_cli(capsys, "sweep", "--check", "3.2", "--min-order", low,

@@ -17,6 +17,7 @@ from symcol.colorings import (
     is_tdc,
 )
 from symcol.errors import BudgetExceededError, NotApplicableError
+from symcol.families import connected_graphs
 from symcol.graphs import (
     Graph,
     complete_graph,
@@ -344,3 +345,87 @@ def test_tight_budgets_do_not_depend_on_workers(g, kind):
             outcomes.append(_outcome(lambda: call(1)))
             assert outcomes[-1] == _outcome(lambda: call(2)), (kind, budget)
         assert (outcomes[0][0] == "budget-exceeded") == (budget < n)
+
+
+# --- lex-leader pruning against the same search unpruned ------------------
+
+
+def _chromatic_levels(g):
+    """(status, data, nodes) of each level of the chromatic-number search,
+    up to the first satisfiable one."""
+    search = oracles._Search(g, "chi")
+    runs = []
+    for level in range(1, g.n + 1):
+        runs.append(search.run(level, 10**9))
+        if runs[-1][0] == "sat":
+            break
+    return runs
+
+
+def _chitd_outcome(g):
+    try:
+        return exact_parameter(g, "chitd")
+    except NotApplicableError:
+        return None
+
+
+def test_lex_leader_pruning_keeps_values_and_witnesses(monkeypatch):
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    # Past the 24-vertex cap the search looks up no group and goes unpruned.
+    graphs += [complete_graph(25), star_graph(26)]
+    pruned = [(_chromatic_levels(g), _chitd_outcome(g)) for g in graphs]
+    monkeypatch.setattr(oracles, "_lex_elements", lambda g, caps: [])
+    for g, (chi_runs, chitd) in zip(graphs, pruned):
+        plain_runs = _chromatic_levels(g)
+        assert [r[:2] for r in chi_runs] == [r[:2] for r in plain_runs], g
+        assert all(a[2] <= b[2] for a, b in zip(chi_runs, plain_runs)), g
+        plain = _chitd_outcome(g)
+        if plain is None:
+            assert chitd is None, g
+            continue
+        assert (chitd.value, chitd.witness) == (plain.value, plain.witness), g
+        assert chitd.nodes <= plain.nodes, g
+
+
+def test_lex_leader_pruning_cuts_chitd_nodes():
+    # The unpruned search takes 2120 nodes.
+    assert exact_parameter(petersen_graph(), "chitd").nodes < 2120
+
+
+def test_parameter_relations_on_drawn_graphs():
+    # Dpp <= min(D, Dp): a distinguishing vertex or edge coloring stays
+    # distinguishing under any colors of the other elements.  A proper total
+    # coloring underlies every chi2D and chi2a coloring, and a proper vertex
+    # coloring every total dominator coloring.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def connected(draw):
+        n = draw(st.integers(1, 6))
+        # A random spanning tree plus any set of extra pairs.
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        if pairs:
+            edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+        return Graph.from_edges(n, sorted(edges))
+
+    def value(g, kind):
+        try:
+            return exact_parameter(g, kind).value
+        except NotApplicableError:
+            return None
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @hypothesis.given(connected())
+    def check(g):
+        v = {kind: value(g, kind) for kind in oracles.PARAM_KINDS}
+        for other in ("D", "Dp"):
+            if v["Dpp"] is not None and v[other] is not None:
+                assert v["Dpp"] <= v[other], (g, other)
+        assert v["chi2"] <= v["chi2D"] and v["chi2"] <= v["chi2a"], g
+        if v["chitd"] is not None:
+            chi = len(_chromatic_levels(g))
+            assert chi <= v["chitd"], g
+
+    check()
