@@ -21,7 +21,12 @@ sorted, are multiplied out of the transversals only on demand, for
 vertex orbits use the generators alone.  The last groups are kept in a
 bounded least-recently-used cache.  The distinguishing verifier builds no
 group: one search on the colored graph stops at the first automorphism other
-than the identity."""
+than the identity.
+
+Two caps bound the work, each raising BudgetExceededError: every search
+refuses a graph of more than ``VERTEX_CAP`` vertices, and a group of more
+than ``ELEMENT_CAP`` elements is never multiplied out.  Building a group and
+reading its order or generators has no order cap."""
 
 from __future__ import annotations
 
@@ -32,15 +37,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
-from .graphs import Graph, iter_bits
+from .graphs import GRAPH6_MAX_ORDER, Graph, encode_graph6, iter_bits
 from .transforms import central, endline, line_graph, middle, subdivision
 
 __all__ = [
     "Permutation",
-    "AutCaps",
     "AutGroup",
-    "DEFAULT_CAPS",
-    "VERIFY_CAPS",
+    "VERTEX_CAP",
+    "ELEMENT_CAP",
     "automorphisms",
     "find_isomorphism",
     "is_automorphism",
@@ -55,20 +59,10 @@ __all__ = [
 
 Permutation = tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class AutCaps:
-    """Resource guards for group enumeration."""
-
-    max_vertices: int = 24
-    max_group_order: int = 10_000_000
-
-
-DEFAULT_CAPS = AutCaps()
-# The transformed graphs blow up quadratically (C(G) of an order-7 graph has
-# up to 28 vertices), so verification uses roomier caps than raw group
-# enumeration does.
-VERIFY_CAPS = AutCaps(max_vertices=64, max_group_order=10**8)
+# The transforms blow a graph up quadratically (C(G) of an order-7 graph has
+# up to 28 vertices), so the search cap leaves room past the base graphs.
+VERTEX_CAP = 64
+ELEMENT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,12 @@ class AutGroup:
 
     @functools.cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted lexicographically by image array."""
+        """Every element, sorted lexicographically by image array.
+
+        Raises BudgetExceededError past ``ELEMENT_CAP`` elements.
+        """
+        if self.order > ELEMENT_CAP:
+            raise BudgetExceededError(f"group order exceeds the cap of {ELEMENT_CAP}")
         products = [tuple(range(self.n))]
         for reps in reversed(self.transversals):
             products = [compose(t, p) for t in reps for p in products]
@@ -358,11 +357,9 @@ def _nontrivial_automorphism(g: Graph, colors: list[int]) -> Permutation | None:
     return next((p for p in _isomorphisms(g, g, colors) if p != identity), None)
 
 
-def _check_order(n: int, caps: AutCaps) -> None:
-    if n > caps.max_vertices:
-        raise BudgetExceededError(
-            f"graph order {n} exceeds the {caps.max_vertices}-vertex enumeration cap"
-        )
+def _check_order(n: int) -> None:
+    if n > VERTEX_CAP:
+        raise BudgetExceededError(f"graph order {n} exceeds the {VERTEX_CAP}-vertex enumeration cap")
 
 
 # Large enough for every graph one oracle pass or one construction re-reads.
@@ -370,9 +367,9 @@ _AUT_CACHE_SIZE = 64
 _aut_cache: OrderedDict[Graph, AutGroup] = OrderedDict()
 
 
-def automorphisms(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutGroup:
+def automorphisms(g: Graph) -> AutGroup:
     """The full automorphism group, as a stabilizer chain."""
-    _check_order(g.n, caps)
+    _check_order(g.n)
     group = _aut_cache.get(g)
     if group is None:
         group = _aut_cache[g] = _stabilizer_chain(g)
@@ -380,15 +377,13 @@ def automorphisms(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutGroup:
             _aut_cache.popitem(last=False)
     else:
         _aut_cache.move_to_end(g)
-    if group.order > caps.max_group_order:
-        raise BudgetExceededError(f"group order exceeds the cap of {caps.max_group_order}")
     return group
 
 
 def _first_isomorphism(path: _Path, h: Graph) -> Permutation | None:
     """The first isomorphism from the graph of a path started from one
     class to h."""
-    _check_order(max(path.graph.n, h.n), DEFAULT_CAPS)
+    _check_order(max(path.graph.n, h.n))
     return next(_search(path, h, [0] * h.n), None)
 
 
@@ -486,16 +481,14 @@ class AutChainReport:
         }
 
 
-def check_aut_chain(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutChainReport:
+def check_aut_chain(g: Graph) -> AutChainReport:
     """Compare the group orders of G, L(G), S(G), C(G), M(G), and G+.
 
     Applicable to connected non-cycle graphs of order at least 5; for those
     the six orders must agree and the two lift maps must exhaust the groups
     they land in.
     """
-    from .graphs import encode_graph6
-
-    g6 = encode_graph6(g) if 1 <= g.n <= 62 else f"<order {g.n}>"
+    g6 = encode_graph6(g) if 1 <= g.n <= GRAPH6_MAX_ORDER else f"<order {g.n}>"
     if not g.is_connected():
         return AutChainReport(g6, False, "graph is disconnected")
     if g.n < 5:
@@ -503,7 +496,7 @@ def check_aut_chain(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutChainReport:
     if g.is_cycle():
         return AutChainReport(g6, False, "cycles are excluded")
 
-    base = automorphisms(g, caps)
+    base = automorphisms(g)
     line, _ = line_graph(g)
     cent = central(g)
     plus = endline(g)
@@ -512,11 +505,11 @@ def check_aut_chain(g: Graph, caps: AutCaps = DEFAULT_CAPS) -> AutChainReport:
         True,
         None,
         base_order=base.order,
-        line_order=automorphisms(line, caps).order,
-        subdivision_order=automorphisms(subdivision(g).graph, caps).order,
-        central_order=automorphisms(cent.graph, caps).order,
-        middle_order=automorphisms(middle(g).graph, caps).order,
-        endline_order=automorphisms(plus.graph, caps).order,
+        line_order=automorphisms(line).order,
+        subdivision_order=automorphisms(subdivision(g).graph).order,
+        central_order=automorphisms(cent.graph).order,
+        middle_order=automorphisms(middle(g).graph).order,
+        endline_order=automorphisms(plus.graph).order,
     )
     orders = {
         report.line_order,

@@ -20,16 +20,10 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .autos import VERIFY_CAPS, automorphisms, check_aut_chain
-from .colorings import (
-    TDCPartition,
-    coloring_from_json,
-    is_avd_total,
-    is_distinguishing,
-    is_proper,
-    is_tdc,
-)
+from .autos import automorphisms, check_aut_chain
+from .colorings import TDCPartition, coloring_from_json
 from .constructive import (
+    PROPERTIES,
     avd_coloring_central_join,
     avd_coloring_central_regular,
     avd_coloring_subdivision,
@@ -113,9 +107,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_aut(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
     if args.chain:
-        _print_json(check_aut_chain(g, VERIFY_CAPS).to_json())
+        _print_json(check_aut_chain(g).to_json())
         return 0
-    group = automorphisms(g, VERIFY_CAPS)
+    group = automorphisms(g)
     doc = {"graph6": encode_graph6(g), "group_order": group.order}
     if group.order <= 10**4:
         doc["elements"] = [list(p) for p in group.elements]
@@ -128,19 +122,14 @@ def _check_run_limits(args: argparse.Namespace) -> None:
         raise _UsageError("--workers must be at least 1")
     if args.budget is not None and args.budget < 0:
         raise _UsageError("--budget must be at least 0")
+    if getattr(args, "cap", None) is not None and args.cap < 1:  # oracle only
+        raise _UsageError("--cap must be at least 1")
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     _check_run_limits(args)
     g = _parse_graph(args.graph)
-    res = exact_parameter(
-        g,
-        args.param,
-        cap=args.cap,
-        budget=args.budget,
-        workers=args.workers,
-        aut_caps=VERIFY_CAPS,
-    )
+    res = exact_parameter(g, args.param, cap=args.cap, budget=args.budget, workers=args.workers)
     _print_json(res.to_json(g))
     return 0
 
@@ -152,19 +141,13 @@ def _cmd_latin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_dist_kind(vc, ec) -> str:
-    if vc is not None and ec is not None:
-        return "total"
-    return "vertex" if vc is not None else "edge"
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.coloring).read_text())
         if args.property == "tdc":
             if not all(type(v) is int for c in doc["classes"] for v in c):
                 raise ValueError("class members must be integer vertices")
-            partition = TDCPartition(tuple(frozenset(c) for c in doc["classes"]))
+            f = TDCPartition(tuple(frozenset(c) for c in doc["classes"]))
         else:
             g, f = coloring_from_json(doc)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -173,25 +156,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.graph is None:
             raise _UsageError("--property tdc requires --in for the graph")
         g = _parse_graph(args.graph)
-        try:
-            holds = is_tdc(g, partition)
-        except ValueError as exc:
-            print(f"symcol: partition rejected: {exc}", file=sys.stderr)
-            holds = False
-    else:
-        if args.graph is not None and _parse_graph(args.graph) != g:
-            raise _UsageError("--in disagrees with the coloring's graph")
-        try:
-            if args.property == "proper-total":
-                holds = is_proper(g, f, "total")
-            elif args.property == "avd":
-                holds = is_avd_total(g, f)
-            else:
-                kind = _infer_dist_kind(f.vertex_colors, f.edge_colors)
-                holds = is_distinguishing(g, f, kind, VERIFY_CAPS)
-        except ValueError as exc:
-            print(f"symcol: coloring rejected: {exc}", file=sys.stderr)
-            holds = False
+    elif args.graph is not None and _parse_graph(args.graph) != g:
+        raise _UsageError("--in disagrees with the coloring's graph")
+    try:
+        holds = PROPERTIES[args.property](g, f)
+    except ValueError as exc:
+        what = "partition" if args.property == "tdc" else "coloring"
+        print(f"symcol: {what} rejected: {exc}", file=sys.stderr)
+        holds = False
     _print_json({"property": args.property, "holds": holds})
     return 0 if holds else 1
 
@@ -234,7 +206,7 @@ def _join_doc(g: Graph, g2: Graph | None) -> dict:
 
 
 def _chain_doc(g: Graph) -> dict:
-    report = check_aut_chain(g, VERIFY_CAPS)
+    report = check_aut_chain(g)
     if not report.applicable:
         raise NotApplicableError(report.reason)
     return {"verdict": "pass" if report.passed else "fail"}
@@ -512,8 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the result JSON to this file")
 
     p = sub.add_parser("verify", help="check a stored coloring or partition")
-    p.add_argument("--property", required=True,
-                   choices=["proper-total", "avd", "tdc", "distinguishing"])
+    p.add_argument("--property", required=True, choices=list(PROPERTIES))
     p.add_argument("--coloring", required=True, metavar="FILE")
     p.add_argument("--in", dest="graph", metavar="GRAPH6",
                    help="graph (required for tdc, optional cross-check otherwise)")

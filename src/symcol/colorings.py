@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .autos import AutCaps, DEFAULT_CAPS, Permutation, is_automorphism
-from .autos import _check_order, _nontrivial_automorphism
+from .autos import Permutation, _check_order, _nontrivial_automorphism, is_automorphism
 from .graphs import Graph, encode_graph6, iter_bits, parse_graph6
 from .transforms import subdivision
 
@@ -221,12 +220,7 @@ def preserves(phi: Permutation, g: Graph, f: TotalColoring) -> bool:
     return True
 
 
-def is_distinguishing(
-    g: Graph,
-    f: TotalColoring,
-    kind: str,
-    caps: AutCaps = DEFAULT_CAPS,
-) -> bool:
+def is_distinguishing(g: Graph, f: TotalColoring, kind: str) -> bool:
     """True iff only the identity automorphism preserves the coloring.
 
     `kind` selects which part matters: "vertex", "edge", or "total".  One
@@ -235,8 +229,8 @@ def is_distinguishing(
     automorphisms that keep the original vertices are those of g: when edge
     colors matter, S(g) is searched with the vertex colors on the original
     vertices and the edge colors on the subdividing ones; otherwise g itself
-    is searched.  No group is enumerated, so of `caps` only `max_vertices`
-    applies, to g.
+    is searched.  No group is enumerated, so only the search's vertex cap
+    applies, to g, and no group order is too large.
     """
     if kind == "vertex":
         view = TotalColoring(_require_vertex_cover(g, f), None)
@@ -246,7 +240,7 @@ def is_distinguishing(
         view = TotalColoring(_require_vertex_cover(g, f), dict(_require_edge_cover(g, f)))
     else:
         raise ValueError(f"unknown distinguishing kind {kind!r}")
-    _check_order(g.n, caps)
+    _check_order(g.n)
     vc, ec = view.vertex_colors, view.edge_colors
     keys = [(0, vc[v] if vc else 0) for v in range(g.n)]
     searched = g

@@ -3,7 +3,9 @@
 Every public operation re-checks its own output with the matching verifier
 (properness, AVD, total domination, or one colored search for the
 distinguishing property) before returning.  A verifier rejection raises
-ConstructionDefectError instead of returning a bad object.
+ConstructionDefectError instead of returning a bad object.  The final checks
+of every construction are the rows of one table, ``FINAL_CHECKS``, over the
+properties of ``PROPERTIES``, which ``symcol verify`` checks too.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned in lexicographic order by child label, and roots or
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .autos import DEFAULT_CAPS, VERIFY_CAPS, AutCaps, automorphisms, vertex_orbits
+from .autos import automorphisms, vertex_orbits
 from .colorings import (
     TDCPartition,
     TotalColoring,
@@ -39,6 +41,8 @@ from .transforms import (
 )
 
 __all__ = [
+    "PROPERTIES",
+    "FINAL_CHECKS",
     "ConstructionResult",
     "EndlineColoring",
     "BfsFrame",
@@ -107,15 +111,65 @@ class EndlineColoring:
     distinguishing: bool
 
 
-def oracle_witness(
-    g: Graph, kind: str, cap: int, defect: str, aut_caps: AutCaps = VERIFY_CAPS
-) -> TotalColoring:
+def _dist_kind(f: TotalColoring) -> str:
+    """The distinguishing kind a coloring's parts select."""
+    if f.vertex_colors is not None and f.edge_colors is not None:
+        return "total"
+    return "vertex" if f.vertex_colors is not None else "edge"
+
+
+# The verifier of each property a result can be checked for, by its name in
+# ``symcol verify --property``.  Each looks its verifier up in this module
+# when called, so a verifier rebound here is the one every check runs.
+PROPERTIES = {
+    "proper-total": lambda g, f: is_proper(g, f, "total"),
+    "avd": lambda g, f: is_avd_total(g, f),
+    "tdc": lambda g, p: is_tdc(g, p),
+    "distinguishing": lambda g, f: is_distinguishing(g, f, _dist_kind(f)),
+}
+
+# Each construction's final checks, by tag, in order: a property its result
+# must have, and the defect reported when it does not.  "4.5-square" is the
+# square-driven proper total coloring that 4.5 starts from at odd orders.
+FINAL_CHECKS = {
+    "3.2": (("distinguishing", "central edge coloring is preserved by a nontrivial automorphism"),),
+    "3.4": (("distinguishing", "lifted vertex coloring is preserved by a nontrivial automorphism"),),
+    "3.6": (
+        ("distinguishing", "middle-graph vertex coloring is preserved by a nontrivial automorphism"),
+    ),
+    "4.5-square": (("proper-total", "square-driven total coloring is not proper"),),
+    "4.5": (
+        ("proper-total", "total coloring is not proper"),
+        ("distinguishing", "total coloring is preserved by a nontrivial automorphism"),
+    ),
+    "4.9": (
+        ("proper-total", "subdivision total coloring is not proper"),
+        ("distinguishing", "subdivision total coloring is preserved by a nontrivial automorphism"),
+    ),
+    "5.1": (("avd", "square-driven coloring is not AVD"),),
+    "5.3": (("avd", "subdivision coloring is not AVD"),),
+    "5.5": (("avd", "join coloring is not AVD"),),
+    "6.1": (("tdc", "complement partition is not total dominating"),),
+    "6.2": (("tdc", "central partition is not total dominating"),),
+    "appendix-tree": (("tdc", "tree partition is not total dominating"),),
+}
+
+
+def _final_check(tag: str, g: Graph, result: TotalColoring | TDCPartition) -> None:
+    """Raise the defect of the first of ``tag``'s final checks that ``result``
+    on g fails."""
+    for prop, defect in FINAL_CHECKS[tag]:
+        if not PROPERTIES[prop](g, result):
+            raise ConstructionDefectError(defect)
+
+
+def oracle_witness(g: Graph, kind: str, cap: int, defect: str) -> TotalColoring:
     """The exact oracle's witness for ``kind`` within ``cap`` colors.
 
     Raises ConstructionDefectError with the message ``defect`` when every
     level up to the cap is refuted.
     """
-    res = exact_parameter(g, kind, cap=cap, aut_caps=aut_caps)
+    res = exact_parameter(g, kind, cap=cap)
     if res.value is None or res.witness is None:
         raise ConstructionDefectError(defect)
     return res.witness
@@ -518,10 +572,7 @@ def dist_edge_coloring_central(g: Graph) -> ConstructionResult:
         ec = _central_edges_cyclic(g, cent, k)
         note = "cyclic case with a doubled root pair"
     coloring = TotalColoring(None, ec)
-    if not is_distinguishing(cent.graph, coloring, "edge", VERIFY_CAPS):
-        raise ConstructionDefectError(
-            "central edge coloring is preserved by a nontrivial automorphism"
-        )
+    _final_check("3.2", cent.graph, coloring)
     return ConstructionResult(
         cent.graph, coloring, len(coloring.palette()), k, "3.2", (note,)
     )
@@ -534,8 +585,7 @@ def dist_vertex_coloring_central(g: Graph) -> ConstructionResult:
         raise NotApplicableError("requires a connected graph of order at least 4")
     k = max(1, _sqrt_ceil(g.max_degree()))
     f = oracle_witness(
-        g, "Dpp", k, f"no total distinguishing coloring of the base graph with {k} colors",
-        DEFAULT_CAPS,
+        g, "Dpp", k, f"no total distinguishing coloring of the base graph with {k} colors"
     )
     assert f.vertex_colors is not None and f.edge_colors is not None
     vc = list(f.vertex_colors)
@@ -543,10 +593,7 @@ def dist_vertex_coloring_central(g: Graph) -> ConstructionResult:
         vc.append(f.edge_colors[e])
     cent = central(g)
     coloring = TotalColoring(tuple(vc), None)
-    if not is_distinguishing(cent.graph, coloring, "vertex", VERIFY_CAPS):
-        raise ConstructionDefectError(
-            "lifted vertex coloring is preserved by a nontrivial automorphism"
-        )
+    _final_check("3.4", cent.graph, coloring)
     return ConstructionResult(
         cent.graph, coloring, len(coloring.palette()), k, "3.4",
         ("lift of an oracle total distinguishing coloring",),
@@ -567,13 +614,13 @@ def _endline_edge_colors(g: Graph, coloring: TotalColoring) -> dict[tuple[int, i
 def dist_edge_coloring_endline(g: Graph, coloring: TotalColoring) -> EndlineColoring:
     """Extend a distinguishing edge coloring to the endline graph by coloring
     every pendant edge 1."""
-    if g.edge_count() and not is_distinguishing(g, coloring, "edge", VERIFY_CAPS):
+    if g.edge_count() and not is_distinguishing(g, coloring, "edge"):
         raise ValueError("input edge coloring is not distinguishing for the base graph")
-    if not g.edge_count() and automorphisms(g, VERIFY_CAPS).order > 1:
+    if not g.edge_count() and automorphisms(g).order > 1:
         raise ValueError("input edge coloring is not distinguishing for the base graph")
     plus = endline(g)
     extended = TotalColoring(None, _endline_edge_colors(g, coloring))
-    ok = is_distinguishing(plus.graph, extended, "edge", VERIFY_CAPS)
+    ok = is_distinguishing(plus.graph, extended, "edge")
     return EndlineColoring(plus, extended, ok)
 
 
@@ -601,10 +648,7 @@ def dist_vertex_coloring_middle(g: Graph) -> ConstructionResult:
     plus_edges = plus.graph.edges()
     vc = tuple(plus_ec[plus_edges[k]] for k in middle_to_line_of_endline(g))
     coloring = TotalColoring(vc, None)
-    if not is_distinguishing(mid.graph, coloring, "vertex", VERIFY_CAPS):
-        raise ConstructionDefectError(
-            "middle-graph vertex coloring is preserved by a nontrivial automorphism"
-        )
+    _final_check("3.6", mid.graph, coloring)
     return ConstructionResult(
         mid.graph, coloring, len(coloring.palette()), delta, "3.6", (note,)
     )
@@ -679,8 +723,7 @@ def total_coloring_central_regular_odd(g: Graph) -> ConstructionResult:
         )
     cent, vc, ec, _ = _square_total_central(g, g.n)
     coloring = TotalColoring(vc, ec)
-    if not is_proper(cent.graph, coloring, "total"):
-        raise ConstructionDefectError("square-driven total coloring is not proper")
+    _final_check("4.5-square", cent.graph, coloring)
     bound = cent.graph.max_degree() + 1
     return ConstructionResult(
         cent.graph, coloring, len(coloring.palette()), bound, "4.5",
@@ -748,12 +791,7 @@ def total_dist_coloring_central_regular(g: Graph) -> ConstructionResult:
         _color_subdivision_vertices(cent, range(n, cent_graph.n), vc, ec, cent_bound)
         coloring = TotalColoring(tuple(vc), ec)
         notes = ("complement coloring from the oracle, fresh subdivision colors",)
-    if not is_proper(cent_graph, coloring, "total"):
-        raise ConstructionDefectError("total coloring is not proper")
-    if not is_distinguishing(cent_graph, coloring, "total", VERIFY_CAPS):
-        raise ConstructionDefectError(
-            "total coloring is preserved by a nontrivial automorphism"
-        )
+    _final_check("4.5", cent_graph, coloring)
     return ConstructionResult(
         cent_graph, coloring, len(coloring.palette()), cent_bound, "4.5", notes
     )
@@ -862,12 +900,7 @@ def total_dist_coloring_subdivision(g: Graph) -> ConstructionResult:
             coloring = TotalColoring(tuple(vc2), dict(coloring.edge_colors or {}))
             bound = delta + 2
             notes = ("vertex 0 recolored with a fresh color to break symmetry",)
-    if not is_proper(s, coloring, "total"):
-        raise ConstructionDefectError("subdivision total coloring is not proper")
-    if not is_distinguishing(s, coloring, "total", VERIFY_CAPS):
-        raise ConstructionDefectError(
-            "subdivision total coloring is preserved by a nontrivial automorphism"
-        )
+    _final_check("4.9", s, coloring)
     return ConstructionResult(
         s, coloring, len(coloring.palette()), bound, "4.9", notes
     )
@@ -887,8 +920,7 @@ def avd_coloring_central_regular(g: Graph) -> ConstructionResult:
     square_order = g.n + 1 if g.n % 2 == 0 else g.n + 2
     cent, vc, ec, _ = _square_total_central(g, square_order)
     coloring = TotalColoring(vc, ec)
-    if not is_avd_total(cent.graph, coloring):
-        raise ConstructionDefectError("square-driven coloring is not AVD")
+    _final_check("5.1", cent.graph, coloring)
     bound = cent.graph.max_degree() + (2 if g.n % 2 == 0 else 3)
     return ConstructionResult(
         cent.graph, coloring, len(coloring.palette()), bound, "5.1",
@@ -929,8 +961,7 @@ def avd_coloring_subdivision(g: Graph) -> ConstructionResult:
             )
         vc[w] = room[0]
     coloring = TotalColoring(tuple(vc), ec)
-    if not is_avd_total(s, coloring):
-        raise ConstructionDefectError("subdivision coloring is not AVD")
+    _final_check("5.3", s, coloring)
     return ConstructionResult(
         s, coloring, len(coloring.palette()), delta + 1, "5.3",
         ("degree-two endpoints exclude their other subdivision edge",),
@@ -1055,8 +1086,7 @@ def avd_coloring_central_join(
             raise ConstructionDefectError(
                 "cross-edge color sets differ between same-part vertices"
             )
-    if not is_avd_total(cent.graph, coloring):
-        raise ConstructionDefectError("join coloring is not AVD")
+    _final_check("5.5", cent.graph, coloring)
     return ConstructionResult(
         cent.graph, coloring, len(coloring.palette()), budget, "5.5",
         ("parts keep disjoint palettes; cross edges carry the index rows",),
@@ -1085,8 +1115,7 @@ def tdc_central(g: Graph) -> TDCPartition:
         classes.append(frozenset({v, n - 1}) if v == k else frozenset({v}))
     classes.append(frozenset(range(n, cent.graph.n)))
     partition = TDCPartition(tuple(classes))
-    if not is_tdc(cent.graph, partition):
-        raise ConstructionDefectError("central partition is not total dominating")
+    _final_check("6.2", cent.graph, partition)
     return partition
 
 
@@ -1132,8 +1161,7 @@ def tdc_central_tree(t: Graph) -> TDCPartition:
     partition = TDCPartition(tuple(classes))
     if len(partition.classes) > n:
         raise ConstructionDefectError("tree partition exceeds one class per vertex")
-    if not is_tdc(cent.graph, partition):
-        raise ConstructionDefectError("tree partition is not total dominating")
+    _final_check("appendix-tree", cent.graph, partition)
     return partition
 
 
@@ -1177,6 +1205,5 @@ def tdc_to_complement(f: TDCPartition, g: Graph) -> TDCPartition:
     if len(classes) > len(f.classes):
         raise ConstructionDefectError("repair increased the class count")
     partition = TDCPartition(classes)
-    if not is_tdc(comp, partition):
-        raise ConstructionDefectError("complement partition is not total dominating")
+    _final_check("6.1", comp, partition)
     return partition

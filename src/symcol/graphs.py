@@ -32,6 +32,7 @@ __all__ = [
     "generate",
     "parse_graph6",
     "encode_graph6",
+    "GRAPH6_MAX_ORDER",
     "random_graph",
     "random_tree",
 ]
@@ -319,15 +320,21 @@ def random_tree(n: int, rng: random.Random) -> Graph:
 
 # --- graph6 ----------------------------------------------------------------
 #
-# Header byte n+63 (only orders 1 to 62 are supported), then the upper
-# triangle bits x(i,j) for j = 1..n-1, i = 0..j-1, packed six per byte, most
-# significant bit first, zero padded, each 6-bit group offset by 63.
+# Header byte n+63 for orders 1 to 62, or byte 126 and n in 18 bits for orders
+# 63 to 258047 (larger orders are not supported), then the upper triangle bits
+# x(i,j) for j = 1..n-1, i = 0..j-1, packed six per byte, most significant bit
+# first, zero padded, each 6-bit group offset by 63.
+
+GRAPH6_MAX_ORDER = 258047
 
 
 def encode_graph6(g: Graph) -> str:
-    if not 1 <= g.n <= 62:
-        raise ValueError(f"graph6 output supports orders 1..62, got {g.n}")
-    chunks = [chr(g.n + 63)]
+    if not 1 <= g.n <= GRAPH6_MAX_ORDER:
+        raise ValueError(f"graph6 output supports orders 1..{GRAPH6_MAX_ORDER}, got {g.n}")
+    if g.n < 63:
+        chunks = [chr(g.n + 63)]
+    else:
+        chunks = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     group = 0
     width = 0
     for j in range(1, g.n):
@@ -349,25 +356,35 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("empty graph6 string", 0)
     head = ord(text[0])
     if head == 126:
-        raise Graph6Error("multi-byte order headers are not supported (order > 62)", 0)
-    if not 63 <= head <= 125:
+        if len(text) < 4:
+            raise Graph6Error("truncated order header: need 3 bytes after '~'", 0)
+        if text[1] == "~":  # the 8-byte header
+            raise Graph6Error(f"orders above {GRAPH6_MAX_ORDER} are not supported", 0)
+        n, start = 0, 4
+        for k in (1, 2, 3):
+            byte = ord(text[k])
+            if not 63 <= byte <= 126:
+                raise Graph6Error(f"invalid header byte {byte}", k)
+            n = n << 6 | byte - 63
+    elif not 63 <= head <= 125:
         raise Graph6Error(f"invalid header byte {head}", 0)
-    n = head - 63
+    else:
+        n, start = head - 63, 1
     if n == 0:
         raise Graph6Error("order 0 is not supported", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(text) < 1 + nbytes:
-        raise Graph6Error(f"truncated: need {nbytes} edge bytes, found {len(text) - 1}", len(text))
-    if len(text) > 1 + nbytes:
-        raise Graph6Error("trailing characters after edge bits", 1 + nbytes)
+    if len(text) < start + nbytes:
+        raise Graph6Error(f"truncated: need {nbytes} edge bytes, found {len(text) - start}", len(text))
+    if len(text) > start + nbytes:
+        raise Graph6Error("trailing characters after edge bits", start + nbytes)
     adj = [0] * n
     pos = 0
     i, j = 0, 1
     for k in range(nbytes):
-        byte = ord(text[1 + k])
+        byte = ord(text[start + k])
         if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid edge byte {byte}", 1 + k)
+            raise Graph6Error(f"invalid edge byte {byte}", start + k)
         group = byte - 63
         for shift in (5, 4, 3, 2, 1, 0):
             bit = group >> shift & 1
@@ -381,5 +398,5 @@ def parse_graph6(text: str) -> Graph:
                     i = 0
                     j += 1
             elif bit:
-                raise Graph6Error("nonzero padding bit", 1 + k)
+                raise Graph6Error("nonzero padding bit", start + k)
     return Graph(n, tuple(adj))

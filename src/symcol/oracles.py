@@ -12,6 +12,10 @@ value, the witness, ``nodes`` and the budget verdict depends on the worker
 count: the parallel search is the sequential one cut into slices, charged in
 the sequential order. ``nodes`` and the budget cover every search a call
 makes, the chromatic-number search behind the chitd lower bound included.
+The distinguishing kinds (D, Dp, Dpp, chi2D) track every element of the
+graph's automorphism group, so past either automorphism cap (``VERTEX_CAP``
+vertices, ``ELEMENT_CAP`` elements, in ``autos``) they raise
+BudgetExceededError before searching.
 
 The chitd search and its chromatic-number search also prune by the graph's
 symmetry, with the lex-leader rule (Crawford, Ginsberg, Luks & Roy, KR 1996).
@@ -23,11 +27,12 @@ lowest color first, so their first solution is the least of its orbit and
 is never pruned: values and witnesses are those of the unpruned search, and
 only ``nodes`` falls.  The elements tried are the products t0 t1 of the
 stabilizer chain's first two transversals (the whole group when the chain
-has at most two levels), and past the automorphism caps none.  Each element
-keeps its comparison state per depth and is advanced only at the node that
-colors the next position it compares.  The rule depends only on the prefix,
-so slicing the search for workers is unchanged.  The other kinds keep their
-searches: tried there, the same check cost more time than it saved.
+has at most two levels), and none past the automorphism search's vertex
+cap.  Each element keeps its comparison state per depth and is advanced only
+at the node that colors the next position it compares.  The rule depends
+only on the prefix, so slicing the search for workers is unchanged.  The
+other kinds keep their searches: tried there, the same check cost more time
+than it saved.
 
 Parameter kinds:
 
@@ -53,8 +58,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .autos import (
-    DEFAULT_CAPS,
-    AutCaps,
     _lift_through,
     automorphisms,
     compose,
@@ -144,10 +147,9 @@ class _Search:
     elements the kind prunes with, none of which depends on the level, so an
     oracle call builds one per kind."""
 
-    def __init__(self, g: Graph, kind: str, aut_caps: AutCaps = DEFAULT_CAPS):
+    def __init__(self, g: Graph, kind: str):
         self.g = g
         self.kind = kind
-        self.aut_caps = aut_caps
         n = g.n
         edges = g.edges()
         m = len(edges)
@@ -184,7 +186,7 @@ class _Search:
         self.perm_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         lifted_generators: list[tuple[int, ...]] = []
         if kind in _DISTINGUISHING:
-            group = automorphisms(g, aut_caps)
+            group = automorphisms(g)
             # Edge k is element n + k, where the central graph puts the
             # vertex subdividing it, so the lift is the action on elements.
             index = g.edge_index()
@@ -226,7 +228,7 @@ class _Search:
         # Each pruning element as its images of the order positions.
         self.lex_images: list[tuple[int, ...]] = []
         if kind in ("chi", "chitd"):
-            self.lex_images = [tuple(pos[s[e]] for e in order) for s in _lex_elements(g, aut_caps)]
+            self.lex_images = [tuple(pos[s[e]] for e in order) for s in _lex_elements(g)]
 
         if kind == "chi2a":
             self.close_pos = [0] * n
@@ -471,13 +473,14 @@ class _Search:
         return True
 
 
-def _lex_elements(g: Graph, aut_caps: AutCaps) -> list[tuple[int, ...]]:
+def _lex_elements(g: Graph) -> list[tuple[int, ...]]:
     """The elements the lex-leader check tries: every product t0 t1 of the
     chain's first two transversals but the identity.  That is the whole
     group when the chain has at most two levels, and at most n(n-1) elements
-    otherwise.  None past the caps, where the search goes unpruned."""
+    otherwise.  Empty past the automorphism search's vertex cap, where the
+    search goes unpruned."""
     try:
-        group = automorphisms(g, aut_caps)
+        group = automorphisms(g)
     except BudgetExceededError:
         return []
     identity = tuple(range(g.n))
@@ -510,8 +513,8 @@ def _witness_from(g: Graph, kind: str, assignment: tuple[int, ...]):
 # slice of the same (graph, kind), at any level: building one looks up the
 # group and lifts every element, and ``run`` resets all of its mutable state.
 @functools.lru_cache(maxsize=1)
-def _worker_search(n: int, adj: tuple[int, ...], kind: str, caps: AutCaps) -> _Search:
-    return _Search(Graph(n, adj), kind, caps)
+def _worker_search(n: int, adj: tuple[int, ...], kind: str) -> _Search:
+    return _Search(Graph(n, adj), kind)
 
 
 def _worker_run(args):
@@ -542,7 +545,7 @@ def _run_level(
 
     # A slice's forced prefix costs one node per position, already counted
     # in ``at``, so it gets what the budget leaves after ``at`` plus those.
-    key = (search.n, search.g.adj, search.kind, search.aut_caps)
+    key = (search.n, search.g.adj, search.kind)
     futures = [
         pool.submit(_worker_run, (key, level, pfx, budget - at + len(pfx)))
         for at, pfx in prefixes
@@ -580,7 +583,6 @@ def _solve(
     message: str,
     budget: int | None,
     workers: int,
-    aut_caps: AutCaps,
 ):
     """Search ``kind`` at levels lo..hi in order up to the first satisfiable one.
 
@@ -599,7 +601,7 @@ def _solve(
 
     def first_sat(kind: str, levels: range, message: str):
         nonlocal nodes
-        search = _Search(g, kind, aut_caps) if levels else None
+        search = _Search(g, kind) if levels else None
         for level in levels:
             status, data, used = _run_level(search, level, budget - nodes, pool)
             nodes += used
@@ -635,7 +637,6 @@ def exact_parameter(
     *,
     budget: int | None = None,
     workers: int = 1,
-    aut_caps: AutCaps = DEFAULT_CAPS,
 ) -> OracleResult:
     """Compute a coloring parameter exactly, with a witness.
 
@@ -648,7 +649,7 @@ def exact_parameter(
     level, witness, nodes = _solve(
         g, kind, None, _default_cap(g, kind) if cap is None else cap,
         "searching {kind} at {level} colors; all levels below {level} are refuted",
-        budget, workers, aut_caps,
+        budget, workers,
     )
     return OracleResult(kind, level, witness, nodes, time.perf_counter() - start)
 
@@ -660,13 +661,9 @@ def lower_bound_certificate(
     *,
     budget: int | None = None,
     workers: int = 1,
-    aut_caps: AutCaps = DEFAULT_CAPS,
 ) -> bool:
     """True iff exhaustive search refutes every coloring with value-1 colors."""
-    level, _, _ = _solve(
-        g, kind, value - 1, value - 1, "refuting {kind} at {level} colors",
-        budget, workers, aut_caps,
-    )
+    level, _, _ = _solve(g, kind, value - 1, value - 1, "refuting {kind} at {level} colors", budget, workers)
     return level is None
 
 
@@ -677,15 +674,11 @@ def upper_bound_witness(
     *,
     budget: int | None = None,
     workers: int = 1,
-    aut_caps: AutCaps = DEFAULT_CAPS,
 ):
     """A witness coloring with at most ``value`` colors, or None.
 
     Satisfiability check at one level, for bound verification without the
     cost of refuting smaller levels first.
     """
-    _, witness, _ = _solve(
-        g, kind, value, value, "searching {kind} at {level} colors",
-        budget, workers, aut_caps,
-    )
+    _, witness, _ = _solve(g, kind, value, value, "searching {kind} at {level} colors", budget, workers)
     return witness

@@ -24,7 +24,7 @@ import math
 import random
 import sys
 
-from symcol.autos import AutCaps, automorphisms, check_aut_chain
+from symcol.autos import automorphisms, check_aut_chain
 from symcol.colorings import (
     TotalColoring,
     is_avd_total,
@@ -63,8 +63,6 @@ from symcol.oracles import (
 )
 from symcol.transforms import central, middle, subdivision
 
-CAPS = AutCaps(max_vertices=64, max_group_order=10**8)
-
 VERDICT_LINES: list[str] = []
 
 
@@ -89,7 +87,7 @@ def test_01_automorphism_group_chain():
     for n in (5, 6, 7):
         skipped = 0
         for g in connected_graphs(n):
-            report = check_aut_chain(g, CAPS)
+            report = check_aut_chain(g)
             if not report.applicable:
                 skipped += 1
                 continue
@@ -191,7 +189,7 @@ def test_03_star_central_sharpness_values():
     witnesses = {}
     for (order, kind), claim in sorted(expected.items()):
         cent = central(star_graph(order)).graph
-        res = exact_parameter(cent, kind, cap=4, aut_caps=CAPS)
+        res = exact_parameter(cent, kind, cap=4)
         witnesses[order, kind] = res.witness
         if res.value != claim:
             failures.append(
@@ -222,11 +220,10 @@ def test_04_middle_graph_distinguishing():
             res = dist_vertex_coloring_middle(g)
             if res.palette_size > max(2, g.max_degree()):
                 failures.append(f"middle palette {res.palette_size} on order {n}")
-            if upper_bound_witness(middle(g).graph, "Dp", 3, aut_caps=CAPS) is None:
+            if upper_bound_witness(middle(g).graph, "Dp", 3) is None:
                 failures.append(f"no 3-color distinguishing edge coloring, order {n}")
     for n in (3, 4, 5, 6):
-        value = exact_parameter(middle(cycle_graph(n)).graph, "D", cap=3,
-                                aut_caps=CAPS).value
+        value = exact_parameter(middle(cycle_graph(n)).graph, "D", cap=3).value
         if value != 2:
             failures.append(f"D of the middle graph of the {n}-cycle is {value}")
     _announce(4, "middle-graph vertex colorings stay within the max degree and "
@@ -303,12 +300,11 @@ def test_06_total_distinguishing_central_odd_regular():
             failures.append(f"palette {res.palette_size} != {g.n} on order {g.n}")
         if not is_proper(res.graph, res.coloring, "total"):
             failures.append(f"coloring not proper on order {g.n}")
-        if not is_distinguishing(res.graph, res.coloring, "total", CAPS):
+        if not is_distinguishing(res.graph, res.coloring, "total"):
             failures.append(f"coloring not distinguishing on order {g.n}")
     for g in (cycle_graph(5), complete_graph(5)):
         cent = central(g).graph
-        value = exact_parameter(cent, "chi2D", cap=cent.max_degree() + 2,
-                                aut_caps=CAPS).value
+        value = exact_parameter(cent, "chi2D", cap=cent.max_degree() + 2).value
         if value != cent.max_degree() + 1:
             failures.append(f"exact total distinguishing chromatic is {value}")
     _announce(6, "central graphs of odd-order regular graphs take proper "
@@ -322,14 +318,13 @@ def test_07_total_chromatic_bounds_for_central_graphs():
         for g in connected_graphs(n):
             cent = central(g).graph
             d = cent.max_degree()
-            value = exact_parameter(cent, "chi2D", cap=d + 2, aut_caps=CAPS).value
+            value = exact_parameter(cent, "chi2D", cap=d + 2).value
             if value not in (d + 1, d + 2):
                 failures.append(f"distinguishing total chromatic {value}, order {n}")
     for n in (3, 4, 5, 6):
         for g in connected_graphs(n):
             cent = central(g).graph
-            if upper_bound_witness(cent, "chi2", cent.max_degree() + 2,
-                                   aut_caps=CAPS) is None:
+            if upper_bound_witness(cent, "chi2", cent.max_degree() + 2) is None:
                 failures.append(f"no total coloring at max degree + 2, order {n}")
     _announce(7, "central graphs sit within one of max degree + 1 or + 2 for "
                  "distinguishing total colorings and satisfy the total "
@@ -349,8 +344,7 @@ def test_08_avd_type_two_for_even_regular_central():
             if not is_avd_total(res.graph, res.coloring):
                 failures.append(f"coloring not AVD at degree {d}")
     cent = central(cycle_graph(6)).graph
-    if not lower_bound_certificate(cent, "chi2a", cent.max_degree() + 2,
-                                   aut_caps=CAPS):
+    if not lower_bound_certificate(cent, "chi2a", cent.max_degree() + 2):
         failures.append(
             "central graph of the 6-cycle admits an AVD total coloring with "
             "max degree + 1 colors; the claimed impossibility fails"
@@ -360,8 +354,7 @@ def test_08_avd_type_two_for_even_regular_central():
     # total coloring is AVD, and construction 5.3 uses max degree + 1 colors.
     k6 = complete_graph(6)
     cent = central(k6).graph
-    if lower_bound_certificate(cent, "chi2a", cent.max_degree() + 2,
-                               aut_caps=CAPS):
+    if lower_bound_certificate(cent, "chi2a", cent.max_degree() + 2):
         failures.append("oracle refutes AVD total colorings of the central "
                         "graph of K6 with max degree + 1 colors")
     res = avd_coloring_subdivision(k6)
@@ -436,15 +429,11 @@ def test_10_avd_colorings_of_join_central_graphs():
     ]
     for g1, g2 in pairs:
         if g1.n == g2.n:
-            c1 = upper_bound_witness(central(g1).graph, "chi2", g1.n + 1,
-                                     aut_caps=CAPS)
-            c2 = upper_bound_witness(central(g2).graph, "chi2", g2.n + 1,
-                                     aut_caps=CAPS)
+            c1 = upper_bound_witness(central(g1).graph, "chi2", g1.n + 1)
+            c2 = upper_bound_witness(central(g2).graph, "chi2", g2.n + 1)
         else:
-            c1 = upper_bound_witness(central(g1).graph, "chi2a", g1.n + 2,
-                                     aut_caps=CAPS)
-            c2 = upper_bound_witness(central(g2).graph, "chi2a", g2.n + 2,
-                                     aut_caps=CAPS)
+            c1 = upper_bound_witness(central(g1).graph, "chi2a", g1.n + 2)
+            c2 = upper_bound_witness(central(g2).graph, "chi2a", g2.n + 2)
         res = avd_coloring_central_join(g1, g2, c1, c2)
         bound = res.graph.max_degree() + 3
         if res.palette_size > bound:
@@ -475,8 +464,7 @@ def test_11_total_dominator_partitions():
     edges = [(u, v) for u, v in complete_graph(6).edges()
              if not cycle_graph(6).has_edge(u, v)]
     sharp = Graph.from_edges(6, edges)
-    value = exact_parameter(central(sharp).graph, "chitd", cap=6,
-                            aut_caps=CAPS).value
+    value = exact_parameter(central(sharp).graph, "chitd", cap=6).value
     if value != 6:
         failures.append(f"sharpness graph needs {value} classes, expected 6")
     for n in (5, 6):
@@ -492,26 +480,24 @@ def test_11_total_dominator_partitions():
 def test_12_oracle_self_consistency():
     failures = []
     for g in connected_graphs(4):
-        plain = exact_parameter(g, "chi2", aut_caps=CAPS).value
-        avd = exact_parameter(g, "chi2a", cap=g.n + 3, aut_caps=CAPS).value
-        dist = exact_parameter(g, "chi2D", cap=g.n + 3, aut_caps=CAPS).value
+        plain = exact_parameter(g, "chi2").value
+        avd = exact_parameter(g, "chi2a", cap=g.n + 3).value
+        dist = exact_parameter(g, "chi2D", cap=g.n + 3).value
         if not (plain <= avd and plain <= dist):
             failures.append(f"ordering violated: {plain}, {avd}, {dist}")
         cent = central(g).graph
-        cplain = exact_parameter(cent, "chi2", aut_caps=CAPS).value
-        cdist = exact_parameter(cent, "chi2D", cap=cent.max_degree() + 2,
-                                aut_caps=CAPS).value
+        cplain = exact_parameter(cent, "chi2").value
+        cdist = exact_parameter(cent, "chi2D", cap=cent.max_degree() + 2).value
         if not cplain <= cdist:
             failures.append(f"central ordering violated: {cplain}, {cdist}")
     for n, claim in ((4, 5), (5, 7)):
-        value = exact_parameter(complete_graph(n), "chi2a", cap=n + 3,
-                                aut_caps=CAPS).value
+        value = exact_parameter(complete_graph(n), "chi2a", cap=n + 3).value
         if value != claim:
             failures.append(f"AVD total chromatic of K{n} is {value}, not {claim}")
     for g, kind, cap in ((central(cycle_graph(5)).graph, "chi2D", 6),
                          (complete_graph(5), "chi2a", 8)):
-        serial = exact_parameter(g, kind, cap=cap, aut_caps=CAPS)
-        parallel = exact_parameter(g, kind, cap=cap, workers=4, aut_caps=CAPS)
+        serial = exact_parameter(g, kind, cap=cap)
+        parallel = exact_parameter(g, kind, cap=cap, workers=4)
         if serial.value != parallel.value or serial.witness != parallel.witness:
             failures.append(f"worker counts disagree on {kind}")
     _announce(12, "oracle values respect containment order, match known "

@@ -10,8 +10,6 @@ import pytest
 
 from symcol import autos
 from symcol.autos import (
-    VERIFY_CAPS,
-    AutCaps,
     automorphisms,
     check_aut_chain,
     compose,
@@ -38,8 +36,6 @@ from symcol.graphs import (
     star_graph,
 )
 from symcol.transforms import central, endline, line_graph, middle, subdivision
-
-WIDE = AutCaps(max_vertices=40)
 
 
 def naive_automorphisms(g) -> list[tuple[int, ...]]:
@@ -104,7 +100,7 @@ def test_chain_matches_full_search_on_small_graphs():
         for g in connected_graphs(n):
             for h in (g, line_graph(g)[0], subdivision(g).graph, central(g).graph,
                       middle(g).graph, endline(g).graph):
-                group = automorphisms(h, VERIFY_CAPS)
+                group = automorphisms(h)
                 assert group.elements == tuple(sorted(_isomorphisms(h, h)))
                 assert group.order == len(group.elements)
                 assert all(is_automorphism(h, p) for p in group.generators)
@@ -177,7 +173,7 @@ def test_chain_check_builds_no_elements():
                      (complete_graph(9), math.factorial(9)),
                      (star_graph(10), math.factorial(9))):
         autos._aut_cache.clear()
-        rep = check_aut_chain(g, VERIFY_CAPS)
+        rep = check_aut_chain(g)
         assert rep.passed and rep.base_order == order
         assert autos._aut_cache
         assert all("elements" not in vars(group) for group in autos._aut_cache.values())
@@ -191,7 +187,7 @@ def test_petersen_group_order():
 
 def test_group_axioms_spot_check():
     for g in (complete_graph(5), cycle_graph(6), central(star_graph(5)).graph):
-        group = automorphisms(g, WIDE)
+        group = automorphisms(g)
         members = set(group.elements)
         assert tuple(range(g.n)) in members
         rng = random.Random(5)
@@ -203,10 +199,10 @@ def test_group_axioms_spot_check():
 
 
 def test_caps_raise():
-    with pytest.raises(BudgetExceededError):
-        automorphisms(empty_graph(25))
-    with pytest.raises(BudgetExceededError):
-        automorphisms(complete_graph(8), AutCaps(max_vertices=24, max_group_order=1000))
+    with pytest.raises(BudgetExceededError, match="65 exceeds the 64-vertex"):
+        automorphisms(empty_graph(65))
+    with pytest.raises(BudgetExceededError, match="group order exceeds the cap of 10000000"):
+        automorphisms(complete_graph(11)).elements
 
 
 def test_group_cache_stays_at_its_bound():
@@ -293,8 +289,8 @@ def test_lifts_are_automorphisms_on_samples():
         base = automorphisms(g)
         cg = central(g).graph
         plus = endline(g).graph
-        central_group = automorphisms(cg, WIDE)
-        endline_group = automorphisms(plus, WIDE)
+        central_group = automorphisms(cg)
+        endline_group = automorphisms(plus)
         assert central_group.order == base.order
         assert endline_group.order == base.order
         for alpha in base:
@@ -313,7 +309,7 @@ def test_central_groups_preserve_parts_and_are_rigid_over_part1():
         cg = central(g)
         part1 = set(cg.part1)
         identity = tuple(range(cg.graph.n))
-        for psi in automorphisms(cg.graph, WIDE):
+        for psi in automorphisms(cg.graph):
             assert {psi[v] for v in part1} == part1
             if all(psi[v] == v for v in part1):
                 assert psi == identity
@@ -330,7 +326,7 @@ def test_endline_groups_preserve_parts_and_are_rigid_over_part1():
         plus = endline(g)
         part1 = set(plus.part1)
         identity = tuple(range(plus.graph.n))
-        for psi in automorphisms(plus.graph, WIDE):
+        for psi in automorphisms(plus.graph):
             assert {psi[v] for v in part1} == part1
             if all(psi[v] == v for v in part1):
                 assert psi == identity
@@ -344,28 +340,28 @@ def test_subdivision_group_matches_base_except_cycles():
         (cycle_graph(5), False),
     ]:
         base = automorphisms(g).order
-        sub = automorphisms(subdivision(g).graph, WIDE).order
+        sub = automorphisms(subdivision(g).graph).order
         assert (sub == base) is equal
-    assert automorphisms(subdivision(cycle_graph(5)).graph, WIDE).order == 20
+    assert automorphisms(subdivision(cycle_graph(5)).graph).order == 20
 
 
 def test_check_aut_chain():
-    rep = check_aut_chain(star_graph(5), WIDE)
+    rep = check_aut_chain(star_graph(5))
     assert rep.applicable and rep.passed
     assert rep.base_order == 24
     assert rep.line_order == rep.subdivision_order == rep.central_order == 24
     assert rep.middle_order == rep.endline_order == 24
 
-    rep = check_aut_chain(path_graph(5), WIDE)
+    rep = check_aut_chain(path_graph(5))
     assert rep.passed and rep.base_order == 2
 
-    rep = check_aut_chain(cycle_graph(5), WIDE)
+    rep = check_aut_chain(cycle_graph(5))
     assert not rep.applicable and "cycle" in rep.reason
 
-    rep = check_aut_chain(path_graph(4), WIDE)
+    rep = check_aut_chain(path_graph(4))
     assert not rep.applicable
 
-    doc = check_aut_chain(star_graph(5), WIDE).to_json()
+    doc = check_aut_chain(star_graph(5)).to_json()
     assert doc["passed"] is True and doc["orders"]["base"] == 24
 
 
@@ -380,7 +376,7 @@ def test_check_aut_chain_past_order_seven():
         if g.is_connected() and not g.is_cycle():
             graphs.append(g)
     for g in graphs:
-        assert check_aut_chain(g, VERIFY_CAPS).passed, g
+        assert check_aut_chain(g).passed, g
 
 
 def test_chain_theorem_on_drawn_graphs():
@@ -404,6 +400,6 @@ def test_chain_theorem_on_drawn_graphs():
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @hypothesis.given(connected_non_cycles())
     def check(g):
-        assert check_aut_chain(g, VERIFY_CAPS).passed
+        assert check_aut_chain(g).passed
 
     check()

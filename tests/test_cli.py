@@ -1,12 +1,14 @@
 """Command-line surface: JSON shapes, exit codes, sweep caching and resume."""
 
 import json
+import time
 
 import pytest
 
 from symcol import cli
 from symcol.cli import CHECKS, main, run_check
 from symcol.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -189,18 +191,51 @@ def test_oracle_budget_exceeded_exit(capsys):
 
 
 def test_construct_and_aut_budget_exceeded_exit(capsys):
-    # Construction 3.4 searches its base graph under the 24-vertex cap, and
-    # S(P33) has 65 vertices, past the 64-vertex cap of `aut`.
+    # C(P33) and S(P33) have 65 vertices, past the 64-vertex search cap.
     code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4",
-                           "--in", encode_graph6(path_graph(25)))
+                           "--in", encode_graph6(path_graph(33)))
     assert code == 1
     doc = json.loads(out)
-    assert doc["verdict"] == "budget-exceeded" and "24-vertex" in doc["detail"]
+    assert doc["verdict"] == "budget-exceeded" and "64-vertex" in doc["detail"]
     code, out, _ = run_cli(capsys, "aut", "--chain",
                            "--in", encode_graph6(path_graph(33)))
     assert code == 1
     doc = json.loads(out)
     assert doc["error"] == "budget-exceeded" and "64-vertex" in doc["detail"]
+
+
+def test_caps_bound_searches_and_element_lists_not_group_orders(capsys):
+    # A group's order needs no elements, so `aut` reports 12! for K12.
+    code, out, _ = run_cli(capsys, "aut", "--in", encode_graph6(complete_graph(12)))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["group_order"] == 479001600 and "elements" not in doc
+    # The D search tracks every element of the group, and 11! is past the
+    # element cap: it stops before multiplying the group out.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "oracle", "--param", "D", "--in",
+                           encode_graph6(complete_graph(11)))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "budget-exceeded" and "group order exceeds the cap" in doc["detail"]
+    # C(P25) has 49 vertices, inside the search cap.
+    code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4",
+                           "--in", encode_graph6(path_graph(25)))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_construct_writes_graph6_past_order_62(capsys):
+    # K11 less two disjoint edges ("J]~~~~~~~~_"), and less three: their
+    # central graphs have 64 and 63 vertices, past graph6's one-byte header.
+    k11 = complete_graph(11).edges()
+    for gone, order in (({(0, 1), (2, 3)}, 64), ({(0, 1), (2, 3), (4, 5)}, 63)):
+        g = Graph.from_edges(11, [e for e in k11 if e not in gone])
+        code, out, _ = run_cli(capsys, "construct", "--theorem", "3.2", "--in", encode_graph6(g))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "pass"
+        assert parse_graph6(doc["graph6"]).n == order
 
 
 def test_latin_csv(capsys):
@@ -236,6 +271,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                      ("sweep", "--check", "3.2", "--max-order", "4", "--report", report)):
             code, out, err = run_cli(capsys, *argv, option, value)
             assert (code, out) == (2, "") and option in err, (argv, option, value)
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "oracle", "--param", "D", "--in", C5, "--cap", value)
+        assert (code, out) == (2, "") and "--cap" in err, value
     assert run_cli(capsys, "sweep", "--check", "3.2", "--family", "regular",
                    "--degree", "-1", "--max-order", "4", "--report", report)[0] == 2
     not_json = tmp_path / "not.json"

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from symcol.autos import DEFAULT_CAPS, automorphisms, compose
+from symcol.autos import ELEMENT_CAP, automorphisms, compose
 from symcol.colorings import (
     TDCPartition,
     TotalColoring,
@@ -209,12 +209,12 @@ def test_distinguishing_matches_full_enumeration():
 
 def test_distinguishing_star_past_the_group_order_cap():
     star = star_graph(12)  # K1,11: its group has order 11!
-    assert math.factorial(11) > DEFAULT_CAPS.max_group_order
+    assert math.factorial(11) > ELEMENT_CAP
     distinct = TotalColoring(tuple(range(1, 13)), None)
     two = TotalColoring(tuple(1 + v % 2 for v in range(12)), None)
     for f, expected in ((distinct, True), (two, False)):
         start = time.perf_counter()
-        assert is_distinguishing(star, f, "vertex", DEFAULT_CAPS) is expected
+        assert is_distinguishing(star, f, "vertex") is expected
         assert time.perf_counter() - start < 1.0
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
-from symcol import constructive
+from symcol import colorings, constructive
 from symcol.autos import automorphisms
 from symcol.colorings import TotalColoring, is_avd_total, is_proper, is_tdc
 from symcol.constructive import (
@@ -458,3 +460,87 @@ def test_bfs_frame_layers_partition():
     assert e1 == (0, w) and e2 == (1, w)
     with pytest.raises(ValueError):
         frame.pair_edges(cent, 0, 5)
+
+
+def _join_parts():
+    k3 = complete_graph(3)
+    witness = exact_parameter(central(k3).graph, "chi2", cap=4).witness
+    return k3, k3, witness, witness
+
+
+# One input per tag of the final-check table: the construction, a thunk for
+# its arguments, the defect message of each row as the construction raised it
+# before the table, and how often each verifier ran on that input then.
+FINAL_CHECK_CASES = {
+    "3.2": (dist_edge_coloring_central, lambda: (cycle_graph(5),),
+            ["central edge coloring is preserved by a nontrivial automorphism"],
+            {"is_distinguishing": 1}),
+    "3.4": (dist_vertex_coloring_central, lambda: (cycle_graph(5),),
+            ["lifted vertex coloring is preserved by a nontrivial automorphism"],
+            {"is_distinguishing": 1}),
+    "3.6": (dist_vertex_coloring_middle, lambda: (cycle_graph(5),),
+            ["middle-graph vertex coloring is preserved by a nontrivial automorphism"],
+            {"is_distinguishing": 1}),
+    "4.5-square": (total_coloring_central_regular_odd, lambda: (cycle_graph(5),),
+                   ["square-driven total coloring is not proper"],
+                   {"is_proper": 3}),
+    "4.5": (total_dist_coloring_central_regular, lambda: (cycle_graph(6),),
+            ["total coloring is not proper",
+             "total coloring is preserved by a nontrivial automorphism"],
+            {"is_proper": 2, "is_distinguishing": 1}),
+    "4.9": (total_dist_coloring_subdivision, lambda: (path_graph(5),),
+            ["subdivision total coloring is not proper",
+             "subdivision total coloring is preserved by a nontrivial automorphism"],
+            {"is_proper": 1, "is_distinguishing": 1}),
+    "5.1": (avd_coloring_central_regular, lambda: (cycle_graph(5),),
+            ["square-driven coloring is not AVD"],
+            {"is_proper": 3, "is_avd_total": 1}),
+    "5.3": (avd_coloring_subdivision, lambda: (star_graph(6),),
+            ["subdivision coloring is not AVD"],
+            {"is_proper": 2, "is_avd_total": 1}),
+    "5.5": (avd_coloring_central_join, _join_parts,
+            ["join coloring is not AVD"],
+            {"is_proper": 3, "is_avd_total": 1}),
+    "6.1": (tdc_to_complement, lambda: (tdc_central(cycle_graph(5)), cycle_graph(5)),
+            ["complement partition is not total dominating"],
+            {"is_tdc": 2}),
+    "6.2": (tdc_central, lambda: (cycle_graph(5),),
+            ["central partition is not total dominating"],
+            {"is_tdc": 1}),
+    "appendix-tree": (tdc_central_tree, lambda: (star_graph(5),),
+                      ["tree partition is not total dominating"],
+                      {"is_tdc": 1}),
+}
+
+
+def test_every_final_check_row_raises_its_defect(monkeypatch):
+    assert set(FINAL_CHECK_CASES) == set(constructive.FINAL_CHECKS)
+    for tag, rows in constructive.FINAL_CHECKS.items():
+        build, arguments, messages, _ = FINAL_CHECK_CASES[tag]
+        assert len(rows) == len(messages), tag
+        args = arguments()
+        build(*args)
+        for (prop, _), message in zip(rows, messages):
+            with monkeypatch.context() as m:
+                m.setitem(constructive.PROPERTIES, prop, lambda g, f: False)
+                with pytest.raises(ConstructionDefectError) as err:
+                    build(*args)
+            assert str(err.value) == message, (tag, prop)
+
+
+def test_final_checks_run_no_verifier_more_often(monkeypatch):
+    calls = collections.Counter()
+    for name in ("is_proper", "is_avd_total", "is_tdc", "is_distinguishing"):
+        real = getattr(colorings, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (colorings, constructive):
+            monkeypatch.setattr(module, name, counted)
+    for tag, (build, arguments, _, most) in FINAL_CHECK_CASES.items():
+        args = arguments()
+        calls.clear()
+        build(*args)
+        assert all(count <= most.get(name, 0) for name, count in calls.items()), (tag, calls)

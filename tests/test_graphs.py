@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
 
@@ -33,14 +34,19 @@ def reference_graph6(n: int, edges: set[tuple[int, int]]) -> str:
     Deliberately written in a different style (bit strings) so a shared bug
     with the production encoder is unlikely.
     """
-    assert 1 <= n <= 62
+    assert 1 <= n <= 258047
     bitstring = ""
     for j in range(1, n):
         for i in range(j):
             bitstring += "1" if (i, j) in edges or (j, i) in edges else "0"
     while len(bitstring) % 6 != 0:
         bitstring += "0"
-    out = chr(n + 63)
+    if n <= 62:
+        out = chr(n + 63)
+    else:
+        # 126, then n as 18 bits in three 6-bit groups.
+        digits = format(n, "018b")
+        out = "~" + "".join(chr(int(digits[k : k + 6], 2) + 63) for k in (0, 6, 12))
     for k in range(0, len(bitstring), 6):
         out += chr(int(bitstring[k : k + 6], 2) + 63)
     return out
@@ -153,6 +159,10 @@ def test_graph6_known_values():
     assert parse_graph6("C~") == complete_graph(4)
     assert parse_graph6("@") == empty_graph(1)
     assert parse_graph6("Bw") == complete_graph(3)
+    # Orders from 63 on take "~" and the order in three 6-bit groups; the
+    # format's own example is order 63, "~??~".
+    assert encode_graph6(empty_graph(63)).startswith("~??~")
+    assert encode_graph6(complete_graph(64))[:4] == "~?@?"
 
 
 def test_graph6_matches_reference_encoder():
@@ -167,13 +177,44 @@ def test_graph6_matches_reference_encoder():
         assert parse_graph6(encode_graph6(g)) == g
 
 
+def test_graph6_round_trip_at_both_header_widths():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.one_of(st.integers(1, 62), st.integers(63, 90)))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = {(u, v) for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v}
+        return Graph.from_edges(n, sorted(edges))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        text = encode_graph6(g)
+        assert text == reference_graph6(g.n, set(g.edges()))
+        assert (text[0] == "~") == (g.n >= 63)
+        assert parse_graph6(text) == g
+
+    check()
+
+
 def test_graph6_error_offsets():
     with pytest.raises(Graph6Error) as err:
         parse_graph6("")
     assert err.value.offset == 0
     with pytest.raises(Graph6Error) as err:
-        parse_graph6("~??")  # multi-byte order header
+        parse_graph6("~??")  # 4-byte order header cut short
+    assert err.value.offset == 0 and "truncated order header" in str(err.value)
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6("~~??????")  # the 8-byte header of orders past 258047
     assert err.value.offset == 0
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6("~??" + chr(40))  # header byte below 63
+    assert err.value.offset == 3
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6("~??~")  # order 63 with no edge bytes
+    assert err.value.offset == 4
     with pytest.raises(Graph6Error) as err:
         parse_graph6("?")  # order 0, which encode_graph6 refuses too
     assert err.value.offset == 0
@@ -190,6 +231,7 @@ def test_graph6_error_offsets():
         parse_graph6("A" + chr(63 + 8))  # padding bit set for n=2
     assert err.value.offset == 1
     with pytest.raises(ValueError):
-        encode_graph6(empty_graph(63))
+        # The refusal reads only the order; validating a Graph this big takes seconds.
+        encode_graph6(types.SimpleNamespace(n=258048))
     with pytest.raises(ValueError):
         encode_graph6(empty_graph(0))

@@ -277,13 +277,13 @@ def test_worker_determinism():
 
 def test_worker_reuses_its_search_across_slices():
     g = central(star_graph(5)).graph
-    key = (g.n, g.adj, "D", oracles.DEFAULT_CAPS)
+    key = (g.n, g.adj, "D")
     oracles._worker_search.cache_clear()
     for level, prefix in ((3, (1,)), (3, (1, 2)), (2, (1, 1)), (2, (1, 2)), (3, (1,))):
         fresh = oracles._Search(g, "D").run(level, 10**6, prefix=prefix)
         assert oracles._worker_run((key, level, prefix, 10**6)) == fresh
     assert oracles._worker_search.cache_info().misses == 1
-    other = (g.n, g.adj, "Dp", oracles.DEFAULT_CAPS)
+    other = (g.n, g.adj, "Dp")
     oracles._worker_run((other, 2, (1,), 10**6))
     assert oracles._worker_search.cache_info().misses == 2
     assert oracles._worker_search(*other).kind == "Dp"
@@ -371,10 +371,11 @@ def _chitd_outcome(g):
 
 def test_lex_leader_pruning_keeps_values_and_witnesses(monkeypatch):
     graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
-    # Past the 24-vertex cap the search looks up no group and goes unpruned.
-    graphs += [complete_graph(25), star_graph(26)]
+    # The pruning tries at most n(n-1) elements of these groups of order 25!,
+    # and none past the 64-vertex cap, where the search looks up no group.
+    graphs += [complete_graph(25), star_graph(26), star_graph(66)]
     pruned = [(_chromatic_levels(g), _chitd_outcome(g)) for g in graphs]
-    monkeypatch.setattr(oracles, "_lex_elements", lambda g, caps: [])
+    monkeypatch.setattr(oracles, "_lex_elements", lambda g: [])
     for g, (chi_runs, chitd) in zip(graphs, pruned):
         plain_runs = _chromatic_levels(g)
         assert [r[:2] for r in chi_runs] == [r[:2] for r in plain_runs], g
