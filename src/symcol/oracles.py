@@ -34,6 +34,16 @@ only on the prefix, so slicing the search for workers is unchanged.  The
 other kinds keep their searches: tried there, the same check cost more time
 than it saved.
 
+The chitd search also checks forward for total domination.  A vertex u is
+dead once every color used so far has a class member outside N(u), and no
+new color can still dominate it: either all ``level`` colors are used, or u
+has no uncolored neighbor (a new color's class holds only vertices uncolored
+now).  Colors only ever gain such members, so a dead vertex stays dead and
+the node is pruned; this removes only subtrees that hold no solution, and
+values and witnesses are again unchanged.  At a leaf no vertex has an
+uncolored neighbor, so the check at the last placement is the leaf's
+domination test.
+
 Parameter kinds:
 
 ====== ==========================================================
@@ -309,7 +319,10 @@ class _Search:
             [] if stop_depth is not None else None
         )
         if self.kind == "chitd":
+            # poison[u] has bit c-1 once class c holds a vertex outside N(u);
+            # free[u] counts the uncolored neighbors of u.
             self.poison = [0] * self.n
+            self.free = [self.g.degree(u) for u in range(self.n)]
         # The colors by order position, and the lex-leader states: an element
         # that has matched positions 0..k-1 under the color map ``cmap`` (image
         # color to normalized color, ``used`` of them mapped) waits on the
@@ -340,7 +353,7 @@ class _Search:
             self._collect(p)
             return False
         if p == self.N:
-            return self._leaf_ok(live)
+            return self.perm_pairs is None or not live
         e = self.order[p]
         forced = self.prefix[p] if p < len(self.prefix) else 0
         limit = min(self.level, self.maxused + 1)
@@ -399,8 +412,11 @@ class _Search:
                     return True
             if ok and self._dfs(p + 1, new_live):
                 return True
-            for v, bit in trail:
-                self.poison[v] ^= bit
+            if self.kind == "chitd":
+                for v, bit in trail:
+                    self.poison[v] ^= bit
+                for u in self.conflicts[e]:
+                    self.free[u] += 1
             for q in advanced:
                 self.waiting[q].pop()
             self.f[e] = 0
@@ -439,16 +455,23 @@ class _Search:
         return True
 
     def _poison_place(self, v: int, c: int, trail: list[tuple[int, int]]) -> bool:
+        """Record v's color c, and False if some vertex can no longer be
+        dominated: every used color is poisoned for it, and no new color is
+        left or it has no uncolored neighbor to found one."""
         bit = 1 << (c - 1)
-        full = (1 << self.level) - 1
-        alive = True
+        poison, free = self.poison, self.free
         for u in self.non_nbrs[v]:
-            if not self.poison[u] & bit:
-                self.poison[u] |= bit
+            if not poison[u] & bit:
+                poison[u] |= bit
                 trail.append((u, bit))
-                if self.poison[u] == full:
-                    alive = False
-        return alive
+        for u in self.conflicts[v]:
+            free[u] -= 1
+        used = (1 << self.maxused) - 1
+        closed = self.maxused == self.level
+        for u in range(self.n):
+            if not used & ~poison[u] and (closed or not free[u]):
+                return False
+        return True
 
     def _closure_ok(self, p: int) -> bool:
         for v in self.closing[p]:
@@ -463,14 +486,6 @@ class _Search:
         for e in self.incident[v]:
             s |= 1 << self.f[e]
         return s
-
-    def _leaf_ok(self, live: list) -> bool:
-        if self.kind == "chitd":
-            used = (1 << self.maxused) - 1
-            return all(used & ~self.poison[v] for v in range(self.n))
-        if self.perm_pairs is not None:
-            return not live
-        return True
 
 
 def _lex_elements(g: Graph) -> list[tuple[int, ...]]:

@@ -404,6 +404,33 @@ def test_tdc_central_tree_cases():
         tdc_central_tree(path_graph(4))
 
 
+def test_oracle_chitd_central_within_tdc_central_order_7():
+    # The paper's bound chi_td(C(G)) <= n for Delta <= n - 3, checked against
+    # the exact value on all 353 such graphs of order 7.
+    checked = 0
+    for g in connected_graphs(7):
+        if g.max_degree() > 4:
+            continue
+        cent = central(g).graph
+        res = exact_parameter(cent, "chitd", cap=7)
+        assert res.value is not None and res.value <= len(tdc_central(g).classes), g
+        assert is_tdc(cent, res.witness)
+        checked += 1
+    assert checked == 353
+
+
+def test_oracle_chitd_central_tree_within_tdc_central_tree():
+    checked = 0
+    for n in range(5, 11):
+        for t in all_trees(n):
+            cent = central(t).graph
+            res = exact_parameter(cent, "chitd", cap=n)
+            assert res.value is not None and res.value <= len(tdc_central_tree(t).classes), t
+            assert is_tdc(cent, res.witness)
+            checked += 1
+    assert checked == 196
+
+
 def test_tdc_to_complement_repairs_oracle_partitions():
     # Oracle partitions mix subdivision vertices into classes arbitrarily,
     # exercising the repair path that rebuilds lost domination.

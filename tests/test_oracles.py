@@ -388,9 +388,58 @@ def test_lex_leader_pruning_keeps_values_and_witnesses(monkeypatch):
         assert chitd.nodes <= plain.nodes, g
 
 
-def test_lex_leader_pruning_cuts_chitd_nodes():
-    # The unpruned search takes 2120 nodes.
-    assert exact_parameter(petersen_graph(), "chitd").nodes < 2120
+def test_lex_leader_pruning_cuts_chitd_nodes(monkeypatch):
+    # 273 nodes against 496 unpruned.
+    pruned = exact_parameter(petersen_graph(), "chitd").nodes
+    monkeypatch.setattr(oracles, "_lex_elements", lambda g: [])
+    assert pruned < exact_parameter(petersen_graph(), "chitd").nodes
+
+
+# --- forward checking of total domination ------------------------------------
+
+
+def _sharp6():
+    """K6 minus a Hamiltonian cycle, whose central graph needs all 6 classes."""
+    return Graph.from_edges(
+        6, [(u, v) for u, v in complete_graph(6).edges() if not cycle_graph(6).has_edge(u, v)]
+    )
+
+
+# chitd values and witness classes of searches that ran to the end before the
+# search checked domination forward (C(K5) took 2,685,713 nodes, C(C9)
+# 2,065,100).  The check prunes only subtrees without a solution, so the first
+# solution in branch order stays the same.
+CHITD_PINNED = [
+    ("C(C8)", central(cycle_graph(8)).graph, None, 7,
+     [[0, 1], [2], [3, 4], [5], [6, 8, 9, 10, 11, 12, 14], [7], [13, 15]]),
+    ("C(sharp6)", central(_sharp6()).graph, 6, 6,
+     [[0, 2], [1, 6, 7, 9, 11, 13, 14], [3], [4], [5], [8, 10, 12]]),
+    ("C(C9)", central(cycle_graph(9)).graph, None, 7,
+     [[0, 1], [2], [3, 4], [5], [6, 7], [8], [9, 10, 11, 12, 13, 14, 15, 16, 17]]),
+    ("C(K5)", central(complete_graph(5)).graph, None, 8,
+     [[0, 1], [2], [3], [4], [5, 6, 7, 8, 9, 13, 14], [10], [11], [12]]),
+    ("Petersen", petersen_graph(), None, 6,
+     [[0, 2, 8], [1, 3, 5], [4], [6], [7], [9]]),
+]
+
+
+@pytest.mark.parametrize(
+    "g, cap, value, classes", [case[1:] for case in CHITD_PINNED],
+    ids=[case[0] for case in CHITD_PINNED],
+)
+def test_chitd_forward_check_keeps_values_and_witnesses(g, cap, value, classes):
+    res = exact_parameter(g, "chitd", cap=cap, budget=10**5)
+    doc = res.to_json(g)
+    assert (doc["value"], doc["witness"]) == (value, {"classes": classes})
+    assert is_tdc(g, res.witness)
+
+
+def test_chitd_forward_check_reaches_central_c10():
+    # Without the check this search ran past 3 * 10**6 nodes.
+    g = central(cycle_graph(10)).graph
+    res = exact_parameter(g, "chitd", budget=10**5)
+    assert res.value == 8
+    assert is_tdc(g, res.witness)
 
 
 def test_parameter_relations_on_drawn_graphs():
