@@ -23,10 +23,19 @@ bounded least-recently-used cache.  The distinguishing verifier builds no
 group: one search on the colored graph stops at the first automorphism other
 than the identity.
 
+A search may also carry edge labels 0..L-1 and then finds only the maps that
+keep them.  A neighbor u over an edge labelled l is stored as u·L + l, and
+each round reads it as its color times L plus l; with one label that is the
+color itself, so unlabelled searches are exactly as without labels.  The
+verifier's edge colors are such labels, so an edge-colored graph is searched
+on its own vertices.
+
 Two caps bound the work, each raising BudgetExceededError: every search
 refuses a graph of more than ``VERTEX_CAP`` vertices, and a group of more
-than ``ELEMENT_CAP`` elements is never multiplied out.  Building a group and
-reading its order or generators has no order cap."""
+than ``ELEMENT_CAP`` elements is never multiplied out.  The vertex cap
+bounds the graph that is searched, which for an edge coloring is the colored
+graph itself: C(K7) has 28 vertices, where its subdivision graph has 70.
+Building a group and reading its order or generators has no order cap."""
 
 from __future__ import annotations
 
@@ -125,18 +134,29 @@ def is_automorphism(g: Graph, perm: Permutation) -> bool:
     return True
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> tuple[tuple, list[int], bool]:
+def _spread(values: list[int], width: int) -> list[int]:
+    """values[u]·L + l at index u·L + l, for L = ``width`` edge labels: what
+    a neighbor entry u·L + l reads.  With one label it is ``values`` itself."""
+    if width == 1:
+        return values
+    return [x * width + label for x in values for label in range(width)]
+
+
+def _refine(nbrs: list[list[int]], colors: list[int], width: int) -> tuple[tuple, list[int], bool]:
     """One refinement round of one coloring.
 
-    Each vertex's key is its color and its sorted neighbor colors; the new
-    colors rank the keys.  Returns the round's trace, the multiset of keys as
-    the sorted distinct keys plus the sorted new colors (the class sizes),
-    the new colors, and whether they are stable (equal to the old ones).
-    Two colorings with equal multisets of colors and equal traces get equal
-    new colors for equal keys, and are stable together, so a second graph is
-    compared with the first round by round through the traces alone.
+    Each vertex's key is its color and its sorted neighbor colors, a
+    neighbor over an edge labelled l of ``width`` labels read as its color
+    times ``width`` plus l; the new colors rank the keys.  Returns the
+    round's trace, the multiset of keys as the sorted distinct keys plus the
+    sorted new colors (the class sizes), the new colors, and whether they
+    are stable (equal to the old ones).  Two colorings with equal multisets
+    of colors and equal traces get equal new colors for equal keys, and are
+    stable together, so a second graph is compared with the first round by
+    round through the traces alone.
     """
-    keys = [(c, *sorted(map(colors.__getitem__, nb))) for c, nb in zip(colors, nbrs)]
+    look = _spread(colors, width)
+    keys = [(c, *sorted(map(look.__getitem__, nb))) for c, nb in zip(colors, nbrs)]
     distinct = sorted(set(keys))
     rank = {key: i for i, key in enumerate(distinct)}
     new = [rank[k] for k in keys]
@@ -179,13 +199,38 @@ class _Path:
     only the deepest coloring.  A collision can only weaken the pruning:
     stability is compared too, and a leaf must be a bijection that passes
     the adjacency check.
+
+    ``labels``, aligned with ``g.edges()``, label the edges 0..L-1, and
+    every isomorphism found keeps them.  ``nbrs[v]`` holds u·L + l and
+    ``masks[v]`` has bit u·L + l set for each edge {v, u} labelled l; with
+    one label they are g's own.  A labelled path is searched against its
+    own graph only.
     """
 
-    __slots__ = ("graph", "nbrs", "compact", "colors", "traces", "ends", "targets")
+    __slots__ = (
+        "graph", "nbrs", "width", "masks", "compact", "colors", "traces", "ends", "targets"
+    )
 
-    def __init__(self, g: Graph, colors: list[int] | None = None, compact: bool = False) -> None:
+    def __init__(
+        self,
+        g: Graph,
+        colors: list[int] | None = None,
+        compact: bool = False,
+        labels: list[int] | None = None,
+    ) -> None:
         self.graph = g
-        self.nbrs = None if compact else _neighbors(g)
+        self.width = width = 1 if labels is None else max(labels, default=0) + 1
+        if width == 1:
+            self.nbrs = None if compact else _neighbors(g)
+            self.masks = g.adj
+        else:
+            self.nbrs = [[] for _ in range(g.n)]
+            self.masks = [0] * g.n
+            for (u, v), label in zip(g.edges(), labels):
+                self.nbrs[u].append(v * width + label)
+                self.nbrs[v].append(u * width + label)
+                self.masks[u] |= 1 << (v * width + label)
+                self.masks[v] |= 1 << (u * width + label)
         self.compact = compact
         # The coloring of each depth after the rounds made so far, and the
         # traces of all rounds, depth after depth.  A depth is stable once it
@@ -200,7 +245,7 @@ class _Path:
     def _round(self) -> None:
         """One more round at the deepest depth, which is not yet stable."""
         nbrs = _neighbors(self.graph) if self.compact else self.nbrs
-        trace, new, stable = _refine(nbrs, self.colors[-1])
+        trace, new, stable = _refine(nbrs, self.colors[-1], self.width)
         self.traces.append(_digest(trace) if self.compact else trace)
         self.colors[-1] = new
         if stable:
@@ -249,7 +294,7 @@ def _walk(
     else:
         r = 0
         while True:
-            trace, ch, stable = _refine(nbrs_h, ch)
+            trace, ch, stable = _refine(nbrs_h, ch, path.width)
             if not path.matches(depth, r, trace, stable):
                 return
             if stable:
@@ -259,17 +304,18 @@ def _walk(
     if c is None:
         # Everything is singleton on both sides: read off the bijection.
         # The edge counts agree, so it is an isomorphism if it maps every
-        # edge of h back onto an edge of g.  Only a digest collision can
-        # leave h's coloring short of discrete.
+        # edge of h back onto an edge of g with the same label.  Only a
+        # digest collision can leave h's coloring short of discrete.
         where_g = {c: v for v, c in enumerate(path.colors[depth])}
         back = [where_g[c] for c in ch]
         if len(set(back)) < len(back):
             return
-        adj_g = path.graph.adj
+        masks = path.masks
+        back_entry = _spread(back, path.width)
         for x, nbrs in enumerate(nbrs_h):
-            row = adj_g[back[x]]
+            row = masks[back[x]]
             for y in nbrs:
-                if not row >> back[y] & 1:
+                if not row >> back_entry[y] & 1:
                     return
         yield invert(back)
         return
@@ -289,15 +335,16 @@ def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
 
 
 def _isomorphisms(
-    g: Graph, h: Graph, colors: list[int] | None = None
+    g: Graph, h: Graph, colors: list[int] | None = None, labels: list[int] | None = None
 ) -> Iterator[Permutation]:
     """All isomorphisms g -> h, in deterministic search order.
 
     ``colors`` is the starting partition of both graphs, as ints below n
-    (default: one class); only isomorphisms that keep it are found.
+    (default: one class); only isomorphisms that keep it are found.  Edge
+    ``labels`` (see ``_Path``) are kept too; they need h to be g.
     """
     start = [0] * g.n if colors is None else list(colors)
-    return _search(_Path(g, start), h, start)
+    return _search(_Path(g, start, labels=labels), h, start)
 
 
 def _orbit(v: int, generators: list[Permutation], identity: Permutation) -> dict[int, Permutation]:
@@ -351,10 +398,13 @@ def _stabilizer_chain(g: Graph) -> AutGroup:
     return AutGroup(n, tuple(generators), tuple(reversed(transversals)))
 
 
-def _nontrivial_automorphism(g: Graph, colors: list[int]) -> Permutation | None:
-    """The first automorphism of g that keeps ``colors`` and is not the identity."""
+def _nontrivial_automorphism(
+    g: Graph, colors: list[int], labels: list[int] | None
+) -> Permutation | None:
+    """The first automorphism of g that keeps ``colors`` and the edge
+    ``labels`` (see ``_Path``) and is not the identity."""
     identity = tuple(range(g.n))
-    return next((p for p in _isomorphisms(g, g, colors) if p != identity), None)
+    return next((p for p in _isomorphisms(g, g, colors, labels) if p != identity), None)
 
 
 def _check_order(n: int) -> None:

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 from .autos import Permutation, _check_order, _nontrivial_automorphism, is_automorphism
 from .graphs import Graph, encode_graph6, iter_bits, parse_graph6
-from .transforms import subdivision
 
 __all__ = [
     "TotalColoring",
@@ -220,17 +219,21 @@ def preserves(phi: Permutation, g: Graph, f: TotalColoring) -> bool:
     return True
 
 
+def _ranks(values: Sequence[int]) -> list[int]:
+    """Each value's rank among the distinct values."""
+    rank = {x: i for i, x in enumerate(sorted(set(values)))}
+    return [rank[x] for x in values]
+
+
 def is_distinguishing(g: Graph, f: TotalColoring, kind: str) -> bool:
     """True iff only the identity automorphism preserves the coloring.
 
     `kind` selects which part matters: "vertex", "edge", or "total".  One
-    colored search decides it, up to the first automorphism other than the
-    identity.  Edge colors ride on the subdivision graph S(g), whose
-    automorphisms that keep the original vertices are those of g: when edge
-    colors matter, S(g) is searched with the vertex colors on the original
-    vertices and the edge colors on the subdividing ones; otherwise g itself
-    is searched.  No group is enumerated, so only the search's vertex cap
-    applies, to g, and no group order is too large.
+    colored search of g itself decides it, up to the first automorphism
+    other than the identity: the vertex colors are its starting coloring and
+    the edge colors label its edges, and it finds only maps that keep both.
+    No group is enumerated, so only the search's vertex cap applies, to g,
+    and no group order is too large.
     """
     if kind == "vertex":
         view = TotalColoring(_require_vertex_cover(g, f), None)
@@ -242,16 +245,12 @@ def is_distinguishing(g: Graph, f: TotalColoring, kind: str) -> bool:
         raise ValueError(f"unknown distinguishing kind {kind!r}")
     _check_order(g.n)
     vc, ec = view.vertex_colors, view.edge_colors
-    keys = [(0, vc[v] if vc else 0) for v in range(g.n)]
-    searched = g
-    if ec is not None:
-        keys += [(1, ec[e]) for e in g.edges()]
-        searched = subdivision(g).graph
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    psi = _nontrivial_automorphism(searched, [rank[k] for k in keys])
+    colors = _ranks(vc) if vc else [0] * g.n
+    labels = None if ec is None else _ranks([ec[e] for e in g.edges()])
+    psi = _nontrivial_automorphism(g, colors, labels)
     if psi is None:
         return True
-    if not preserves(psi[: g.n], g, view):
+    if not preserves(psi, g, view):
         raise AssertionError("the colored search found a map that moves a color")
     return False
 

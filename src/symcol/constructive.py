@@ -552,6 +552,37 @@ def _central_edges_tree(g: Graph, cent: TaggedGraph, k: int) -> dict[tuple[int, 
     return ec
 
 
+def _central_edges_oriented(g: Graph, cent: TaggedGraph) -> dict[tuple[int, int], int]:
+    """Case of a complete graph or a cycle: orient each edge {a, b} from the
+    earlier end a to the later end b in a vertex order, and color aw 1 and
+    bw 2 at its subdividing vertex w; complement edges get 1.
+
+    A color-preserving automorphism keeps the orientation, since the
+    original vertices (degree n-1 >= 3) are told from the subdividing ones
+    (degree 2).  On K_n the order is the labels, and a transitive tournament
+    has no automorphism but the identity.  On C_n it walks from 0 to its
+    smaller neighbor and on around the cycle, so 0 is the only source and
+    its other neighbor the only sink; a rotation or reflection fixing two
+    adjacent vertices is the identity.  (Ordering by label alone can leave
+    two sources that a reflection swaps.)
+    """
+    if g.is_complete():
+        order = list(range(g.n))
+    else:
+        order = [0, min(g.neighbors(0))]
+        while len(order) < g.n:
+            order.append(next(u for u in g.neighbors(order[-1]) if u != order[-2]))
+    place = {v: i for i, v in enumerate(order)}
+    ec: dict[tuple[int, int], int] = {}
+    for a, b in g.edges():
+        if place[a] > place[b]:
+            a, b = b, a
+        _write_pair(ec, cent, a, b, (1, 2))
+    for e in cent.graph.edges():
+        ec.setdefault(e, 1)
+    return ec
+
+
 def dist_edge_coloring_central(g: Graph) -> ConstructionResult:
     """Distinguishing edge coloring of the central graph, within ceil(sqrt(max degree)) colors."""
     if g.n < 4 or not g.is_connected():
@@ -559,12 +590,8 @@ def dist_edge_coloring_central(g: Graph) -> ConstructionResult:
     cent = central(g)
     k = max(2, _sqrt_ceil(g.max_degree()))
     if g.is_complete() or g.is_cycle():
-        witness = oracle_witness(
-            cent.graph, "Dp", 2,
-            "no 2-color distinguishing edge coloring found for the complete/cycle case",
-        )
-        ec = dict(witness.edge_colors)
-        note = "complete-or-cycle case settled by bounded search"
+        ec = _central_edges_oriented(g, cent)
+        note = "complete-or-cycle case oriented with one source and one sink"
     elif g.is_tree():
         ec = _central_edges_tree(g, cent, k)
         note = "tree case rooted at the center"

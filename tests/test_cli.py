@@ -533,10 +533,10 @@ def record_rows(path):
     return rows
 
 
-@pytest.mark.parametrize("check", ["3.2", "3.6"])
+@pytest.mark.parametrize("check", ["3.4", "3.6"])
 def test_sweep_budget_reaches_oracles_inside_constructions(capsys, tmp_path, check):
-    # Both constructions settle K4 with an oracle search, which one node
-    # cannot finish.
+    # Both constructions color K4 from an oracle witness on the base graph,
+    # whose search one node cannot finish.
     listing = tmp_path / "k4.txt"
     listing.write_text(f"{K4}\n")
     args = ["sweep", "--check", check, "--file", str(listing),
@@ -548,21 +548,28 @@ def test_sweep_budget_reaches_oracles_inside_constructions(capsys, tmp_path, che
 
 
 def test_run_check_budget_does_not_outlive_its_check():
-    assert run_check(K4, "3.2", 1)["verdict"] == "budget-exceeded"
-    assert run_check(K4, "3.2")["verdict"] == "pass"
+    assert run_check(K4, "3.6", 1)["verdict"] == "budget-exceeded"
+    assert run_check(K4, "3.6")["verdict"] == "pass"
+
+
+def test_central_edge_check_on_complete_graphs_and_cycles_spends_no_oracle_node():
+    # 3.2 orients K_n and C_n, so one node of budget is never touched; C(K10)
+    # has 55 vertices.
+    for n in range(4, 11):
+        for g in (complete_graph(n), cycle_graph(n)):
+            assert run_check(encode_graph6(g), "3.2", 1)["verdict"] == "pass", n
 
 
 def test_sweep_budget_verdicts_do_not_depend_on_workers(capsys, tmp_path):
-    # K4 and C5 go through the oracle, P5 and the star do not.
+    # 3.6 searches for a distinguishing edge coloring of each graph (of
+    # C5's endline graph).  K4 and C5 need more than one node; the two
+    # asymmetric graphs are settled at the first.
     listing = tmp_path / "graphs.txt"
-    listing.write_text("".join(
-        f"{encode_graph6(g)}\n"
-        for g in (complete_graph(4), cycle_graph(5), path_graph(5), star_graph(6))
-    ))
+    listing.write_text("".join(f"{g6}\n" for g6 in (K4, C5, "EsR_", "EsQg")))
     reports = []
     for workers in ("1", "2"):
         report = tmp_path / f"w{workers}.jsonl"
-        run_cli(capsys, "sweep", "--check", "3.2", "--file", str(listing),
+        run_cli(capsys, "sweep", "--check", "3.6", "--file", str(listing),
                 "--report", str(report), "--cache", str(tmp_path / f"c{workers}"),
                 "--budget", "1", "--workers", workers)
         reports.append(record_rows(report))

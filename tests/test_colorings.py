@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from symcol import colorings
 from symcol.autos import ELEMENT_CAP, automorphisms, compose
 from symcol.colorings import (
     TDCPartition,
@@ -205,6 +206,24 @@ def test_distinguishing_matches_full_enumeration():
                     verdicts[expected] += 1
     assert sum(verdicts.values()) == len(graphs) * 27
     assert min(verdicts.values()) > 1000
+
+
+def test_distinguishing_searches_the_graph_itself(monkeypatch):
+    # Edge colors label the edges of the searched graph, so C(K7) is searched
+    # on its own 28 vertices, not through the 70 of its subdivision graph.
+    searched = []
+    real = colorings._nontrivial_automorphism
+    monkeypatch.setattr(
+        colorings, "_nontrivial_automorphism",
+        lambda g, *rest: searched.append(g.n) or real(g, *rest),
+    )
+    c = central(complete_graph(7)).graph
+    f = TotalColoring(tuple(1 + v % 3 for v in range(c.n)),
+                      {e: 1 + k % 2 for k, e in enumerate(c.edges())})
+    for kind in ("edge", "total"):
+        searched.clear()
+        is_distinguishing(c, f, kind)
+        assert searched == [28], kind
 
 
 def test_distinguishing_star_past_the_group_order_cap():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 
 import pytest
 
@@ -38,6 +39,7 @@ from symcol.graphs import (
     empty_graph,
     join,
     path_graph,
+    parse_graph6,
     star_graph,
 )
 from symcol.oracles import exact_parameter
@@ -93,22 +95,47 @@ def test_list_edge_coloring_respects_lists():
         list_edge_coloring_bipartite(complete_graph(3), {})
 
 
+def _color_keeping_permutations(g: Graph, ec: dict) -> list[tuple[int, ...]]:
+    """Each automorphism of C(g) that keeps the edge colors ``ec``, by brute
+    force over the permutations of the original vertices.
+
+    For n >= 4 those have degree n-1 >= 3 and the subdividing vertices
+    degree 2, and a subdividing vertex is fixed by its two neighbors, so
+    every automorphism of C(g) is a permutation of the original vertices
+    extended through the subdividing ones.
+    """
+    cent = central(g)
+    c = cent.graph
+    found = []
+    for perm in itertools.permutations(range(g.n)):
+        if any(not g.has_edge(perm[a], perm[b]) for a, b in g.edges()):
+            continue
+        phi = list(perm) + [cent.subdivided(perm[a], perm[b]) for a, b in
+                            (cent.origin[w] for w in range(g.n, c.n))]
+        if all(c.has_edge(phi[u], phi[v]) for u, v in c.edges()) and all(
+            ec[tuple(sorted((phi[u], phi[v])))] == color for (u, v), color in ec.items()
+        ):
+            found.append(tuple(phi))
+    return found
+
+
 def test_central_edge_coloring_golden_witnesses():
-    # The complete/cycle case is settled by bounded search; the found
-    # colorings are deterministic, so they are frozen here.
+    # The complete/cycle case orients every edge from the earlier to the
+    # later end of a vertex order (color 1, then 2, at its subdividing
+    # vertex); the colorings are deterministic, so some are frozen here.
     goldens = {
         complete_graph(4): {
-            (0, 4): 1, (0, 5): 2, (0, 7): 2, (1, 4): 2, (1, 6): 2, (1, 8): 2,
-            (2, 5): 2, (2, 6): 2, (2, 9): 2, (3, 7): 2, (3, 8): 1, (3, 9): 1,
+            (0, 4): 1, (0, 5): 1, (0, 7): 1, (1, 4): 2, (1, 6): 1, (1, 8): 1,
+            (2, 5): 2, (2, 6): 2, (2, 9): 1, (3, 7): 2, (3, 8): 2, (3, 9): 2,
         },
         cycle_graph(4): {
-            (0, 2): 2, (0, 4): 1, (0, 6): 2, (1, 3): 2, (1, 4): 2,
-            (1, 5): 2, (2, 5): 2, (2, 7): 2, (3, 6): 2, (3, 7): 2,
+            (0, 2): 1, (0, 4): 1, (0, 6): 1, (1, 3): 1, (1, 4): 2,
+            (1, 5): 1, (2, 5): 2, (2, 7): 1, (3, 6): 2, (3, 7): 2,
         },
         cycle_graph(5): {
-            (0, 2): 2, (0, 3): 2, (0, 5): 1, (0, 8): 2, (1, 3): 2,
-            (1, 4): 2, (1, 5): 2, (1, 6): 2, (2, 4): 2, (2, 6): 2,
-            (2, 7): 2, (3, 7): 2, (3, 9): 2, (4, 8): 2, (4, 9): 2,
+            (0, 2): 1, (0, 3): 1, (0, 5): 1, (0, 8): 1, (1, 3): 1,
+            (1, 4): 1, (1, 5): 2, (1, 6): 1, (2, 4): 1, (2, 6): 2,
+            (2, 7): 1, (3, 7): 2, (3, 9): 1, (4, 8): 2, (4, 9): 2,
         },
     }
     for g, expected in goldens.items():
@@ -117,6 +144,25 @@ def test_central_edge_coloring_golden_witnesses():
         assert r.palette_size == 2
     k5 = dist_edge_coloring_central(complete_graph(5))
     assert k5.palette_size == 2 and k5.promised_bound == 2
+    # Proved distinguishing without the library's automorphism search: the
+    # sweep's cycle representatives carry labels that are not in cycle order.
+    graphs = [f(n) for f in (complete_graph, cycle_graph) for n in range(4, 8)]
+    graphs += [parse_graph6(s) for s in ("Cr", "DqK", "EqGW", "FqGOW")]
+    for g in graphs:
+        r = dist_edge_coloring_central(g)
+        assert r.palette_size == 2, g
+        assert _color_keeping_permutations(g, r.coloring.edge_colors) == [
+            tuple(range(r.graph.n))
+        ], g
+    # Orienting each edge from its smaller label instead leaves two sources
+    # on these two, and a reflection swaps them.
+    for s in ("Cr", "EqGW"):
+        g = parse_graph6(s)
+        cent = central(g)
+        by_label = {e: 1 for e in cent.graph.edges()}
+        for a, b in g.edges():
+            by_label[tuple(sorted((b, cent.subdivided(a, b))))] = 2
+        assert len(_color_keeping_permutations(g, by_label)) > 1, s
 
 
 def test_central_edge_coloring_examples():
