@@ -6,12 +6,13 @@ sorted neighbor-color profiles until stable, and a smallest non-singleton
 class is split by trying every target vertex.  On the first graph a search
 always individualizes the first vertex of the target class, so that side of
 every node lies on one path, the search's first path.  It is refined once,
-lazily, one round at a time.  Colors are ranks of one side's profile keys:
-the second graph is refined alone, and each of its rounds is checked against
-the path's round through the multiset of keys, which stops the node at the
-first difference and otherwise gives both sides the same colors.  Every
-complete leaf is adjacency-checked, so refinement only prunes, it never
-decides.
+lazily, one round at a time, also when the path is kept for many searches,
+as the family enumeration keeps one per graph of its exact pool.  Colors are
+ranks of one side's profile keys: the second graph is refined alone, and
+each of its rounds is checked against the path's round through the multiset
+of keys, which stops the node at the first difference and otherwise gives
+both sides the same colors.  Every complete leaf is adjacency-checked, so
+refinement only prunes, it never decides.
 
 ``automorphisms`` returns a group as a stabilizer chain read off the search's
 first path: generators, plus one transversal per base point.  Its order is
@@ -181,24 +182,14 @@ def _neighbors(g: Graph) -> list[list[int]]:
     return [list(iter_bits(m)) for m in g.adj]
 
 
-def _digest(trace: tuple) -> int:
-    # One byte: CPython shares the objects of ints this small, so a kept
-    # path's digests cost one list slot each.  Two traces that differ still
-    # collide only once in about 256 rounds.
-    return hash((*trace[0], *trace[1])) & 0xFF
-
-
 class _Path:
     """The first graph's side of a search.
 
     At every node that side individualizes the first vertex of the target
     class, so all its nodes lie on one path, one per depth.  Each is refined
     one round at a time, only as far as some node of the second graph at that
-    depth has matched it, and never twice.  A ``compact`` path, kept for many
-    searches, holds a digest of each round's trace in place of the trace and
-    only the deepest coloring.  A collision can only weaken the pruning:
-    stability is compared too, and a leaf must be a bijection that passes
-    the adjacency check.
+    depth has matched it, and never twice, so a path kept for many searches
+    against one graph refines that graph once.
 
     ``labels``, aligned with ``g.edges()``, label the edges 0..L-1, and
     every isomorphism found keeps them.  ``nbrs[v]`` holds u·L + l and
@@ -207,21 +198,15 @@ class _Path:
     own graph only.
     """
 
-    __slots__ = (
-        "graph", "nbrs", "width", "masks", "compact", "colors", "traces", "ends", "targets"
-    )
+    __slots__ = ("graph", "nbrs", "width", "masks", "colors", "traces", "ends", "targets")
 
     def __init__(
-        self,
-        g: Graph,
-        colors: list[int] | None = None,
-        compact: bool = False,
-        labels: list[int] | None = None,
+        self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None
     ) -> None:
         self.graph = g
         self.width = width = 1 if labels is None else max(labels, default=0) + 1
         if width == 1:
-            self.nbrs = None if compact else _neighbors(g)
+            self.nbrs = _neighbors(g)
             self.masks = g.adj
         else:
             self.nbrs = [[] for _ in range(g.n)]
@@ -231,7 +216,6 @@ class _Path:
                 self.nbrs[v].append(u * width + label)
                 self.masks[u] |= 1 << (v * width + label)
                 self.masks[v] |= 1 << (u * width + label)
-        self.compact = compact
         # The coloring of each depth after the rounds made so far, and the
         # traces of all rounds, depth after depth.  A depth is stable once it
         # has a target class (None at the leaf) and the end of its rounds in
@@ -244,9 +228,8 @@ class _Path:
 
     def _round(self) -> None:
         """One more round at the deepest depth, which is not yet stable."""
-        nbrs = _neighbors(self.graph) if self.compact else self.nbrs
-        trace, new, stable = _refine(nbrs, self.colors[-1], self.width)
-        self.traces.append(_digest(trace) if self.compact else trace)
+        trace, new, stable = _refine(self.nbrs, self.colors[-1], self.width)
+        self.traces.append(trace)
         self.colors[-1] = new
         if stable:
             c = _target_class(new)
@@ -254,8 +237,6 @@ class _Path:
             self.ends.append(len(self.traces))
             if c is not None:
                 self.colors.append(_individualize(new, new.index(c)))
-                if self.compact:
-                    self.colors[-2] = None
 
     def target(self, depth: int) -> int | None:
         """The target class at ``depth``, refining the path down to it."""
@@ -263,17 +244,14 @@ class _Path:
             self._round()
         return self.targets[depth]
 
-    def matches(self, depth: int, r: int, trace: tuple, stable: bool) -> bool:
+    def matches(self, depth: int, r: int, trace: tuple) -> bool:
         """Whether round r of a second-graph node at ``depth`` has the trace
-        and the stability of the path's round r."""
+        of the path's round r, and so its stability too."""
         i = (self.ends[depth - 1] if depth else 0) + r
         if i == len(self.traces) and depth == len(self.ends):
             self._round()
         end = self.ends[depth] if depth < len(self.ends) else len(self.traces)
-        if i >= end or self.traces[i] != (_digest(trace) if self.compact else trace):
-            return False
-        # Equal traces make equal stability; a digest collision may not.
-        return stable == (depth < len(self.ends) and i == end - 1)
+        return i < end and self.traces[i] == trace
 
 
 def _walk(
@@ -295,7 +273,7 @@ def _walk(
         r = 0
         while True:
             trace, ch, stable = _refine(nbrs_h, ch, path.width)
-            if not path.matches(depth, r, trace, stable):
+            if not path.matches(depth, r, trace):
                 return
             if stable:
                 break
@@ -304,12 +282,9 @@ def _walk(
     if c is None:
         # Everything is singleton on both sides: read off the bijection.
         # The edge counts agree, so it is an isomorphism if it maps every
-        # edge of h back onto an edge of g with the same label.  Only a
-        # digest collision can leave h's coloring short of discrete.
+        # edge of h back onto an edge of g with the same label.
         where_g = {c: v for v, c in enumerate(path.colors[depth])}
         back = [where_g[c] for c in ch]
-        if len(set(back)) < len(back):
-            return
         masks = path.masks
         back_entry = _spread(back, path.width)
         for x, nbrs in enumerate(nbrs_h):
@@ -330,7 +305,7 @@ def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
     g = path.graph
     if g.n != h.n or g.edge_count() != h.edge_count():
         return
-    same = g == h and not path.compact
+    same = g == h
     yield from _walk(path, 0, path.nbrs if same else _neighbors(h), start, same)
 
 

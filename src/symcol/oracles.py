@@ -13,8 +13,9 @@ count: the parallel search is the sequential one cut into slices, charged in
 the sequential order. ``nodes`` and the budget cover every search a call
 makes, the chromatic-number search behind the chitd lower bound included.
 The distinguishing kinds (D, Dp, Dpp, chi2D) track every element of the
-graph's automorphism group, so past either automorphism cap (``VERTEX_CAP``
-vertices, ``ELEMENT_CAP`` elements, in ``autos``) they raise
+graph's automorphism group, lifted to the n + m vertices and edges, so past
+either automorphism cap (``VERTEX_CAP`` vertices, or a lifted table of more
+than ``ELEMENT_CAP`` entries, both in ``autos``) they raise
 BudgetExceededError before searching.
 
 The chitd search and its chromatic-number search also prune by the graph's
@@ -67,6 +68,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import autos
 from .autos import (
     _lift_through,
     automorphisms,
@@ -197,6 +199,14 @@ class _Search:
         lifted_generators: list[tuple[int, ...]] = []
         if kind in _DISTINGUISHING:
             group = automorphisms(g)
+            # Multiplying the group out below raises past the element cap.
+            # The live-pair list then lifts every element to all n + m
+            # elements, and that table is held to the same cap.
+            if group.order <= autos.ELEMENT_CAP < group.order * (n + m):
+                raise BudgetExceededError(
+                    f"{kind}: the lifted group table of {group.order} x {n + m} "
+                    f"entries exceeds the cap of {autos.ELEMENT_CAP}"
+                )
             # Edge k is element n + k, where the central graph puts the
             # vertex subdividing it, so the lift is the action on elements.
             index = g.edge_index()

@@ -152,20 +152,21 @@ def test_find_isomorphism_rejects_pairs_alike_in_early_rounds():
         assert find_isomorphism(g, h2) is None, (g, h2)
 
 
-def test_compact_paths_stay_exact_under_digest_collisions(monkeypatch):
-    # With every digest equal, a compact path prunes on stability alone: a
-    # map it returns must still be an isomorphism, and it must find one
-    # whenever one exists.  The graphs of all_graphs(n) are pairwise
-    # non-isomorphic.
-    monkeypatch.setattr(autos, "_digest", lambda trace: 0)
+def test_kept_paths_find_exactly_the_isomorphisms():
+    # One path per graph, kept for every search against it as the family
+    # pool keeps them: a map it returns must be an isomorphism, and it must
+    # find one whenever one exists.  The graphs of all_graphs(n) are
+    # pairwise non-isomorphic.
     for n in range(1, 6):
         graphs = all_graphs(n)
         shift = [(v + 1) % n for v in range(n)]
-        for g, h in itertools.product(graphs, graphs):
-            for target in (h, h.relabel(shift)):
-                found = autos._first_isomorphism(autos._Path(g, compact=True), target)
-                assert (found is not None) == (g is h), (g, target)
-                assert found is None or g.relabel(found) == target
+        for g in graphs:
+            path = autos._Path(g)
+            for h in graphs:
+                for target in (h, h.relabel(shift)):
+                    found = autos._first_isomorphism(path, target)
+                    assert (found is not None) == (g is h), (g, target)
+                    assert found is None or g.relabel(found) == target
 
 
 def test_chain_check_builds_no_elements():

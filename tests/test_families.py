@@ -1,17 +1,21 @@
-"""Enumeration counts against the published sequences, plus sanity checks."""
+"""Enumeration counts against the published sequences, checks by canonical
+forms that do not use the library's isomorphism search, and sanity checks."""
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
+
 import pytest
 
-from symcol import autos
+from symcol import families
 from symcol.autos import find_isomorphism
 from symcol.families import all_graphs, all_trees, connected_graphs, regular_graphs
 from symcol.graphs import complete_graph, cycle_graph, path_graph, star_graph
 
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
-TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 
 
 def test_all_graph_counts():
@@ -26,14 +30,94 @@ def test_connected_graph_counts():
         assert all(g.is_connected() for g in got)
 
 
-def test_dedup_survives_digest_collisions(monkeypatch):
-    # With every round digest equal, the representatives' searches prune
-    # only on stability, so the checks at the leaves must keep the classes
-    # apart.
+def _local_profile(g):
+    degs = g.degrees()
+    return sorted((degs[v], sorted(degs[u] for u in g.neighbors(v))) for v in range(g.n))
+
+
+def test_exact_pool_alone_gives_the_same_classes(monkeypatch):
+    # With no cell taken for one orbit, every accepted child goes through
+    # the pool's isomorphism tests, which must then keep one per class.
     graphs, trees = connected_graphs(7), all_trees(8)
-    monkeypatch.setattr(autos, "_digest", lambda trace: 0)
-    assert connected_graphs.__wrapped__(7) == graphs
-    assert all_trees.__wrapped__(8) == trees
+    pooled = []
+
+    def never_one_orbit(g, cell):
+        pooled.append(g)
+        return False
+
+    monkeypatch.setattr(families, "_one_orbit", never_one_orbit)
+    for fresh, normal in ((connected_graphs.__wrapped__(7), graphs),
+                          (all_trees.__wrapped__(8), trees)):
+        assert len(fresh) == len(normal)
+        by_profile = defaultdict(list)
+        for h in normal:
+            by_profile[repr(_local_profile(h))].append(h)
+        for g in fresh:
+            matches = [h for h in by_profile[repr(_local_profile(g))]
+                       if find_isomorphism(g, h) is not None]
+            assert len(matches) == 1, g
+    assert len(pooled) >= len(graphs) + len(trees)
+
+
+def _brute_form(g, tables):
+    """The least edge bitset over all n! relabelings of g."""
+    n = g.n
+    ids = [u * n + v for u, v in g.edges()]
+    return min(sum(map(table.__getitem__, ids)) for table in tables)
+
+
+@pytest.mark.parametrize("family, first_mask", [(all_graphs, 0), (connected_graphs, 1)])
+def test_families_match_brute_force_canonical_forms(family, first_mask):
+    # Every graph of order n is a graph of order n-1 plus a vertex (a
+    # connected one, plus a vertex whose removal keeps it connected), so
+    # by induction from order 1 the forms of all one-vertex extensions of
+    # order n-1's output are those of every graph of order n.
+    prev = family(1)
+    for n in range(2, 7):
+        tables = [
+            [1 << (min(p[u], p[v]) * n + max(p[u], p[v])) for u in range(n) for v in range(n)]
+            for p in itertools.permutations(range(n))
+        ]
+        forms = [_brute_form(g, tables) for g in family(n)]
+        assert len(set(forms)) == len(forms), n
+        extensions = {
+            _brute_form(p.add_vertex(mask), tables)
+            for p in prev
+            for mask in range(first_mask, 1 << (n - 1))
+        }
+        assert set(forms) == extensions, n
+        prev = family(n)
+
+
+def _ahu(tree):
+    """The tree's AHU string, least over its centers as roots."""
+    degree = tree.degrees()
+    layer = [v for v in range(tree.n) if degree[v] <= 1]
+    left = tree.n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in tree.neighbors(v):
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+
+    def encode(v, parent):
+        return "(" + "".join(sorted(encode(u, v) for u in tree.neighbors(v) if u != parent)) + ")"
+
+    return min(encode(c, -1) for c in layer)
+
+
+def test_trees_match_ahu_strings():
+    # Every tree of order n is a tree of order n-1 plus a leaf.
+    prev = all_trees(1)
+    for n in range(2, 11):
+        forms = [_ahu(t) for t in all_trees(n)]
+        assert len(set(forms)) == len(forms), n
+        assert set(forms) == {_ahu(t.add_vertex(1 << v)) for t in prev for v in range(n - 1)}, n
+        prev = all_trees(n)
 
 
 def test_connected_graph_count_order_8():

@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from symcol import oracles
+from symcol import autos, oracles
+from symcol.autos import automorphisms
 from symcol.colorings import (
     TDCPartition,
     TotalColoring,
@@ -241,6 +242,16 @@ def test_malformed_budget_variable_is_named(monkeypatch):
     with pytest.raises(ValueError, match="SYMCOL_BUDGET"):
         exact_parameter(cycle_graph(6), "chi2")
     assert exact_parameter(cycle_graph(6), "chi2", budget=10**6).value == 3
+
+
+def test_element_cap_bounds_the_lifted_group_table(monkeypatch):
+    # Aut(K8) has 8! = 40320 elements, under the lowered cap, but the D
+    # search lifts each to the 8 + 28 vertices and edges: 1,451,520 entries.
+    autos._aut_cache.clear()
+    monkeypatch.setattr(autos, "ELEMENT_CAP", 10**5)
+    with pytest.raises(BudgetExceededError, match="cap"):
+        exact_parameter(complete_graph(8), "D")
+    assert "elements" not in automorphisms(complete_graph(8)).__dict__
 
 
 def test_bad_kind():
