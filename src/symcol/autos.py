@@ -18,7 +18,7 @@ refinement only prunes, it never decides.
 first path: generators, plus one transversal per base point.  Its order is
 the product of the transversal lengths; its elements, deterministically
 sorted, are multiplied out of the transversals only on demand, for
-``symcol aut`` and the oracles' symmetry pruning.  The chain check and the
+``symcol aut`` and the distinguishing oracles.  The chain check and the
 vertex orbits use the generators alone.  The last groups are kept in a
 bounded least-recently-used cache.  The distinguishing verifier builds no
 group: one search on the colored graph stops at the first automorphism other

@@ -172,8 +172,14 @@ def is_avd_total(g: Graph, f: TotalColoring) -> bool:
     """Proper total and adjacent vertices have distinct color profiles."""
     if not is_proper(g, f, "total"):
         raise ValueError("coloring is not proper total")
-    profiles = [color_profile(g, f, v) for v in range(g.n)]
-    for u, v in g.edges():
+    # is_proper has checked that the edge colors cover exactly g's edges, so
+    # one pass over them builds every profile.
+    assert f.vertex_colors is not None and f.edge_colors is not None
+    profiles = [{c} for c in f.vertex_colors]
+    for (u, v), c in f.edge_colors.items():
+        profiles[u].add(c)
+        profiles[v].add(c)
+    for u, v in f.edge_colors:
         if profiles[u] == profiles[v]:
             return False
     return True

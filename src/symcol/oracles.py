@@ -18,24 +18,7 @@ either automorphism cap (``VERTEX_CAP`` vertices, or a lifted table of more
 than ``ELEMENT_CAP`` entries, both in ``autos``) they raise
 BudgetExceededError before searching.
 
-The chitd search and its chromatic-number search also prune by the graph's
-symmetry, with the lex-leader rule (Crawford, Ginsberg, Luks & Roy, KR 1996).
-A node is pruned when some automorphism maps the colored prefix to a
-sequence that, its colors renumbered by first appearance, is
-lexicographically smaller on the positions colored on both sides; then no
-completion is the least coloring of its orbit.  These searches take the
-lowest color first, so their first solution is the least of its orbit and
-is never pruned: values and witnesses are those of the unpruned search, and
-only ``nodes`` falls.  The elements tried are the products t0 t1 of the
-stabilizer chain's first two transversals (the whole group when the chain
-has at most two levels), and none past the automorphism search's vertex
-cap.  Each element keeps its comparison state per depth and is advanced only
-at the node that colors the next position it compares.  The rule depends
-only on the prefix, so slicing the search for workers is unchanged.  The
-other kinds keep their searches: tried there, the same check cost more time
-than it saved.
-
-The chitd search also checks forward for total domination.  A vertex u is
+The chitd search checks forward for total domination.  A vertex u is
 dead once every color used so far has a class member outside N(u), and no
 new color can still dominate it: either all ``level`` colors are used, or u
 has no uncolored neighbor (a new color's class holds only vertices uncolored
@@ -72,7 +55,6 @@ from . import autos
 from .autos import (
     _lift_through,
     automorphisms,
-    compose,
     invert,
     vertex_orbits,
 )
@@ -155,9 +137,9 @@ def _resolve_budget(budget: int | None) -> int:
 
 class _Search:
     """One (graph, kind) satisfiability problem, searched at the level ``run``
-    is given.  Building it looks up the group and lifts or places the
-    elements the kind prunes with, none of which depends on the level, so an
-    oracle call builds one per kind."""
+    is given.  Building it orders the elements and, for the distinguishing
+    kinds only, looks up the group and lifts its elements; none of that
+    depends on the level, so an oracle call builds one per kind."""
 
     def __init__(self, g: Graph, kind: str):
         self.g = g
@@ -243,14 +225,9 @@ class _Search:
             order = sorted(universe, key=lambda v: (-g.degree(v), v))
         self.order = order
         self.N = len(order)
-        pos = {e: p for p, e in enumerate(order)}
-
-        # Each pruning element as its images of the order positions.
-        self.lex_images: list[tuple[int, ...]] = []
-        if kind in ("chi", "chitd"):
-            self.lex_images = [tuple(pos[s[e]] for e in order) for s in _lex_elements(g)]
 
         if kind == "chi2a":
+            pos = {e: p for p, e in enumerate(order)}
             self.close_pos = [0] * n
             self.closing: list[list[int]] = [[] for _ in range(self.N)]
             for v in range(n):
@@ -333,15 +310,6 @@ class _Search:
             # free[u] counts the uncolored neighbors of u.
             self.poison = [0] * self.n
             self.free = [self.g.degree(u) for u in range(self.n)]
-        # The colors by order position, and the lex-leader states: an element
-        # that has matched positions 0..k-1 under the color map ``cmap`` (image
-        # color to normalized color, ``used`` of them mapped) waits on the
-        # position whose color its next comparison needs.
-        self.seq = [0] * self.N
-        self.waiting: list[list[tuple]] = [[] for _ in range(self.N)]
-        unmapped = (0,) * (level + 1)
-        for img in self.lex_images:
-            self.waiting[img[0]].append((img, 0, unmapped, 0))
         live = list(self.perm_pairs) if self.perm_pairs is not None else []
         try:
             sat = self._dfs(0, live)
@@ -383,18 +351,14 @@ class _Search:
                 raise _BudgetHit()
             prev_max = self.maxused
             self.f[e] = c
-            self.seq[p] = c
             if c > prev_max:
                 self.maxused = c
             ok = True
             trail: list[tuple[int, int]] = []
-            advanced: list[int] = []
             if self.kind == "chitd":
                 ok = self._poison_place(e, c, trail)
             elif self.kind == "chi2a":
                 ok = self._closure_ok(p)
-            if ok and self.waiting[p]:
-                ok = self._lex_ok(p, advanced)
             new_live = live
             if ok and self.perm_pairs is not None:
                 new_live = []
@@ -427,42 +391,9 @@ class _Search:
                     self.poison[v] ^= bit
                 for u in self.conflicts[e]:
                     self.free[u] += 1
-            for q in advanced:
-                self.waiting[q].pop()
             self.f[e] = 0
             self.maxused = prev_max
         return False
-
-    def _lex_ok(self, p: int, advanced: list[int]) -> bool:
-        """Advance the lex-leader states waiting on position p, just colored.
-
-        False if some element maps the colored prefix to a normalized
-        sequence smaller than it, so that no completion is the lex-leader of
-        its orbit.  A state whose image is greater drops out; one that
-        matches on to a position not yet colored waits there, recorded in
-        ``advanced`` for the undo.
-        """
-        seq = self.seq
-        for img, k, cmap, used in self.waiting[p]:
-            while True:
-                a = seq[img[k]]
-                b = cmap[a] or used + 1
-                if b < seq[k]:
-                    return False
-                if b > seq[k]:
-                    break
-                if not cmap[a]:
-                    cmap = cmap[:a] + (b,) + cmap[a + 1:]
-                    used = b
-                k += 1
-                if k == self.N:
-                    break
-                need = max(k, img[k])
-                if need > p:
-                    self.waiting[need].append((img, k, cmap, used))
-                    advanced.append(need)
-                    break
-        return True
 
     def _poison_place(self, v: int, c: int, trail: list[tuple[int, int]]) -> bool:
         """Record v's color c, and False if some vertex can no longer be
@@ -498,23 +429,6 @@ class _Search:
         return s
 
 
-def _lex_elements(g: Graph) -> list[tuple[int, ...]]:
-    """The elements the lex-leader check tries: every product t0 t1 of the
-    chain's first two transversals but the identity.  That is the whole
-    group when the chain has at most two levels, and at most n(n-1) elements
-    otherwise.  Empty past the automorphism search's vertex cap, where the
-    search goes unpruned."""
-    try:
-        group = automorphisms(g)
-    except BudgetExceededError:
-        return []
-    identity = tuple(range(g.n))
-    products = [identity]
-    for reps in reversed(group.transversals[:2]):
-        products = [compose(t, q) for t in reps for q in products]
-    return [s for s in products if s != identity]
-
-
 def _witness_from(g: Graph, kind: str, assignment: tuple[int, ...]):
     n = g.n
     edges = g.edges()
@@ -535,8 +449,9 @@ def _witness_from(g: Graph, kind: str, assignment: tuple[int, ...]):
 
 
 # A worker builds the search of its first slice and keeps it for every later
-# slice of the same (graph, kind), at any level: building one looks up the
-# group and lifts every element, and ``run`` resets all of its mutable state.
+# slice of the same (graph, kind), at any level: building one orders the
+# elements, and for the distinguishing kinds looks up the group and lifts
+# every element, while ``run`` resets all of its mutable state.
 @functools.lru_cache(maxsize=1)
 def _worker_search(n: int, adj: tuple[int, ...], kind: str) -> _Search:
     return _Search(Graph(n, adj), kind)

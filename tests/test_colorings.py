@@ -83,6 +83,40 @@ def test_profiles_and_avd():
     assert not is_avd_total(k3, f5)  # all profiles are {1,2,3}
 
 
+def test_avd_total_matches_the_profile_definition():
+    # Seeded random proper total colorings over palettes of max degree + 1
+    # to + 3 colors, small enough that both verdicts occur.
+    rng = random.Random(16)
+    verdicts = set()
+    for g in [g for n in range(1, 6) for g in connected_graphs(n)]:
+        items = list(range(g.n)) + g.edges()
+        for _ in range(20):
+            rng.shuffle(items)
+            palette = range(1, g.max_degree() + 2 + rng.randint(0, 2))
+            vc, ec = [0] * g.n, {}
+            for item in items:
+                vertex = isinstance(item, int)
+                ends = {item} if vertex else set(item)
+                used = {c for e, c in ec.items() if ends & set(e)}
+                used |= {vc[u] for u in (g.neighbors(item) if vertex else ends)}
+                free = [c for c in palette if c not in used]
+                if not free:
+                    break
+                if vertex:
+                    vc[item] = rng.choice(free)
+                else:
+                    ec[item] = rng.choice(free)
+            else:
+                f = TotalColoring(tuple(vc), ec)
+                assert is_proper(g, f, "total")
+                expected = all(
+                    color_profile(g, f, u) != color_profile(g, f, v) for u, v in g.edges()
+                )
+                assert is_avd_total(g, f) == expected, (g, f)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def greedy_total_coloring(g, order):
     """Greedy proper total coloring, coloring vertices then edges in `order`."""
     vc = [0] * g.n

@@ -358,7 +358,7 @@ def test_tight_budgets_do_not_depend_on_workers(g, kind):
         assert (outcomes[0][0] == "budget-exceeded") == (budget < n)
 
 
-# --- lex-leader pruning against the same search unpruned ------------------
+# --- the chi and chitd searches, which use no symmetry ---------------------
 
 
 def _chromatic_levels(g):
@@ -380,30 +380,20 @@ def _chitd_outcome(g):
         return None
 
 
-def test_lex_leader_pruning_keeps_values_and_witnesses(monkeypatch):
+def test_chi_and_chitd_searches_look_up_no_group(monkeypatch):
+    def refuse(g):
+        raise AssertionError("the chi and chitd searches need no automorphism group")
+
+    monkeypatch.setattr(oracles, "automorphisms", refuse)
     graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
-    # The pruning tries at most n(n-1) elements of these groups of order 25!,
-    # and none past the 64-vertex cap, where the search looks up no group.
+    # Groups of order 25!, and a star past the automorphism search's vertex cap.
     graphs += [complete_graph(25), star_graph(26), star_graph(66)]
-    pruned = [(_chromatic_levels(g), _chitd_outcome(g)) for g in graphs]
-    monkeypatch.setattr(oracles, "_lex_elements", lambda g: [])
-    for g, (chi_runs, chitd) in zip(graphs, pruned):
-        plain_runs = _chromatic_levels(g)
-        assert [r[:2] for r in chi_runs] == [r[:2] for r in plain_runs], g
-        assert all(a[2] <= b[2] for a, b in zip(chi_runs, plain_runs)), g
-        plain = _chitd_outcome(g)
-        if plain is None:
-            assert chitd is None, g
-            continue
-        assert (chitd.value, chitd.witness) == (plain.value, plain.witness), g
-        assert chitd.nodes <= plain.nodes, g
-
-
-def test_lex_leader_pruning_cuts_chitd_nodes(monkeypatch):
-    # 273 nodes against 496 unpruned.
-    pruned = exact_parameter(petersen_graph(), "chitd").nodes
-    monkeypatch.setattr(oracles, "_lex_elements", lambda g: [])
-    assert pruned < exact_parameter(petersen_graph(), "chitd").nodes
+    for g in graphs:
+        assert _chromatic_levels(g)[-1][0] == "sat", g
+        _chitd_outcome(g)
+    assert exact_parameter(petersen_graph(), "chitd").nodes == 496
+    assert exact_parameter(central(cycle_graph(8)).graph, "chitd").nodes == 330
+    assert exact_parameter(central(_sharp6()).graph, "chitd", cap=6).nodes == 192
 
 
 # --- forward checking of total domination ------------------------------------
