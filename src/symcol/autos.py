@@ -1,18 +1,27 @@
 """Automorphism groups, isomorphism search, and lifting maps.
 
-The engine is classic individualization-refinement: vertices start in one
-class, or in the classes of a given starting coloring, colors are refined by
-sorted neighbor-color profiles until stable, and a smallest non-singleton
-class is split by trying every target vertex.  On the first graph a search
-always individualizes the first vertex of the target class, so that side of
+The engine is classic individualization-refinement on ordered partitions
+(McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
+2014).  Vertices start in one cell, or in the cells of a given starting
+coloring laid out in increasing color order, and a cell's id is its start
+offset.  Refinement runs from a queue of splitter cells: a step pops one and
+splits every cell whose vertices have different numbers of neighbors in it,
+into fragments laid out in increasing count order inside the cell's own
+offset range.  A split cell that was not queued queues all its fragments but
+its first largest (Hopcroft's rule), and the partition is stable, the
+coarsest equitable one, when the queue is empty (a discrete partition
+empties it at once).  A smallest non-singleton
+cell is then split by trying every target vertex: it goes to the cell's last
+offset, and only its singleton cell is queued.  On the first graph a search
+always individualizes the first vertex of the target cell, so that side of
 every node lies on one path, the search's first path.  It is refined once,
-lazily, one round at a time, also when the path is kept for many searches,
-as the family enumeration keeps one per graph of its exact pool.  Colors are
-ranks of one side's profile keys: the second graph is refined alone, and
-each of its rounds is checked against the path's round through the multiset
-of keys, which stops the node at the first difference and otherwise gives
-both sides the same colors.  Every complete leaf is adjacency-checked, so
-refinement only prunes, it never decides.
+lazily, one step at a time, also when the path is kept for many searches,
+as the family enumeration keeps one per graph of its exact pool.  The second
+graph is refined alone, and each of its steps is checked against the path's
+step through the step's trace, the cell ids, counts and fragment sizes of
+its splits, which stops the node at the first difference and otherwise
+gives both sides the same layout.  Every complete leaf is adjacency-checked,
+so refinement only prunes, it never decides.
 
 ``automorphisms`` returns a group as a stabilizer chain read off the search's
 first path: generators, plus one transversal per base point.  Its order is
@@ -25,11 +34,11 @@ group: one search on the colored graph stops at the first automorphism other
 than the identity.
 
 A search may also carry edge labels 0..L-1 and then finds only the maps that
-keep them.  A neighbor u over an edge labelled l is stored as u·L + l, and
-each round reads it as its color times L plus l; with one label that is the
-color itself, so unlabelled searches are exactly as without labels.  The
-verifier's edge colors are such labels, so an edge-colored graph is searched
-on its own vertices.
+keep them.  A neighbor over an edge labelled l weighs (n+1)^l where a step
+counts neighbors, and a leaf must map each edge onto one of the same
+weight; with one label every weight is 1, so unlabelled searches are
+exactly as without labels.  The verifier's edge colors are such labels, so
+an edge-colored graph is searched on its own vertices.
 
 Two caps bound the work, each raising BudgetExceededError: every search
 refuses a graph of more than ``VERTEX_CAP`` vertices, and a group of more
@@ -42,7 +51,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from itertools import chain
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -135,168 +145,226 @@ def is_automorphism(g: Graph, perm: Permutation) -> bool:
     return True
 
 
-def _spread(values: list[int], width: int) -> list[int]:
-    """values[u]·L + l at index u·L + l, for L = ``width`` edge labels: what
-    a neighbor entry u·L + l reads.  With one label it is ``values`` itself."""
-    if width == 1:
-        return values
-    return [x * width + label for x in values for label in range(width)]
+def _partition(colors: list[int]) -> tuple[list[int], list, list[int]]:
+    """The ordered partition of a starting coloring, with every cell queued.
 
-
-def _refine(nbrs: list[list[int]], colors: list[int], width: int) -> tuple[tuple, list[int], bool]:
-    """One refinement round of one coloring.
-
-    Each vertex's key is its color and its sorted neighbor colors, a
-    neighbor over an edge labelled l of ``width`` labels read as its color
-    times ``width`` plus l; the new colors rank the keys.  Returns the
-    round's trace, the multiset of keys as the sorted distinct keys plus the
-    sorted new colors (the class sizes), the new colors, and whether they
-    are stable (equal to the old ones).  Two colorings with equal multisets
-    of colors and equal traces get equal new colors for equal keys, and are
-    stable together, so a second graph is compared with the first round by
-    round through the traces alone.
+    Returns the cell id of each vertex, the cells and the queue.  A cell's
+    id is its start offset; ``cells[c]`` lists the vertices of the cell with
+    id c in increasing order (other offsets hold stale entries).  The
+    classes are laid out in increasing color order.
     """
-    look = _spread(colors, width)
-    keys = [(c, *sorted(map(look.__getitem__, nb))) for c, nb in zip(colors, nbrs)]
-    distinct = sorted(set(keys))
-    rank = {key: i for i, key in enumerate(distinct)}
-    new = [rank[k] for k in keys]
-    return (distinct, sorted(new)), new, new == colors
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    ids = [0] * len(colors)
+    cells: list = [None] * len(colors)
+    queue = []
+    offset = 0
+    for c in sorted(classes):
+        cells[offset] = cell = classes[c]
+        for v in cell:
+            ids[v] = offset
+        queue.append(offset)
+        offset += len(cell)
+    return ids, cells, queue
 
 
-def _target_class(colors: list[int]) -> int | None:
-    """The color of a smallest class with more than one vertex, if any."""
-    size: dict[int, int] = {}
-    for c in colors:
-        size[c] = size.get(c, 0) + 1
-    return min(((sz, c) for c, sz in size.items() if sz > 1), default=(0, None))[1]
+def _step(nbrs: list[dict[int, int]], weighted: bool, ids: list[int], cells: list, queue: list[int]) -> tuple:
+    """One refinement step of an ordered partition, in place.
+
+    Pops the first queued splitter and sums, for each vertex, the weights
+    ``nbrs[v][u]`` of its neighbors u in it (all 1 unless ``weighted``).  A
+    cell whose sums differ splits into fragments laid out in increasing sum
+    order from its own offset, so the first keeps its id and none leaves the
+    cell's offset range.  A split cell that was queued queues all its new
+    fragments; one that was not queues all but its first largest (Hopcroft's
+    rule).  Returns the step's trace: the (cell id, sums, sizes) of each
+    split, by cell id.  Two partitions with equal layouts and queues keep
+    them equal through steps with equal traces, so a second graph is
+    compared with the first step by step through the traces alone.
+    """
+    splitter = cells[queue.pop(0)]
+    if len(splitter) == 1:
+        counts = nbrs[splitter[0]]
+    elif weighted:
+        counts = Counter()
+        for w in splitter:
+            counts.update(nbrs[w])
+    else:
+        counts = Counter(chain.from_iterable(map(nbrs.__getitem__, splitter)))
+    touched: dict[int, list[int]] = {}
+    for u in counts:
+        c = ids[u]
+        if len(cells[c]) > 1:
+            touched.setdefault(c, []).append(u)
+    trace = []
+    for c in sorted(touched):
+        cell = cells[c]
+        hit = touched[c]
+        if len(hit) == len(cell) and len(set(map(counts.__getitem__, hit))) == 1:
+            continue
+        fragments: dict[int, list[int]] = {}
+        for u in cell:
+            fragments.setdefault(counts.get(u, 0), []).append(u)
+        keys = sorted(fragments)
+        sizes = [len(fragments[k]) for k in keys]
+        keep = 0 if c in queue else sizes.index(max(sizes))
+        offset = c
+        for i, k in enumerate(keys):
+            cells[offset] = fragment = fragments[k]
+            if i:
+                for u in fragment:
+                    ids[u] = offset
+            if i != keep:
+                queue.append(offset)
+            offset += sizes[i]
+        trace.append((c, tuple(keys), tuple(sizes)))
+    if trace and len(set(ids)) == len(ids):
+        queue.clear()  # a discrete partition splits no further
+    return tuple(trace)
 
 
-def _individualize(colors: list[int], v: int) -> list[int]:
-    out = colors.copy()
-    out[v] = len(colors)
-    return out
+def _individualize(ids: list[int], cells: list, u: int) -> tuple[list[int], list, list[int]]:
+    """A copy of a stable partition with u split off its cell c: the rest
+    keeps id c, u goes to the cell's last offset, and only {u} is queued."""
+    c = ids[u]
+    cell = cells[c]
+    last = c + len(cell) - 1
+    ids = ids.copy()
+    cells = cells.copy()
+    cells[c] = [x for x in cell if x != u]
+    cells[last] = [u]
+    ids[u] = last
+    return ids, cells, [last]
 
 
-def _neighbors(g: Graph) -> list[list[int]]:
-    return [list(iter_bits(m)) for m in g.adj]
+def _target_cell(cells: list) -> int | None:
+    """The id of the first smallest cell with more than one vertex, if any."""
+    best, size = None, len(cells) + 1
+    c = 0
+    while c < len(cells):
+        k = len(cells[c])
+        if 1 < k < size:
+            best, size = c, k
+        c += k
+    return best
+
+
+def _neighbors(g: Graph) -> list[dict[int, int]]:
+    """Each vertex's neighbors, each with weight 1."""
+    return [dict.fromkeys(iter_bits(m), 1) for m in g.adj]
 
 
 class _Path:
     """The first graph's side of a search.
 
     At every node that side individualizes the first vertex of the target
-    class, so all its nodes lie on one path, one per depth.  Each is refined
-    one round at a time, only as far as some node of the second graph at that
+    cell, so all its nodes lie on one path, one per depth.  Each is refined
+    one step at a time, only as far as some node of the second graph at that
     depth has matched it, and never twice, so a path kept for many searches
     against one graph refines that graph once.
 
     ``labels``, aligned with ``g.edges()``, label the edges 0..L-1, and
-    every isomorphism found keeps them.  ``nbrs[v]`` holds u·L + l and
-    ``masks[v]`` has bit u·L + l set for each edge {v, u} labelled l; with
-    one label they are g's own.  A labelled path is searched against its
-    own graph only.
+    every isomorphism found keeps them: ``nbrs[v][u]`` is (n+1)^l for the
+    edge {v, u} labelled l, so a step's sum over a splitter tells every
+    label's count apart (each is below n+1).  Unlabelled, every weight is 1.
+    A labelled path is searched against its own graph only.
     """
 
-    __slots__ = ("graph", "nbrs", "width", "masks", "colors", "traces", "ends", "targets")
+    __slots__ = ("graph", "nbrs", "weighted", "parts", "queue", "traces", "ends", "targets")
 
     def __init__(
         self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None
     ) -> None:
         self.graph = g
-        self.width = width = 1 if labels is None else max(labels, default=0) + 1
-        if width == 1:
-            self.nbrs = _neighbors(g)
-            self.masks = g.adj
-        else:
-            self.nbrs = [[] for _ in range(g.n)]
-            self.masks = [0] * g.n
+        self.weighted = labels is not None and any(labels)
+        if self.weighted:
+            self.nbrs = [{} for _ in range(g.n)]
             for (u, v), label in zip(g.edges(), labels):
-                self.nbrs[u].append(v * width + label)
-                self.nbrs[v].append(u * width + label)
-                self.masks[u] |= 1 << (v * width + label)
-                self.masks[v] |= 1 << (u * width + label)
-        # The coloring of each depth after the rounds made so far, and the
-        # traces of all rounds, depth after depth.  A depth is stable once it
-        # has a target class (None at the leaf) and the end of its rounds in
-        # ``traces``; the next depth starts with the class's first vertex
-        # individualized.
-        self.colors = [[0] * g.n if colors is None else list(colors)]
+                self.nbrs[u][v] = self.nbrs[v][u] = (g.n + 1) ** label
+        else:
+            self.nbrs = _neighbors(g)
+        # The partition (cell ids, cells) of each depth after the steps made
+        # so far, the deepest depth's queue, and the traces of all steps,
+        # depth after depth.  A depth is stable once it has a target cell
+        # (None at the leaf) and the end of its steps in ``traces``; the next
+        # depth starts with the cell's first vertex individualized.
+        ids, cells, self.queue = _partition([0] * g.n if colors is None else colors)
+        self.parts = [(ids, cells)]
         self.traces: list = []
         self.ends: list[int] = []
         self.targets: list[int | None] = []
 
-    def _round(self) -> None:
-        """One more round at the deepest depth, which is not yet stable."""
-        trace, new, stable = _refine(self.nbrs, self.colors[-1], self.width)
-        self.traces.append(trace)
-        self.colors[-1] = new
-        if stable:
-            c = _target_class(new)
+    def _advance(self) -> None:
+        """One more step at the deepest depth, which is not yet stable."""
+        ids, cells = self.parts[-1]
+        if self.queue:
+            self.traces.append(_step(self.nbrs, self.weighted, ids, cells, self.queue))
+        if not self.queue:
+            c = _target_cell(cells)
             self.targets.append(c)
             self.ends.append(len(self.traces))
             if c is not None:
-                self.colors.append(_individualize(new, new.index(c)))
+                ids, cells, self.queue = _individualize(ids, cells, cells[c][0])
+                self.parts.append((ids, cells))
 
     def target(self, depth: int) -> int | None:
-        """The target class at ``depth``, refining the path down to it."""
+        """The target cell at ``depth``, refining the path down to it."""
         while len(self.targets) <= depth:
-            self._round()
+            self._advance()
         return self.targets[depth]
 
     def matches(self, depth: int, r: int, trace: tuple) -> bool:
-        """Whether round r of a second-graph node at ``depth`` has the trace
-        of the path's round r, and so its stability too."""
+        """Whether step r of a second-graph node at ``depth`` has the trace
+        of the path's step r."""
         i = (self.ends[depth - 1] if depth else 0) + r
         if i == len(self.traces) and depth == len(self.ends):
-            self._round()
+            self._advance()
         end = self.ends[depth] if depth < len(self.ends) else len(self.traces)
         return i < end and self.traces[i] == trace
 
 
 def _walk(
-    path: _Path, depth: int, nbrs_h: list[list[int]], ch: list[int], same: bool
+    path: _Path, depth: int, nbrs_h: list[dict[int, int]], part: tuple | None, same: bool
 ) -> Iterator[Permutation]:
     """Every isomorphism below the search node at ``depth`` whose second-graph
-    coloring is ch, in search order.
+    partition is ``part`` (cell ids, cells, queue), in search order.
 
-    Only the second graph is refined; each round is checked against the
-    path's round.  The node's children individualize the path's vertex
-    against each vertex of the target class on the second graph in turn.
-    ``same`` says that the node is the path's own (the same graph and
-    coloring), so it is not refined at all.
+    ``part`` starts with the layout and queue of the path's partition at
+    that depth.  Only the second graph is refined; each step is checked
+    against the path's step, so both reach stability together.  The node's
+    children individualize the path's vertex against each vertex of the
+    target cell on the second graph in turn.  ``same`` says that the node is
+    the path's own (the same graph and partition), so it is not refined at
+    all and ``part`` is not read.
     """
     if same:
         path.target(depth)
-        ch = path.colors[depth]
+        ids, cells = path.parts[depth]
     else:
+        ids, cells, queue = part
         r = 0
-        while True:
-            trace, ch, stable = _refine(nbrs_h, ch, path.width)
-            if not path.matches(depth, r, trace):
+        while queue:
+            if not path.matches(depth, r, _step(nbrs_h, path.weighted, ids, cells, queue)):
                 return
-            if stable:
-                break
             r += 1
-    c = path.targets[depth]
+    c = path.target(depth)
     if c is None:
         # Everything is singleton on both sides: read off the bijection.
         # The edge counts agree, so it is an isomorphism if it maps every
-        # edge of h back onto an edge of g with the same label.
-        where_g = {c: v for v, c in enumerate(path.colors[depth])}
-        back = [where_g[c] for c in ch]
-        masks = path.masks
-        back_entry = _spread(back, path.width)
-        for x, nbrs in enumerate(nbrs_h):
-            row = masks[back[x]]
-            for y in nbrs:
-                if not row >> back_entry[y] & 1:
+        # edge of h back onto an edge of g with the same weight.
+        cells_g = path.parts[depth][1]
+        back = [cells_g[k][0] for k in ids]
+        for x, row in enumerate(nbrs_h):
+            row_g = path.nbrs[back[x]]
+            for y, weight in row.items():
+                if row_g.get(back[y]) != weight:
                     return
         yield invert(back)
         return
-    v = ch.index(c) if same else None
-    for u in (x for x in range(len(ch)) if ch[x] == c):
-        yield from _walk(path, depth + 1, nbrs_h, _individualize(ch, u), same and u == v)
+    v = cells[c][0] if same else None
+    for u in cells[c]:
+        yield from _walk(path, depth + 1, nbrs_h, _individualize(ids, cells, u), same and u == v)
 
 
 def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
@@ -305,8 +373,10 @@ def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
     g = path.graph
     if g.n != h.n or g.edge_count() != h.edge_count():
         return
-    same = g == h
-    yield from _walk(path, 0, path.nbrs if same else _neighbors(h), start, same)
+    if g == h:
+        yield from _walk(path, 0, path.nbrs, None, True)
+    else:
+        yield from _walk(path, 0, _neighbors(h), _partition(start), False)
 
 
 def _isomorphisms(
@@ -314,9 +384,9 @@ def _isomorphisms(
 ) -> Iterator[Permutation]:
     """All isomorphisms g -> h, in deterministic search order.
 
-    ``colors`` is the starting partition of both graphs, as ints below n
-    (default: one class); only isomorphisms that keep it are found.  Edge
-    ``labels`` (see ``_Path``) are kept too; they need h to be g.
+    ``colors`` is the starting coloring of both graphs (default: one class);
+    only isomorphisms that keep it are found.  Edge ``labels`` (see
+    ``_Path``) are kept too; they need h to be g.
     """
     start = [0] * g.n if colors is None else list(colors)
     return _search(_Path(g, start, labels=labels), h, start)
@@ -341,7 +411,7 @@ def _stabilizer_chain(g: Graph) -> AutGroup:
 
     The first path individualizes base points v_0, v_1, ... and ends in the
     identity.  Going up from its deepest node, each point u of the target
-    class at level i that the generators found so far do not already reach
+    cell at level i that the generators found so far do not already reach
     from v_i gets one search: the first leaf of the branch that
     individualizes u against v_i, if any, is an automorphism fixing
     v_0..v_{i-1} and mapping v_i to u, and a new generator.  The generators
@@ -358,13 +428,14 @@ def _stabilizer_chain(g: Graph) -> AutGroup:
     generators: list[Permutation] = []
     transversals = []
     for depth in reversed(range(levels)):
-        colors = path.colors[depth]
-        v = colors.index(path.targets[depth])
+        ids, cells = path.parts[depth]
+        target = cells[path.targets[depth]]
+        v = target[0]
         reps = {v: identity}
-        for u in range(n):
-            if colors[u] != colors[v] or u in reps:
+        for u in target:
+            if u in reps:
                 continue
-            branch = _walk(path, depth + 1, path.nbrs, _individualize(colors, u), False)
+            branch = _walk(path, depth + 1, path.nbrs, _individualize(ids, cells, u), False)
             leaf = next(branch, None)
             if leaf is not None:
                 generators.append(leaf)

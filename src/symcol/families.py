@@ -5,9 +5,9 @@ exhaustive generation", J. Algorithms 26, 1998).  Each graph of order n is
 made from the representatives of order n-1 by adding a vertex v joined to a
 mask of the parent's vertices, one mask per orbit of the parent's group on
 masks.  A child is accepted only if v lies in its canonical cell: refine the
-child to stability from one class, and take the deletable vertices (those
-whose removal leaves a graph of the family) of the highest color among them.
-The colors are ranks of isomorphism-invariant keys and refine the degree
+child to stability from one cell, and take the deletable vertices (those
+whose removal leaves a graph of the family) of the highest cell among them.
+The cells are ordered by isomorphism-invariant counts and refine the degree
 order, so a deletable vertex of higher degree than v rejects the child before
 any refinement.
 
@@ -34,10 +34,11 @@ from typing import Callable, Iterable, Sequence
 from .autos import (
     Permutation,
     _first_isomorphism,
-    _individualize,
+    _neighbors,
+    _partition,
     _Path,
-    _refine,
     _stabilizer_chain,
+    _step,
     _walk,
     vertex_orbits,
 )
@@ -85,16 +86,17 @@ def _mask_orbit_reps(parent: Graph, masks: Sequence[int]) -> list[int]:
 
 
 def _canonical_cell(
-    nbrs: list[list[int]], mask: int, deletable: Callable[[int, int], bool]
+    nbrs: list[dict[int, int]], mask: int, deletable: Callable[[int, int], bool]
 ) -> list[int] | None:
-    """The deletable vertices of the highest stable color, if the new vertex
+    """The deletable vertices of the highest stable cell, if the new vertex
     (the last) is among them; else None.
 
-    Each round ranks keys that start with the old color, so a vertex ranked
-    above another stays above it: the refinement stops as soon as no
-    deletable vertex shares v's color, or one is ranked above it.  The first
-    round ranks the degrees, so a deletable vertex of higher degree rejects
-    the child before any round is run.
+    Cell ids are offsets, and each step lays a cell's fragments out inside
+    its own offset range, so a vertex ranked above another stays above it:
+    the refinement stops as soon as no deletable vertex shares v's cell, or
+    one is ranked above it.  The first step splits the one cell by degree,
+    so a deletable vertex of higher degree rejects the child before any step
+    is run.
     """
     v = len(nbrs) - 1
     degree = len(nbrs[v])
@@ -104,30 +106,36 @@ def _canonical_cell(
             if len(nbrs[w]) > degree:
                 return None
             rivals.append(w)
-    colors = [0] * len(nbrs)
-    stable = False
-    while rivals and not stable:
-        _, colors, stable = _refine(nbrs, colors, 1)
-        top = colors[v]
-        if any(colors[w] > top for w in rivals):
+    ids, cells, queue = _partition([0] * len(nbrs))
+    while rivals and queue:
+        _step(nbrs, False, ids, cells, queue)
+        top = ids[v]
+        if any(ids[w] > top for w in rivals):
             return None
-        rivals = [w for w in rivals if colors[w] == top]
+        rivals = [w for w in rivals if ids[w] == top]
     return [v, *rivals]
+
+
+def _pinned(n: int, v: int) -> list[int]:
+    """The coloring of 0..n-1 that sets v apart from the rest."""
+    colors = [0] * n
+    colors[v] = 1
+    return colors
 
 
 def _one_orbit(g: Graph, cell: list[int]) -> bool:
     """Whether the vertices of ``cell`` form one orbit of Aut(g)."""
     if len(cell) == 1:
         return True
-    v, unit = cell[0], [0] * g.n
-    path = _Path(g, _individualize(unit, v))
+    v = cell[0]
+    path = _Path(g, _pinned(g.n, v))
     found: list[Permutation] = []
     orbits = list(range(g.n))
     for w in cell[1:]:
         if orbits[w] == orbits[v]:
             continue
         # The first automorphism mapping v to w, if any.
-        phi = next(_walk(path, 0, path.nbrs, _individualize(unit, w), False), None)
+        phi = next(_walk(path, 0, path.nbrs, _partition(_pinned(g.n, w)), False), None)
         if phi is None:
             return False
         found.append(phi)
@@ -145,11 +153,11 @@ def _augment(parents: Iterable[Graph], masks: Sequence[int], deletable: Deletabl
     for parent in parents:
         v = parent.n
         bit = 1 << v
-        parent_nbrs = [list(iter_bits(m)) for m in parent.adj]
+        parent_nbrs = _neighbors(parent)
         may_delete = deletable(parent)
         for mask in _mask_orbit_reps(parent, masks):
-            nbrs = [nb + [v] if mask >> u & 1 else nb for u, nb in enumerate(parent_nbrs)]
-            nbrs.append(list(iter_bits(mask)))
+            nbrs = [{**nb, v: 1} if mask >> u & 1 else nb for u, nb in enumerate(parent_nbrs)]
+            nbrs.append(dict.fromkeys(iter_bits(mask), 1))
             cell = _canonical_cell(nbrs, mask, may_delete)
             if cell is None:
                 continue

@@ -9,9 +9,11 @@ that numbers edges (subdivision vertices, edge colorings) relies on it.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import Graph6Error
 
@@ -111,17 +113,24 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges (i, j) with i < j, in column-major order by (j, i)."""
-        out = []
-        for j in range(self.n):
-            for i in iter_bits(self.adj[j] & ((1 << j) - 1)):
-                out.append((i, j))
-        return out
+    @functools.cached_property
+    def _edge_tuple(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for j in range(self.n) for i in iter_bits(self.adj[j] & ((1 << j) - 1)))
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map each edge (i, j), i < j, to its position in edges()."""
-        return {e: k for k, e in enumerate(self.edges())}
+    @functools.cached_property
+    def _edge_positions(self) -> dict[tuple[int, int], int]:
+        return {e: k for k, e in enumerate(self._edge_tuple)}
+
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges (i, j) with i < j, in column-major order by (j, i).
+
+        Built once per graph; each call returns a fresh list of them."""
+        return list(self._edge_tuple)
+
+    def edge_index(self) -> Mapping[tuple[int, int], int]:
+        """Map each edge (i, j), i < j, to its position in edges(), as a
+        read-only view built once per graph."""
+        return MappingProxyType(self._edge_positions)
 
     # --- traversal -------------------------------------------------------
 

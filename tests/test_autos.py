@@ -28,6 +28,7 @@ from symcol.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     path_graph,
     petersen_graph,
@@ -167,6 +168,109 @@ def test_kept_paths_find_exactly_the_isomorphisms():
                     found = autos._first_isomorphism(path, target)
                     assert (found is not None) == (g is h), (g, target)
                     assert found is None or g.relabel(found) == target
+
+
+def _transforms(g):
+    return (g, line_graph(g)[0], subdivision(g).graph, central(g).graph,
+            middle(g).graph, endline(g).graph)
+
+
+def _run_steps(nbrs, weighted, part):
+    """Run the engine's steps on ``part`` until stable; return the traces."""
+    ids, cells, queue = part
+    traces = []
+    while queue:
+        traces.append(autos._step(nbrs, weighted, ids, cells, queue))
+    return traces
+
+
+def _blocks(colors):
+    """A coloring as a set partition."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, set()).add(v)
+    return {frozenset(cell) for cell in classes.values()}
+
+
+def _coarsest_equitable(labelled, colors):
+    """The coarsest equitable partition refining ``colors``, by rounds of
+    sorted (color, label) neighbor profiles; ``labelled[v]`` lists the pairs
+    (u, l) of the edges {v, u} labelled l.  Independent of symcol.autos."""
+    while True:
+        keys = [(colors[v], sorted((colors[u], l) for u, l in labelled[v]))
+                for v in range(len(colors))]
+        distinct = sorted({repr(k) for k in keys})
+        new = [distinct.index(repr(k)) for k in keys]
+        if len(set(new)) == len(set(colors)):
+            return _blocks(new)
+        colors = new
+
+
+def _check_coarsest_equitable(g, labels=None):
+    labelled = [[] for _ in range(g.n)]
+    for (u, v), label in zip(g.edges(), labels or [0] * g.edge_count()):
+        labelled[u].append((v, label))
+        labelled[v].append((u, label))
+    path = autos._Path(g, labels=labels)
+    part = autos._partition([0] * g.n)
+    _run_steps(path.nbrs, path.weighted, part)
+    ids, cells, _ = part
+    assert _blocks(ids) == _coarsest_equitable(labelled, [0] * g.n), g
+    for v in range(g.n):
+        child = autos._individualize(ids, cells, v)
+        _run_steps(path.nbrs, path.weighted, child)
+        pinned = ids.copy()
+        pinned[v] = g.n
+        assert _blocks(child[0]) == _coarsest_equitable(labelled, pinned), (g, v)
+
+
+def test_refinement_reaches_the_coarsest_equitable_partition():
+    # Hopcroft's rule leaves the largest fragment of an unqueued cell out of
+    # the queue; a split it drops would leave a partition that is stable for
+    # the engine and not equitable.
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            for h in _transforms(g):
+                _check_coarsest_equitable(h)
+
+
+def test_labelled_refinement_reaches_the_coarsest_equitable_partition():
+    # C(K4) is 12 subdivision edges; label them by three edge colors, two
+    # ways, and the Petersen graph's edges by four.
+    c = central(complete_graph(4)).graph
+    m = c.edge_count()
+    for labels in ([k % 3 for k in range(m)], [k // 4 for k in range(m)]):
+        _check_coarsest_equitable(c, labels)
+    rng = random.Random(41)
+    p = petersen_graph()
+    _check_coarsest_equitable(p, [rng.randrange(4) for _ in range(p.edge_count())])
+    # C4 + K2 with the K2 labelled 1: a weight that let two label-0 edges sum
+    # like one label-1 edge would leave all six vertices in one cell.
+    g = disjoint_union(cycle_graph(4), path_graph(2))
+    _check_coarsest_equitable(g, [int(u >= 4) for u, _ in g.edges()])
+
+
+def test_traces_are_invariant_under_relabelling():
+    # Cell ids are offsets of an ordered partition built from invariant
+    # counts, so a relabelled graph takes the same steps, and vertex x of g
+    # and its image perm[x] get the same cell id, from the unit partition
+    # and from individualizing corresponding vertices.
+    rng = random.Random(43)
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            nbrs_g, nbrs_h = autos._neighbors(g), autos._neighbors(h)
+            part_g, part_h = autos._partition([0] * n), autos._partition([0] * n)
+            assert _run_steps(nbrs_g, False, part_g) == _run_steps(nbrs_h, False, part_h), g
+            assert all(part_g[0][x] == part_h[0][perm[x]] for x in range(n)), g
+            for x in range(n):
+                child_g = autos._individualize(*part_g[:2], x)
+                child_h = autos._individualize(*part_h[:2], perm[x])
+                assert _run_steps(nbrs_g, False, child_g) == _run_steps(nbrs_h, False, child_h), (g, x)
+                # Equal ids at corresponding vertices give equal cell sizes too.
+                assert all(child_g[0][y] == child_h[0][perm[y]] for y in range(n)), (g, x)
 
 
 def test_chain_check_builds_no_elements():

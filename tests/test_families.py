@@ -4,6 +4,7 @@ forms that do not use the library's isomorphism search, and sanity checks."""
 from __future__ import annotations
 
 import itertools
+import random
 from collections import defaultdict
 
 import pytest
@@ -118,6 +119,28 @@ def test_trees_match_ahu_strings():
         assert len(set(forms)) == len(forms), n
         assert set(forms) == {_ahu(t.add_vertex(1 << v)) for t in prev for v in range(n - 1)}, n
         prev = all_trees(n)
+
+
+def test_canonical_cell_is_invariant_under_relabelling():
+    # Put each vertex x of g last in turn, the rest in a seeded random order:
+    # the canonical cell must be found exactly when x lies in it, and must
+    # then be the same set of g's vertices.
+    rng = random.Random(47)
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            found = {}
+            for x in range(n):
+                rest = [y for y in range(n) if y != x]
+                rng.shuffle(rest)
+                perm = [0] * n
+                for position, y in enumerate([*rest, x]):
+                    perm[y] = position
+                h = g.relabel(perm)
+                nbrs = [dict.fromkeys(h.neighbors(v), 1) for v in range(n)]
+                cell = families._canonical_cell(nbrs, h.adj[n - 1], lambda mask, w: True)
+                if cell is not None:
+                    found[x] = {y for y in range(n) if perm[y] in cell}
+            assert found and all(back == found.keys() for back in found.values()), g
 
 
 def test_connected_graph_count_order_8():

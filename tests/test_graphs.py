@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import types
 
@@ -67,6 +68,20 @@ def test_edges_are_column_major():
     g = complete_graph(4)
     assert g.edges() == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
     assert g.edge_index()[(1, 3)] == 4
+
+
+def test_cached_edges_cannot_be_changed_by_callers():
+    # Both are built once per graph and shared by every caller.
+    g = complete_graph(4)
+    edges = g.edges()
+    edges.append((5, 6))
+    edges[0] = (2, 3)
+    assert g.edges() == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    with pytest.raises(TypeError):
+        g.edge_index()[(0, 1)] = 9
+    assert g.edge_index()[(0, 1)] == 0
+    # A graph that cached them still pickles, for the worker pools.
+    assert pickle.loads(pickle.dumps(g)).edge_index() == g.edge_index()
 
 
 def test_basic_queries():

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every module-level import is used."""
+"""Source checks that need no linter: every module-level import is used, and
+every private top-level name is read somewhere in the package."""
 
 from __future__ import annotations
 
@@ -55,3 +56,72 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions, classes and constants of the modules
+    ``sources`` (module name to source) that the package never reads.
+
+    A name counts as read where it appears as an identifier or an attribute
+    outside the statement that defines it (a recursive call does not
+    count), or where another module imports it by name.
+    """
+    defined: list[tuple[str, int, str]] = []
+    read: set[tuple[str, str]] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = []
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module and stmt.level:
+                origin = stmt.module.rpartition(".")[2]
+                read |= {(origin, alias.name) for alias in stmt.names}
+            defined += [(module, stmt.lineno, name) for name in names if _private(name)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id not in names:
+                    read.add((module, node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    read.add((node.value.id, node.attr))
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if (module, name) not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "autos": (
+            "_CAP = 3\n"
+            "_unused = {}\n"
+            "def _kept(x):\n"
+            "    return x + _CAP\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Exported:\n"
+            "    pass\n"
+            "def _via_module():\n"
+            "    pass\n"
+            "def run():\n"
+            "    return _kept(1)\n"
+        ),
+        "families": (
+            "from . import autos\n"
+            "from .autos import _Exported\n"
+            "def _leftover():\n"
+            "    return _Exported(), autos._via_module()\n"
+        ),
+    }
+    assert unread_private_names(sources) == [
+        "autos line 2: _unused",
+        "autos line 5: _recursive",
+        "families line 3: _leftover",
+    ]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({path.stem: path.read_text() for path in SOURCES}) == []
