@@ -40,12 +40,12 @@ weight; with one label every weight is 1, so unlabelled searches are
 exactly as without labels.  The verifier's edge colors are such labels, so
 an edge-colored graph is searched on its own vertices.
 
-Two caps bound the work, each raising BudgetExceededError: every search
-refuses a graph of more than ``VERTEX_CAP`` vertices, and a group of more
-than ``ELEMENT_CAP`` elements is never multiplied out.  The vertex cap
-bounds the graph that is searched, which for an edge coloring is the colored
-graph itself: C(K7) has 28 vertices, where its subdivision graph has 70.
-Building a group and reading its order or generators has no order cap."""
+Each public search (one ``automorphisms`` call, one ``find_isomorphism``,
+one distinguishing verifier search) is charged: it counts its nodes against
+the budget the oracles read, and raises BudgetExceededError past it.  A
+cached group keeps its count, so a hit raises where its search would.  The
+family enumeration is not charged.  A group of more than ``ELEMENT_CAP``
+elements is never multiplied out; its order and generators have no cap."""
 
 from __future__ import annotations
 
@@ -53,17 +53,16 @@ import functools
 import math
 from collections import Counter, OrderedDict
 from itertools import chain
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _resolve_budget
 from .graphs import GRAPH6_MAX_ORDER, Graph, encode_graph6, iter_bits
 from .transforms import central, endline, line_graph, middle, subdivision
 
 __all__ = [
     "Permutation",
     "AutGroup",
-    "VERTEX_CAP",
     "ELEMENT_CAP",
     "automorphisms",
     "find_isomorphism",
@@ -79,9 +78,6 @@ __all__ = [
 
 Permutation = tuple[int, ...]
 
-# The transforms blow a graph up quadratically (C(G) of an order-7 graph has
-# up to 28 vertices), so the search cap leaves room past the base graphs.
-VERTEX_CAP = 64
 ELEMENT_CAP = 10**7
 
 
@@ -92,12 +88,13 @@ class AutGroup:
     ``transversals[i]`` holds one element per point of the i-th basic orbit,
     mapping the i-th base point there and fixing the base points before it,
     so every element is one product t_0 t_1 ... t_k (t_k applied first) of
-    one representative per level.
+    one representative per level.  ``nodes`` counts its search's nodes.
     """
 
     n: int
     generators: tuple[Permutation, ...]
     transversals: tuple[tuple[Permutation, ...], ...]
+    nodes: int = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -268,15 +265,20 @@ class _Path:
     every isomorphism found keeps them: ``nbrs[v][u]`` is (n+1)^l for the
     edge {v, u} labelled l, so a step's sum over a splitter tells every
     label's count apart (each is below n+1).  Unlabelled, every weight is 1.
-    A labelled path is searched against its own graph only.
+    A labelled path is searched against its own graph only.  ``nodes``
+    counts the nodes of all its searches, which raise past ``budget``.
     """
 
-    __slots__ = ("graph", "nbrs", "weighted", "parts", "queue", "traces", "ends", "targets")
+    __slots__ = ("graph", "nbrs", "weighted", "parts", "queue", "traces", "ends", "targets",
+                 "nodes", "budget")
 
     def __init__(
-        self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None
+        self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None,
+        budget: float = math.inf,
     ) -> None:
         self.graph = g
+        self.nodes = 0
+        self.budget = budget
         self.weighted = labels is not None and any(labels)
         if self.weighted:
             self.nbrs = [{} for _ in range(g.n)]
@@ -338,6 +340,9 @@ def _walk(
     the path's own (the same graph and partition), so it is not refined at
     all and ``part`` is not read.
     """
+    path.nodes += 1
+    if path.nodes > path.budget:
+        raise _exhausted(path.graph, path.budget)
     if same:
         path.target(depth)
         ids, cells = path.parts[depth]
@@ -380,7 +385,8 @@ def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
 
 
 def _isomorphisms(
-    g: Graph, h: Graph, colors: list[int] | None = None, labels: list[int] | None = None
+    g: Graph, h: Graph, colors: list[int] | None = None, labels: list[int] | None = None,
+    budget: float = math.inf,
 ) -> Iterator[Permutation]:
     """All isomorphisms g -> h, in deterministic search order.
 
@@ -389,7 +395,7 @@ def _isomorphisms(
     ``_Path``) are kept too; they need h to be g.
     """
     start = [0] * g.n if colors is None else list(colors)
-    return _search(_Path(g, start, labels=labels), h, start)
+    return _search(_Path(g, start, labels, budget), h, start)
 
 
 def _orbit(v: int, generators: list[Permutation], identity: Permutation) -> dict[int, Permutation]:
@@ -406,7 +412,7 @@ def _orbit(v: int, generators: list[Permutation], identity: Permutation) -> dict
     return reps
 
 
-def _stabilizer_chain(g: Graph) -> AutGroup:
+def _stabilizer_chain(g: Graph, budget: float = math.inf) -> AutGroup:
     """Aut(g) as the pointwise stabilizer chain of the search's first path.
 
     The first path individualizes base points v_0, v_1, ... and ends in the
@@ -420,7 +426,7 @@ def _stabilizer_chain(g: Graph) -> AutGroup:
     graph isomorphism, II", J. Symb. Comput. 60, 2014).
     """
     n = g.n
-    path = _Path(g)
+    path = _Path(g, budget=budget)
     identity = tuple(range(n))
     levels = 0
     while path.target(levels) is not None:
@@ -441,21 +447,22 @@ def _stabilizer_chain(g: Graph) -> AutGroup:
                 generators.append(leaf)
                 reps = _orbit(v, generators, identity)
         transversals.append(tuple(reps[u] for u in sorted(reps)))
-    return AutGroup(n, tuple(generators), tuple(reversed(transversals)))
+    return AutGroup(n, tuple(generators), tuple(reversed(transversals)), path.nodes)
+
+
+def _exhausted(g: Graph, budget: float) -> BudgetExceededError:
+    message = f"node budget of {budget} exhausted by an automorphism search on {g.n} vertices"
+    return BudgetExceededError(message, nodes=budget + 1)
 
 
 def _nontrivial_automorphism(
     g: Graph, colors: list[int], labels: list[int] | None
 ) -> Permutation | None:
     """The first automorphism of g that keeps ``colors`` and the edge
-    ``labels`` (see ``_Path``) and is not the identity."""
+    ``labels`` (see ``_Path``) and is not the identity; charged."""
     identity = tuple(range(g.n))
-    return next((p for p in _isomorphisms(g, g, colors, labels) if p != identity), None)
-
-
-def _check_order(n: int) -> None:
-    if n > VERTEX_CAP:
-        raise BudgetExceededError(f"graph order {n} exceeds the {VERTEX_CAP}-vertex enumeration cap")
+    found = _isomorphisms(g, g, colors, labels, _resolve_budget(None))
+    return next((p for p in found if p != identity), None)
 
 
 # Large enough for every graph one oracle pass or one construction re-reads.
@@ -464,27 +471,30 @@ _aut_cache: OrderedDict[Graph, AutGroup] = OrderedDict()
 
 
 def automorphisms(g: Graph) -> AutGroup:
-    """The full automorphism group, as a stabilizer chain."""
-    _check_order(g.n)
+    """The full automorphism group, as a stabilizer chain; charged, also
+    when the group comes from the cache."""
+    budget = _resolve_budget(None)
     group = _aut_cache.get(g)
     if group is None:
-        group = _aut_cache[g] = _stabilizer_chain(g)
+        group = _aut_cache[g] = _stabilizer_chain(g, budget)
         if len(_aut_cache) > _AUT_CACHE_SIZE:
             _aut_cache.popitem(last=False)
     else:
         _aut_cache.move_to_end(g)
+        if group.nodes > budget:
+            raise _exhausted(g, budget)
     return group
 
 
 def _first_isomorphism(path: _Path, h: Graph) -> Permutation | None:
     """The first isomorphism from the graph of a path started from one
     class to h."""
-    _check_order(max(path.graph.n, h.n))
     return next(_search(path, h, [0] * h.n), None)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
-    return _first_isomorphism(_Path(g), h)
+    """The first isomorphism g -> h, if any; charged."""
+    return _first_isomorphism(_Path(g, budget=_resolve_budget(None)), h)
 
 
 def vertex_orbits(group: Iterable[Permutation], n: int) -> list[int]:

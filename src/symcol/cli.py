@@ -42,17 +42,13 @@ from .errors import (
     ConstructionDefectError,
     Graph6Error,
     NotApplicableError,
+    _check_budget,
+    _resolve_budget,
 )
 from .families import all_trees, connected_graphs, regular_graphs
 from .graphs import Graph, encode_graph6, parse_graph6
 from .latin import icls
-from .oracles import (
-    PARAM_KINDS,
-    _check_budget,
-    _resolve_budget,
-    exact_parameter,
-    upper_bound_witness,
-)
+from .oracles import PARAM_KINDS, exact_parameter, upper_bound_witness
 from .transforms import central, endline, line_graph, middle, subdivision
 
 MAX_BUILTIN_ORDER = 8
@@ -365,7 +361,7 @@ def _source_digest() -> str:
 
 
 def _cache_key(graph6: str, check: str, budget: int | None) -> str:
-    # Oracle calls given no budget read SYMCOL_BUDGET, so both are keyed.
+    # Searches given no budget read SYMCOL_BUDGET, so both are keyed.
     text = f"{graph6}\n{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}\n{_source_digest()}"
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .autos import Permutation, _check_order, _nontrivial_automorphism, is_automorphism
+from .autos import Permutation, _nontrivial_automorphism, is_automorphism
 from .graphs import Graph, encode_graph6, iter_bits, parse_graph6
 
 __all__ = [
@@ -238,8 +238,8 @@ def is_distinguishing(g: Graph, f: TotalColoring, kind: str) -> bool:
     colored search of g itself decides it, up to the first automorphism
     other than the identity: the vertex colors are its starting coloring and
     the edge colors label its edges, and it finds only maps that keep both.
-    No group is enumerated, so only the search's vertex cap applies, to g,
-    and no group order is too large.
+    No group is enumerated, so no group order is too large; the search is
+    held to the node budget and raises BudgetExceededError past it.
     """
     if kind == "vertex":
         view = TotalColoring(_require_vertex_cover(g, f), None)
@@ -249,7 +249,6 @@ def is_distinguishing(g: Graph, f: TotalColoring, kind: str) -> bool:
         view = TotalColoring(_require_vertex_cover(g, f), dict(_require_edge_cover(g, f)))
     else:
         raise ValueError(f"unknown distinguishing kind {kind!r}")
-    _check_order(g.n)
     vc, ec = view.vertex_colors, view.edge_colors
     colors = _ranks(vc) if vc else [0] * g.n
     labels = None if ec is None else _ranks([ec[e] for e in g.edges()])

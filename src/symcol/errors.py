@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the node budget of every search."""
 
 from __future__ import annotations
+
+import contextvars
+import os
+
+DEFAULT_BUDGET = 10**9
 
 
 class SymcolError(Exception):
@@ -20,7 +25,9 @@ class NotApplicableError(SymcolError):
 
 
 class BudgetExceededError(SymcolError):
-    """A search or enumeration ran into its configured resource cap."""
+    """A search ran out of its node budget, or a group was too large to
+    multiply out into its elements.  ``nodes`` is the node count reached,
+    past the budget, when a budget ran out."""
 
     def __init__(self, message: str, *, nodes: int | None = None) -> None:
         super().__init__(message)
@@ -33,3 +40,23 @@ class ConstructionDefectError(SymcolError):
     This must never fire for in-contract inputs; it exists so a defect is loud
     instead of silently producing a bad coloring.
     """
+
+
+# The budget of the check now running, for every search given none; the
+# command line's run_check sets it around each check, and an oracle call
+# around its own searches.
+_check_budget: contextvars.ContextVar[int | None] = contextvars.ContextVar("budget", default=None)
+
+
+def _resolve_budget(budget: int | None) -> int:
+    """``budget``, else that of the running check, else SYMCOL_BUDGET, else
+    ``DEFAULT_BUDGET`` nodes."""
+    if budget is None:
+        budget = _check_budget.get()
+    if budget is not None:
+        return budget
+    text = os.environ.get("SYMCOL_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SYMCOL_BUDGET must be an integer node count, not {text!r}") from None

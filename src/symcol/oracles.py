@@ -13,10 +13,10 @@ count: the parallel search is the sequential one cut into slices, charged in
 the sequential order. ``nodes`` and the budget cover every search a call
 makes, the chromatic-number search behind the chitd lower bound included.
 The distinguishing kinds (D, Dp, Dpp, chi2D) track every element of the
-graph's automorphism group, lifted to the n + m vertices and edges, so past
-either automorphism cap (``VERTEX_CAP`` vertices, or a lifted table of more
-than ``ELEMENT_CAP`` entries, both in ``autos``) they raise
-BudgetExceededError before searching.
+graph's automorphism group, lifted to the n + m vertices and edges.  The
+search that builds the group is held to the call's budget on its own (its
+nodes are not in ``nodes``), and a lifted table of more than
+``autos.ELEMENT_CAP`` entries raises BudgetExceededError before searching.
 
 The chitd search checks forward for total domination.  A vertex u is
 dead once every color used so far has a class member outside N(u), and no
@@ -44,9 +44,7 @@ chitd  total dominator chromatic number (proper vertex coloring where
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,7 +57,9 @@ from .autos import (
     vertex_orbits,
 )
 from .colorings import TDCPartition, TotalColoring, coloring_to_json
-from .errors import BudgetExceededError, NotApplicableError
+from .errors import (
+    DEFAULT_BUDGET, BudgetExceededError, NotApplicableError, _check_budget, _resolve_budget,
+)
 from .graphs import Graph
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
 ]
 
 PARAM_KINDS = ("D", "Dp", "Dpp", "chi2", "chi2D", "chi2a", "chitd")
-DEFAULT_BUDGET = 10**9
 _PREFIX_TARGET = 256
 _MAX_PREFIX_DEPTH = 12
 
@@ -116,23 +115,6 @@ class OracleResult:
             "nodes": self.nodes,
             "seconds": round(self.seconds, 3),
         }
-
-
-# The budget of the check now running, for every search given none; the
-# command line's run_check sets it around each check.
-_check_budget: contextvars.ContextVar[int | None] = contextvars.ContextVar("budget", default=None)
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is None:
-        budget = _check_budget.get()
-    if budget is not None:
-        return budget
-    text = os.environ.get("SYMCOL_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"SYMCOL_BUDGET must be an integer node count, not {text!r}") from None
 
 
 class _Search:
@@ -448,6 +430,11 @@ def _witness_from(g: Graph, kind: str, assignment: tuple[int, ...]):
     return TotalColoring(vertex_part, edge_part)
 
 
+def _start_worker(budget: int) -> None:
+    """Hold a worker's group lookups in ``_Search`` to the pool's budget."""
+    _check_budget.set(budget)
+
+
 # A worker builds the search of its first slice and keeps it for every later
 # slice of the same (graph, kind), at any level: building one orders the
 # elements, and for the distinguishing kinds looks up the group and lifts
@@ -531,13 +518,14 @@ def _solve(
     budget, pool and node count.  Returns (level, witness, nodes), with level
     and witness None when every level is refuted.  Raises
     BudgetExceededError, with ``message`` filled in for the level it stopped
-    at, when the node budget runs out.
+    at, when the node budget, which also bounds each group lookup, runs out.
     """
     if kind not in PARAM_KINDS:
         raise ValueError(f"unknown parameter kind {kind!r}")
     budget = _resolve_budget(budget)
     nodes = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = (ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(budget,))
+            if workers > 1 else None)
 
     def first_sat(kind: str, levels: range, message: str):
         nonlocal nodes
@@ -554,6 +542,7 @@ def _solve(
                 )
         return None, None
 
+    token = _check_budget.set(budget)
     try:
         if lo is None and kind == "chitd":
             chi, _ = first_sat(
@@ -564,6 +553,7 @@ def _solve(
             lo = g.max_degree() + 1 if kind in ("chi2", "chi2D", "chi2a") else 1
         level, data = first_sat(kind, range(max(lo, 1), hi + 1), message)
     finally:
+        _check_budget.reset(token)
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
     witness = None if data is None else _witness_from(g, kind, data)

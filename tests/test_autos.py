@@ -303,11 +303,56 @@ def test_group_axioms_spot_check():
             assert invert(p) in members
 
 
-def test_caps_raise():
-    with pytest.raises(BudgetExceededError, match="65 exceeds the 64-vertex"):
+def test_caps_raise(monkeypatch):
+    # The node budget bounds a search, not the graph's order: S65 takes
+    # 2,080 search nodes.
+    autos._aut_cache.clear()
+    monkeypatch.setenv("SYMCOL_BUDGET", "2079")
+    with pytest.raises(BudgetExceededError, match="node budget of 2079") as info:
         automorphisms(empty_graph(65))
+    assert info.value.nodes == 2080
+    monkeypatch.setenv("SYMCOL_BUDGET", "2080")
+    group = automorphisms(empty_graph(65))
+    assert group.order == math.factorial(65) and group.nodes == 2080
+    monkeypatch.delenv("SYMCOL_BUDGET")
     with pytest.raises(BudgetExceededError, match="group order exceeds the cap of 10000000"):
         automorphisms(complete_graph(11)).elements
+
+
+def test_budget_verdicts_do_not_depend_on_the_group_cache(monkeypatch):
+    # C(K8)'s group takes 28 search nodes; a group found in the cache
+    # raises where its search would.
+    g = central(complete_graph(8)).graph
+    h = Graph.from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+    autos._aut_cache.clear()
+    monkeypatch.setenv("SYMCOL_BUDGET", "1")
+    for warm in (False, True):
+        if warm:
+            monkeypatch.delenv("SYMCOL_BUDGET")
+            assert automorphisms(g).nodes == 28
+            assert find_isomorphism(g, h) is not None
+            monkeypatch.setenv("SYMCOL_BUDGET", "1")
+        with pytest.raises(BudgetExceededError, match="automorphism search") as info:
+            automorphisms(g)
+        assert info.value.nodes == 2
+        with pytest.raises(BudgetExceededError, match="automorphism search"):
+            find_isomorphism(g, h)
+    monkeypatch.setenv("SYMCOL_BUDGET", "28")
+    assert automorphisms(g).order == math.factorial(8)
+
+
+def test_chain_holds_past_64_vertices():
+    # Aut(G) = Aut(C(G)) = Aut(M(G)) at every order; C(G) of these graphs
+    # has several hundred vertices, and the chain's searches are held only
+    # to the node budget.
+    rng = random.Random(30)
+    graphs = [g for g in (random_graph(30, 0.2, rng) for _ in range(100)) if g.is_connected()]
+    assert len(graphs) == 99
+    graphs += [random_tree(30, rng) for _ in range(30)]
+    graphs += [complete_graph(n) for n in range(5, 16)]
+    for g in graphs:
+        report = check_aut_chain(g)
+        assert report.passed, report.graph6
 
 
 def test_group_cache_stays_at_its_bound():

@@ -16,6 +16,7 @@ from symcol.graphs import (
     path_graph,
     star_graph,
 )
+from symcol.transforms import central
 
 K4 = encode_graph6(complete_graph(4))
 C5 = encode_graph6(cycle_graph(5))
@@ -190,18 +191,25 @@ def test_oracle_budget_exceeded_exit(capsys):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
-def test_construct_and_aut_budget_exceeded_exit(capsys):
-    # C(P33) and S(P33) have 65 vertices, past the 64-vertex search cap.
-    code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4",
-                           "--in", encode_graph6(path_graph(33)))
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["verdict"] == "budget-exceeded" and "64-vertex" in doc["detail"]
-    code, out, _ = run_cli(capsys, "aut", "--chain",
-                           "--in", encode_graph6(path_graph(33)))
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["error"] == "budget-exceeded" and "64-vertex" in doc["detail"]
+def test_construct_and_aut_budget_exceeded_exit(capsys, monkeypatch):
+    # C(P33) and S(P33) have 65 vertices; only the node budget bounds their
+    # searches.
+    p33 = encode_graph6(path_graph(33))
+    code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4", "--in", p33)
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    code, out, _ = run_cli(capsys, "aut", "--chain", "--in", p33)
+    assert code == 0 and json.loads(out)["passed"]
+    # The groups of K5 and of C(K8) take 10 and 28 search nodes.
+    assert run_check(encode_graph6(complete_graph(5)), "2.11", 1)["verdict"] == "budget-exceeded"
+    ck8 = encode_graph6(central(complete_graph(8)).graph)
+    monkeypatch.setenv("SYMCOL_BUDGET", "1")
+    for argv in (("aut", "--in", ck8), ("oracle", "--param", "D", "--in", ck8)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "budget-exceeded" and "automorphism search" in doc["detail"]
+    code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4", "--in", p33)
+    assert code == 1 and json.loads(out)["verdict"] == "budget-exceeded"
 
 
 def test_caps_bound_searches_and_element_lists_not_group_orders(capsys):

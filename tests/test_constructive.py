@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -40,6 +41,7 @@ from symcol.graphs import (
     join,
     path_graph,
     parse_graph6,
+    random_graph,
     star_graph,
 )
 from symcol.oracles import exact_parameter
@@ -181,6 +183,20 @@ def test_central_edge_coloring_sweep_orders_4_to_7():
         for g in connected_graphs(n):
             r = dist_edge_coloring_central(g)
             assert r.palette_size <= r.promised_bound
+
+
+def test_central_edge_coloring_past_64_vertices():
+    # The ceil(sqrt(max degree)) bound holds at every order; C(K30) has 435
+    # vertices.  K_n and C_n take 2 colors.
+    for n in range(10, 31, 5):
+        for g in (complete_graph(n), cycle_graph(n)):
+            assert dist_edge_coloring_central(g).palette_size == 2, g
+    rng = random.Random(40)
+    graphs = [g for g in (random_graph(40, 0.15, rng) for _ in range(100)) if g.is_connected()]
+    assert len(graphs) == 94
+    for g in graphs:
+        r = dist_edge_coloring_central(g)
+        assert r.palette_size <= r.promised_bound
 
 
 def test_central_vertex_coloring_examples():

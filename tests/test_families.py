@@ -31,6 +31,15 @@ def test_connected_graph_counts():
         assert all(g.is_connected() for g in got)
 
 
+def test_enumeration_is_not_charged_to_the_node_budget(monkeypatch):
+    # The built-in orders bound the enumeration's searches, so one node of
+    # budget leaves every family whole.
+    monkeypatch.setenv("SYMCOL_BUDGET", "1")
+    assert len(connected_graphs.__wrapped__(7)) == CONNECTED_COUNTS[6]
+    assert len(all_graphs.__wrapped__(6)) == ALL_COUNTS[5]
+    assert len(all_trees.__wrapped__(10)) == TREE_COUNTS[9]
+
+
 def _local_profile(g):
     degs = g.degrees()
     return sorted((degs[v], sorted(degs[u] for u in g.neighbors(v))) for v in range(g.n))

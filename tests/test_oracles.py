@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -286,6 +289,30 @@ def test_worker_determinism():
         assert seq.witness == par.witness, (kind, g)
 
 
+def test_workers_take_the_budget_of_the_call(monkeypatch):
+    # Each worker builds its search, group lookup included, under the budget
+    # the call resolved; one node from its environment would stop it.
+    # Spawned workers inherit neither that budget nor the group cache.
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=spawn))
+    g = central(star_graph(5)).graph
+    monkeypatch.setenv("SYMCOL_BUDGET", "1")
+    runs = [_outcome(lambda: exact_parameter(g, "D", budget=10**6, workers=w)) for w in (1, 2)]
+    assert runs[0] == runs[1] and runs[0][0] == 2
+
+
+def test_group_lookup_is_held_to_the_budget_cold_and_warm():
+    # C(K8)'s group takes 28 search nodes, so one node stops the D search
+    # before it multiplies out the group, also when the group is cached.
+    g = central(complete_graph(8)).graph
+    autos._aut_cache.clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(BudgetExceededError, match="automorphism search"):
+            exact_parameter(g, "D", budget=1)
+        assert "elements" not in vars(automorphisms(g))
+
+
 def test_worker_reuses_its_search_across_slices():
     g = central(star_graph(5)).graph
     key = (g.n, g.adj, "D")
@@ -386,7 +413,7 @@ def test_chi_and_chitd_searches_look_up_no_group(monkeypatch):
 
     monkeypatch.setattr(oracles, "automorphisms", refuse)
     graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
-    # Groups of order 25!, and a star past the automorphism search's vertex cap.
+    # Groups of order 25!, and a star of 66 vertices.
     graphs += [complete_graph(25), star_graph(26), star_graph(66)]
     for g in graphs:
         assert _chromatic_levels(g)[-1][0] == "sat", g

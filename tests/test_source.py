@@ -1,5 +1,6 @@
-"""Source checks that need no linter: every module-level import is used, and
-every private top-level name is read somewhere in the package."""
+"""Source checks that need no linter: every module-level import is used,
+every private top-level name is read somewhere in the package, and every
+name a module exports is defined in it."""
 
 from __future__ import annotations
 
@@ -125,3 +126,41 @@ def test_unread_private_names_are_found():
 
 def test_every_private_name_is_read():
     assert unread_private_names({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """The names in a module's ``__all__`` that no top-level statement of
+    the module binds (a definition, an assignment or an import)."""
+    bound: set[str] = set()
+    exported: list[str] = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in stmt.names}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [e.value for e in ast.walk(stmt.value) if isinstance(e, ast.Constant)]
+    return [name for name in exported if name not in bound]
+
+
+def test_undefined_exports_are_found():
+    source = (
+        "import os\n"
+        "from .errors import BudgetExceededError as Budget\n"
+        "__all__ = ['os', 'Budget', 'CAP', 'OLD_CAP', 'Kept', 'run', 'gone']\n"
+        "CAP: int = 3\n"
+        "class Kept:\n"
+        "    OLD_CAP = 4\n"
+        "def run():\n"
+        "    gone = 1\n"
+    )
+    assert undefined_exports(source) == ["OLD_CAP", "gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
