@@ -27,11 +27,11 @@ so refinement only prunes, it never decides.
 first path: generators, plus one transversal per base point.  Its order is
 the product of the transversal lengths; its elements, deterministically
 sorted, are multiplied out of the transversals only on demand, for
-``symcol aut`` and the distinguishing oracles.  The chain check and the
-vertex orbits use the generators alone.  The last groups are kept in a
-bounded least-recently-used cache.  The distinguishing verifier builds no
-group: one search on the colored graph stops at the first automorphism other
-than the identity.
+``symcol aut``.  The distinguishing oracles multiply out the transversals
+lifted to vertices and edges with the same product loop.  The chain check
+and the vertex orbits use the generators alone.  No group is kept between
+calls.  The distinguishing verifier builds no group: one search on the
+colored graph stops at the first automorphism other than the identity.
 
 A search may also carry edge labels 0..L-1 and then finds only the maps that
 keep them.  A neighbor over an edge labelled l weighs (n+1)^l where a step
@@ -42,8 +42,7 @@ an edge-colored graph is searched on its own vertices.
 
 Each public search (one ``automorphisms`` call, one ``find_isomorphism``,
 one distinguishing verifier search) is charged: it counts its nodes against
-the budget the oracles read, and raises BudgetExceededError past it.  A
-cached group keeps its count, so a hit raises where its search would.  The
+the budget the oracles read, and raises BudgetExceededError past it.  The
 family enumeration is not charged.  A group of more than ``ELEMENT_CAP``
 elements is never multiplied out; its order and generators have no cap."""
 
@@ -51,10 +50,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from itertools import chain
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, _resolve_budget
 from .graphs import GRAPH6_MAX_ORDER, Graph, encode_graph6, iter_bits
@@ -106,18 +105,27 @@ class AutGroup:
 
         Raises BudgetExceededError past ``ELEMENT_CAP`` elements.
         """
-        if self.order > ELEMENT_CAP:
-            raise BudgetExceededError(f"group order exceeds the cap of {ELEMENT_CAP}")
-        products = [tuple(range(self.n))]
-        for reps in reversed(self.transversals):
-            products = [compose(t, p) for t in reps for p in products]
-        return tuple(sorted(products))
+        return tuple(sorted(_products(self.transversals, tuple(range(self.n)))))
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
     def __len__(self) -> int:
         return self.order
+
+
+def _products(transversals: Sequence[Sequence[Permutation]], identity: Permutation) -> list[Permutation]:
+    """Every product t_0 t_1 ... t_k (t_k applied first) of one element per
+    transversal, in a fixed order.
+
+    Raises BudgetExceededError, before forming any, past ``ELEMENT_CAP``
+    products."""
+    if math.prod(map(len, transversals)) > ELEMENT_CAP:
+        raise BudgetExceededError(f"group order exceeds the cap of {ELEMENT_CAP}")
+    products = [identity]
+    for reps in reversed(transversals):
+        products = [compose(t, p) for t in reps for p in products]
+    return products
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -465,25 +473,9 @@ def _nontrivial_automorphism(
     return next((p for p in found if p != identity), None)
 
 
-# Large enough for every graph one oracle pass or one construction re-reads.
-_AUT_CACHE_SIZE = 64
-_aut_cache: OrderedDict[Graph, AutGroup] = OrderedDict()
-
-
 def automorphisms(g: Graph) -> AutGroup:
-    """The full automorphism group, as a stabilizer chain; charged, also
-    when the group comes from the cache."""
-    budget = _resolve_budget(None)
-    group = _aut_cache.get(g)
-    if group is None:
-        group = _aut_cache[g] = _stabilizer_chain(g, budget)
-        if len(_aut_cache) > _AUT_CACHE_SIZE:
-            _aut_cache.popitem(last=False)
-    else:
-        _aut_cache.move_to_end(g)
-        if group.nodes > budget:
-            raise _exhausted(g, budget)
-    return group
+    """The full automorphism group, as a stabilizer chain; charged."""
+    return _stabilizer_chain(g, _resolve_budget(None))
 
 
 def _first_isomorphism(path: _Path, h: Graph) -> Permutation | None:

@@ -374,36 +374,23 @@ def _bfs_frame(g: Graph, root: int) -> BfsFrame:
     )
 
 
-def _cycle_vertices(g: Graph) -> list[int]:
-    """Vertices lying on at least one cycle: two of their neighbors stay
-    connected when the vertex itself is removed."""
-    out = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        if len(nbrs) < 2:
-            continue
-        comp = [-1] * g.n
-        comp[v] = -2
-        label = 0
-        for s in range(g.n):
-            if comp[s] != -1:
-                continue
-            stack = [s]
-            comp[s] = label
-            while stack:
-                x = stack.pop()
-                for y in iter_bits(g.adj[x]):
-                    if comp[y] == -1:
-                        comp[y] = label
-                        stack.append(y)
-            label += 1
-        seen = set()
-        for u in nbrs:
-            if comp[u] in seen:
-                out.append(v)
-                break
-            seen.add(comp[u])
-    return out
+def _on_cycle(g: Graph, v: int) -> bool:
+    """Whether v lies on a cycle: two of its neighbors stay connected when
+    v itself is removed."""
+    rest = ~(1 << v)
+    left = g.adj[v]
+    while left:
+        seen = frontier = left & -left
+        while frontier:
+            reach = 0
+            for x in iter_bits(frontier):
+                reach |= g.adj[x]
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        if (seen & left).bit_count() > 1:
+            return True
+        left &= ~seen
+    return False
 
 
 def _sqrt_ceil(x: int) -> int:
@@ -444,12 +431,13 @@ def _central_edges_cyclic(g: Graph, cent: TaggedGraph, k: int) -> dict[tuple[int
     the spanning tree; everything else is colored 2 so non-tree pairs read
     (2,2).
     """
-    candidates = [v for v in _cycle_vertices(g) if g.adj[v].bit_count() < g.n - 1]
-    if not candidates:
+    root = next(
+        (v for v in range(g.n) if g.adj[v].bit_count() < g.n - 1 and _on_cycle(g, v)), None
+    )
+    if root is None:
         raise ConstructionDefectError(
             "no root lies on a cycle with a nonempty second sphere"
         )
-    root = candidates[0]
     frame = _bfs_frame(g, root)
     s1 = frame.layers[1]
     with_child = [v for v in s1 if frame.children[v]]

@@ -13,10 +13,12 @@ count: the parallel search is the sequential one cut into slices, charged in
 the sequential order. ``nodes`` and the budget cover every search a call
 makes, the chromatic-number search behind the chitd lower bound included.
 The distinguishing kinds (D, Dp, Dpp, chi2D) track every element of the
-graph's automorphism group, lifted to the n + m vertices and edges.  The
-search that builds the group is held to the call's budget on its own (its
-nodes are not in ``nodes``), and a lifted table of more than
-``autos.ELEMENT_CAP`` entries raises BudgetExceededError before searching.
+graph's automorphism group, lifted to the n + m vertices and edges: each
+transversal representative of the group's stabilizer chain is lifted once,
+and the lifted transversals are multiplied out.  The search that builds the
+group is held to the call's budget on its own (its nodes are not in
+``nodes``), and a group or lifted table of more than ``autos.ELEMENT_CAP``
+entries raises BudgetExceededError before anything is multiplied out.
 
 The chitd search checks forward for total domination.  A vertex u is
 dead once every color used so far has a class member outside N(u), and no
@@ -120,8 +122,9 @@ class OracleResult:
 class _Search:
     """One (graph, kind) satisfiability problem, searched at the level ``run``
     is given.  Building it orders the elements and, for the distinguishing
-    kinds only, looks up the group and lifts its elements; none of that
-    depends on the level, so an oracle call builds one per kind."""
+    kinds only, looks up the group and multiplies out its lifted
+    transversals; none of that depends on the level, so an oracle call
+    builds one per kind."""
 
     def __init__(self, g: Graph, kind: str):
         self.g = g
@@ -164,7 +167,7 @@ class _Search:
         if kind in _DISTINGUISHING:
             group = automorphisms(g)
             # Multiplying the group out below raises past the element cap.
-            # The live-pair list then lifts every element to all n + m
+            # The live-pair list holds every element lifted to all n + m
             # elements, and that table is held to the same cap.
             if group.order <= autos.ELEMENT_CAP < group.order * (n + m):
                 raise BudgetExceededError(
@@ -173,14 +176,14 @@ class _Search:
                 )
             # Edge k is element n + k, where the central graph puts the
             # vertex subdividing it, so the lift is the action on elements.
+            # The lift is a homomorphism, so the products of the lifted
+            # transversals are the lifted elements.
             index = g.edge_index()
             lifted_generators = [_lift_through(phi, n, index) for phi in group.generators]
-            pairs = []
-            for phi in group:
-                if all(phi[v] == v for v in range(n)):
-                    continue
-                elem = _lift_through(phi, n, index)
-                pairs.append((elem, invert(elem)))
+            lifted = [[_lift_through(t, n, index) for t in reps] for reps in group.transversals]
+            identity = tuple(range(n + m))
+            pairs = [(elem, invert(elem)) for elem in autos._products(lifted, identity)
+                     if elem != identity]
             for elem, _ in pairs:
                 if all(elem[e] == e for e in universe):
                     raise NotApplicableError(
@@ -437,8 +440,8 @@ def _start_worker(budget: int) -> None:
 
 # A worker builds the search of its first slice and keeps it for every later
 # slice of the same (graph, kind), at any level: building one orders the
-# elements, and for the distinguishing kinds looks up the group and lifts
-# every element, while ``run`` resets all of its mutable state.
+# elements, and for the distinguishing kinds looks up the group and multiplies
+# out its lifted transversals, while ``run`` resets all of its mutable state.
 @functools.lru_cache(maxsize=1)
 def _worker_search(n: int, adj: tuple[int, ...], kind: str) -> _Search:
     return _Search(Graph(n, adj), kind)

@@ -124,7 +124,8 @@ def middle_to_line_of_endline(g: Graph) -> tuple[int, ...]:
     graph with the same endpoints).  Returns the image array indexed by
     middle-graph vertex.
     """
-    # line_graph labels its vertex k with edge k of its input.
-    position = endline(g).graph.edge_index()
-    pendants = [position[(v, g.n + v)] for v in range(g.n)]
-    return tuple(pendants + [position[e] for e in g.edges()])
+    # line_graph labels its vertex k with edge k of its input.  Edges run in
+    # order of their larger end, so G+ lists the m edges of g first, in
+    # their own order, then the pendant edge {v, n+v} at position m + v.
+    m = g.edge_count()
+    return tuple(range(m, m + g.n)) + tuple(range(m))

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from symcol import autos, oracles
-from symcol.autos import automorphisms
+from symcol.autos import _lift_through, automorphisms, invert
 from symcol.colorings import (
     TDCPartition,
     TotalColoring,
@@ -247,14 +247,38 @@ def test_malformed_budget_variable_is_named(monkeypatch):
     assert exact_parameter(cycle_graph(6), "chi2", budget=10**6).value == 3
 
 
+def _no_products(transversals, identity):
+    raise AssertionError("a product of the group was formed")
+
+
 def test_element_cap_bounds_the_lifted_group_table(monkeypatch):
     # Aut(K8) has 8! = 40320 elements, under the lowered cap, but the D
     # search lifts each to the 8 + 28 vertices and edges: 1,451,520 entries.
-    autos._aut_cache.clear()
+    # The search stops before it forms any product.
     monkeypatch.setattr(autos, "ELEMENT_CAP", 10**5)
+    monkeypatch.setattr(autos, "_products", _no_products)
     with pytest.raises(BudgetExceededError, match="cap"):
         exact_parameter(complete_graph(8), "D")
-    assert "elements" not in automorphisms(complete_graph(8)).__dict__
+
+
+def test_live_pairs_are_the_lifted_nontrivial_elements():
+    # The search multiplies out the lifted transversals; that must give
+    # each nontrivial element, lifted to vertices and edges, exactly once.
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    graphs += [petersen_graph(), central(star_graph(7)).graph]
+    for g in graphs:
+        index = g.edge_index()
+        identity = tuple(range(g.n))
+        lifted = [_lift_through(phi, g.n, index)
+                  for phi in automorphisms(g).elements if phi != identity]
+        expected = {(elem, invert(elem)) for elem in lifted}
+        for kind in ("D", "Dp", "Dpp", "chi2D"):
+            try:
+                pairs = oracles._Search(g, kind).perm_pairs
+            except NotApplicableError:
+                assert kind == "Dp", (g, kind)
+                continue
+            assert len(pairs) == len(set(pairs)) and set(pairs) == expected, (g, kind)
 
 
 def test_bad_kind():
@@ -292,7 +316,7 @@ def test_worker_determinism():
 def test_workers_take_the_budget_of_the_call(monkeypatch):
     # Each worker builds its search, group lookup included, under the budget
     # the call resolved; one node from its environment would stop it.
-    # Spawned workers inherit neither that budget nor the group cache.
+    # Spawned workers do not inherit that budget.
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(oracles, "ProcessPoolExecutor",
                         functools.partial(ProcessPoolExecutor, mp_context=spawn))
@@ -302,15 +326,16 @@ def test_workers_take_the_budget_of_the_call(monkeypatch):
     assert runs[0] == runs[1] and runs[0][0] == 2
 
 
-def test_group_lookup_is_held_to_the_budget_cold_and_warm():
+def test_group_lookup_is_held_to_the_budget_cold_and_warm(monkeypatch):
     # C(K8)'s group takes 28 search nodes, so one node stops the D search
-    # before it multiplies out the group, also when the group is cached.
+    # before it forms any product, also after a lookup at the default
+    # budget has found the group.
     g = central(complete_graph(8)).graph
-    autos._aut_cache.clear()
+    monkeypatch.setattr(autos, "_products", _no_products)
     for _ in ("cold", "warm"):
         with pytest.raises(BudgetExceededError, match="automorphism search"):
             exact_parameter(g, "D", budget=1)
-        assert "elements" not in vars(automorphisms(g))
+        assert automorphisms(g).nodes == 28
 
 
 def test_worker_reuses_its_search_across_slices():

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every module-level import is used,
-every private top-level name is read somewhere in the package, and every
-name a module exports is defined in it."""
+every private top-level name is read somewhere in the package, every
+name a module exports is defined in it, and every cache that lives as long
+as the process is on a list."""
 
 from __future__ import annotations
 
@@ -164,3 +165,75 @@ def test_undefined_exports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_export_is_defined(path):
     assert undefined_exports(path.read_text()) == []
+
+
+# Every cache that outlives a call; a new one must be added here.
+PROCESS_WIDE_CACHES = {
+    "families.all_graphs",
+    "families.connected_graphs",
+    "families.all_trees",
+    "oracles._worker_search",
+    "cli._source_digest",
+}
+
+
+def _called_name(node: ast.expr) -> str | None:
+    """The last name of ``f``, ``m.f`` or a call of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def process_wide_caches(sources: dict[str, str]) -> list[str]:
+    """The caches of the modules ``sources`` (module name to source) that
+    live as long as the process: every function decorated with
+    ``lru_cache`` or ``cache``, and every module-level name bound to an
+    ``OrderedDict(...)``.  A per-object ``cached_property`` is not one."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _called_name(d) in ("lru_cache", "cache") for d in node.decorator_list
+            ):
+                found.append(f"{module}.{node.name}")
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                continue
+            if isinstance(stmt.value, ast.Call) and _called_name(stmt.value) == "OrderedDict":
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                found += [f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_process_wide_caches_are_found():
+    source = (
+        "import collections, functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "_table = collections.OrderedDict()\n"
+        "_typed: collections.OrderedDict[int, int] = collections.OrderedDict()\n"
+        "_plain = {}\n"
+        "@functools.lru_cache(maxsize=1)\n"
+        "def a(): pass\n"
+        "@lru_cache\n"
+        "def b(): pass\n"
+        "@cache\n"
+        "def c(): pass\n"
+        "@functools.cache\n"
+        "def d(): pass\n"
+        "class K:\n"
+        "    @cached_property\n"
+        "    def e(self): pass\n"
+        "def f():\n"
+        "    local = collections.OrderedDict()\n"
+    )
+    assert process_wide_caches({"m": source}) == [
+        "m._table", "m._typed", "m.a", "m.b", "m.c", "m.d",
+    ]
+
+
+def test_process_wide_caches_are_listed():
+    found = process_wide_caches({path.stem: path.read_text() for path in SOURCES})
+    assert [name for name in found if name not in PROCESS_WIDE_CACHES] == []
