@@ -2,9 +2,10 @@
 
 One-shot subcommands print exactly one JSON document on standard output
 (latin prints CSV); diagnostics go to standard error.  Exit codes: 0 success,
-1 verification or construction failure, 2 usage errors.  Sweeps append one
-JSON record per graph to a report file and cache finished records so a rerun
-recomputes nothing.
+1 verification or construction failure, 2 usage errors.  Sweeps write one
+JSON record per graph to a report file, and append each finished record to
+one journal per (check, budget, sources) in the record cache, so that a
+rerun, or a killed run resumed, recomputes only what it lacks.
 """
 
 from __future__ import annotations
@@ -298,12 +299,17 @@ def run_check(graph6: str, check: str, budget: int | None = None) -> dict:
         "error": None,
     }
     start = time.perf_counter()
-    # Set for this check only, so no budget outlives it.
-    token = _check_budget.set(budget)
-    try:
-        doc = _attempt(lambda: CHECKS[check][1](parse_graph6(graph6), None))
-    finally:
-        _check_budget.reset(token)
+
+    def run() -> dict:
+        # Resolved once, so that no search of the check reads SYMCOL_BUDGET
+        # again, and set for this check only, so that no budget outlives it.
+        token = _check_budget.set(_resolve_budget(budget))
+        try:
+            return CHECKS[check][1](parse_graph6(graph6), None)
+        finally:
+            _check_budget.reset(token)
+
+    doc = _attempt(run)
     record["verdict"] = doc["verdict"]
     record["promised_bound"] = doc.get("promised_bound")
     record["achieved"] = doc.get("palette_size", doc.get("class_count"))
@@ -360,28 +366,28 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _cache_key(graph6: str, check: str, budget: int | None) -> str:
+def _journal_path(cache_dir: Path, check: str, budget: int | None) -> Path:
     # Searches given no budget read SYMCOL_BUDGET, so both are keyed.
-    text = f"{graph6}\n{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}\n{_source_digest()}"
-    return hashlib.sha256(text.encode()).hexdigest()
+    text = f"{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}\n{_source_digest()}"
+    return cache_dir / f"{hashlib.sha256(text.encode()).hexdigest()}.jsonl"
 
 
-def _cache_get(cache_dir: Path, key: str) -> dict | None:
-    path = cache_dir / f"{key}.json"
-    if not path.exists():
-        return None
-    try:
-        record = json.loads(path.read_text())
-        if not isinstance(record, dict) or "verdict" not in record:
-            raise ValueError("not a record")
-        return record
-    except (ValueError, OSError) as exc:
-        print(f"symcol: discarding corrupt cache entry {path.name}: {exc}", file=sys.stderr)
+def _read_journal(name: str, data: bytes, check: str) -> dict[str, dict]:
+    """The first valid record of each graph in a journal's bytes; every
+    other line, a torn last one included, is reported and skipped."""
+    records: dict[str, dict] = {}
+    for number, line in enumerate(data.splitlines(), 1):
         try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
+            record = json.loads(line)
+            if not (isinstance(record, dict) and "verdict" in record
+                    and isinstance(record.get("graph6"), str) and record.get("check") == check):
+                raise ValueError("not a record")
+        except ValueError as exc:
+            print(f"symcol: discarding corrupt cache entry {name} line {number}: {exc}",
+                  file=sys.stderr)
+            continue
+        records.setdefault(record["graph6"], record)
+    return records
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -396,46 +402,46 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graphs = list(_family_graphs(args))
     report_path = Path(args.report)
     cache_dir = Path(args.cache) if args.cache else report_path.with_suffix(".cache")
+    journal_path = _journal_path(cache_dir, args.check, args.budget)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
+        # Unbuffered, so each record is one write(2) on an O_APPEND descriptor.
+        journal = open(journal_path, "a+b", buffering=0)
     except OSError as exc:
         option = "--cache" if args.cache else "--report"
         raise _UsageError(f"cannot make the record cache {cache_dir} for {option}: {exc}") from exc
 
-    todo: list[tuple[int, str]] = []
-    records: dict[int, dict] = {}
-    for idx, graph6 in enumerate(graphs):
-        cached = _cache_get(cache_dir, _cache_key(graph6, args.check, args.budget))
-        if cached is not None and cached.get("graph6") == graph6:
-            records[idx] = cached
+    with journal:
+        journal.seek(0)
+        data = journal.read()
+        records = _read_journal(journal_path.name, data, args.check)
+        if data and not data.endswith(b"\n"):
+            # A run killed mid-append left a torn line; keep it apart from the next.
+            journal.write(b"\n")
+        todo = [graph6 for graph6 in dict.fromkeys(graphs) if graph6 not in records]
+
+        def finish(record: dict) -> None:
+            # Journalled as soon as it completes, so a killed sweep resumes from here.
+            records[record["graph6"]] = record
+            journal.write((json.dumps(record, sort_keys=True) + "\n").encode())
+
+        if todo and args.workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+                futures = [pool.submit(run_check, graph6, args.check, args.budget)
+                           for graph6 in todo]
+                for fut in concurrent.futures.as_completed(futures):
+                    finish(fut.result())
         else:
-            todo.append((idx, graph6))
-
-    def finish(idx: int, record: dict) -> None:
-        # Cached as soon as it completes, so a killed sweep resumes from here.
-        records[idx] = record
-        key = _cache_key(record["graph6"], args.check, args.budget)
-        _write_atomic(cache_dir / f"{key}.json", json.dumps(record, sort_keys=True) + "\n")
-
-    if todo and args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = {
-                pool.submit(run_check, graph6, args.check, args.budget): idx
-                for idx, graph6 in todo
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                finish(futures[fut], fut.result())
-    else:
-        for idx, graph6 in todo:
-            finish(idx, run_check(graph6, args.check, args.budget))
+            for graph6 in todo:
+                finish(run_check(graph6, args.check, args.budget))
 
     # Records land in the report in enumeration order so that a resumed run
     # reproduces the file byte for byte.
     counts = {"pass": 0, "fail": 0, "not-applicable": 0, "budget-exceeded": 0}
     lines = []
-    for idx in range(len(graphs)):
-        counts[records[idx]["verdict"]] += 1
-        lines.append(json.dumps(records[idx], sort_keys=True) + "\n")
+    for graph6 in graphs:
+        counts[records[graph6]["verdict"]] += 1
+        lines.append(json.dumps(records[graph6], sort_keys=True) + "\n")
     _write_atomic(report_path, "".join(lines))
     fails = counts["fail"]
     summary = {

@@ -108,11 +108,12 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     vertices are adjacent iff their edges share an endpoint.
     """
     edges = g.edges()
-    pairs = []
-    for b in range(len(edges)):
-        for a in range(b):
-            if set(edges[a]) & set(edges[b]):
-                pairs.append((a, b))
+    # The edges at each vertex form a clique; two edges share one end at most.
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for k, (u, v) in enumerate(edges):
+        incident[u].append(k)
+        incident[v].append(k)
+    pairs = [(a, b) for ks in incident for i, b in enumerate(ks) for a in ks[:i]]
     return Graph.from_edges(len(edges), pairs), tuple(edges)
 
 

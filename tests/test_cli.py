@@ -2,10 +2,11 @@
 
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from symcol import cli
+from symcol import cli, errors
 from symcol.cli import CHECKS, main, run_check
 from symcol.graphs import (
     Graph,
@@ -14,6 +15,7 @@ from symcol.graphs import (
     encode_graph6,
     parse_graph6,
     path_graph,
+    petersen_graph,
     star_graph,
 )
 from symcol.transforms import central
@@ -382,8 +384,10 @@ def test_sweep_report_cache_and_resume(capsys, tmp_path):
     assert len(lines) == 27
     assert all(r["check"] == "3.2" for r in lines)
 
-    cache = tmp_path / "report.cache"
-    assert len(list(cache.glob("*.json"))) == 27
+    (journal,) = (tmp_path / "report.cache").glob("*.jsonl")
+    cached = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert len(cached) == 27 and all("verdict" in r for r in cached)
+    assert sorted(r["graph6"] for r in cached) == sorted(r["graph6"] for r in lines)
 
     # Second run answers from the cache and reproduces the report exactly.
     code, out, _ = run_cli(capsys, *args)
@@ -437,9 +441,10 @@ def test_sweep_corrupt_cache_entry_recomputed(capsys, tmp_path):
             "--min-order", "4", "--max-order", "4", "--report", str(report)]
     run_cli(capsys, *args)
     first = report.read_text().splitlines(keepends=True)
-    victim = sorted((tmp_path / "r.cache").glob("*.json"))[0]
-    redone = json.loads(victim.read_text())["graph6"]
-    victim.write_text("{ not json")
+    (journal,) = (tmp_path / "r.cache").glob("*.jsonl")
+    entries = journal.read_text().splitlines(keepends=True)
+    redone = json.loads(entries[0])["graph6"]
+    journal.write_text("".join(["{ not json\n"] + entries[1:]))
     code, _, err = run_cli(capsys, *args)
     assert code == 0
     assert "discarding corrupt cache entry" in err
@@ -493,6 +498,56 @@ def test_sweep_resumes_after_interrupt(capsys, tmp_path, monkeypatch):
     # Only the interrupted graph and those after it are computed again.
     assert computed[3:] == graphs[2:]
     assert rows(report) == rows(whole)
+
+
+def test_sweep_recomputes_a_torn_last_journal_line(capsys, tmp_path, monkeypatch):
+    report = tmp_path / "r.jsonl"
+    args = ["sweep", "--check", "3.2", "--min-order", "4", "--max-order", "4",
+            "--report", str(report)]
+    run_cli(capsys, *args)
+    whole = record_rows(report)
+    (journal,) = (tmp_path / "r.cache").glob("*.jsonl")
+    text = journal.read_text()
+    last = text.splitlines()[-1]
+    torn = last[: len(last) // 2]
+    # A run killed in the middle of its last append.
+    journal.write_text(text[: len(text) - len(last) - 1] + torn)
+
+    computed = []
+
+    def counted_run_check(graph6, *rest):
+        computed.append(graph6)
+        return run_check(graph6, *rest)
+
+    monkeypatch.setattr(cli, "run_check", counted_run_check)
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0 and "discarding corrupt cache entry" in err
+    assert computed == [json.loads(last)["graph6"]]
+    assert record_rows(report) == whole
+
+    def parses(line):
+        try:
+            return "verdict" in json.loads(line)
+        except ValueError:
+            return False
+
+    lines = journal.read_text().splitlines()
+    assert len(lines) == len(whole) + 1
+    assert [line for line in lines if not parses(line)] == [torn]
+    # The mended journal answers a third run in full.
+    first = report.read_bytes()
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0 and len(computed) == 1 and report.read_bytes() == first
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cold_sweep_leaves_one_file_in_its_cache(capsys, tmp_path, workers):
+    cache = tmp_path / "c"
+    code, out, _ = run_cli(capsys, "sweep", "--check", "2.11", "--min-order", "4",
+                           "--max-order", "5", "--report", str(tmp_path / "r.jsonl"),
+                           "--cache", str(cache), "--workers", workers)
+    assert code == 0 and json.loads(out)["total"] == 27
+    assert len(list(cache.iterdir())) == 1
 
 
 def test_sweep_cache_keyed_by_budget(capsys, tmp_path):
@@ -560,6 +615,25 @@ def test_run_check_budget_does_not_outlive_its_check():
     assert run_check(K4, "3.6")["verdict"] == "pass"
 
 
+def test_run_check_reads_the_budget_variable_once(monkeypatch):
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    petersen = encode_graph6(petersen_graph())
+    monkeypatch.setattr(errors, "os", SimpleNamespace(environ=Environ(SYMCOL_BUDGET="10000000")))
+    assert run_check(petersen, "2.11")["verdict"] == "pass"
+    assert reads == ["SYMCOL_BUDGET"]
+    # A malformed value still fails the record, not the caller.
+    monkeypatch.setattr(errors, "os", SimpleNamespace(environ=Environ(SYMCOL_BUDGET="abc")))
+    record = run_check(petersen, "2.11")
+    assert (record["verdict"], record["error"]) == (
+        "fail", "SYMCOL_BUDGET must be an integer node count, not 'abc'")
+
+
 def test_central_edge_check_on_complete_graphs_and_cycles_spends_no_oracle_node():
     # 3.2 orients K_n and C_n, so one node of budget is never touched; C(K10)
     # has 55 vertices.
@@ -593,9 +667,10 @@ def test_sweep_cache_keyed_by_source_digest(capsys, tmp_path, monkeypatch):
     report = tmp_path / "r.jsonl"
     args = ["sweep", "--check", "3.2", "--file", str(listing), "--report", str(report)]
     run_cli(capsys, *args)
-    (entry,) = (tmp_path / "r.cache").glob("*.json")
-    tampered = dict(json.loads(entry.read_text()), verdict="fail", error="stale")
-    entry.write_text(json.dumps(tampered) + "\n")
+    (journal,) = (tmp_path / "r.cache").glob("*.jsonl")
+    (line,) = journal.read_text().splitlines()
+    tampered = dict(json.loads(line), verdict="fail", error="stale")
+    journal.write_text(json.dumps(tampered) + "\n")
     code, out, _ = run_cli(capsys, *args)
     assert code == 1 and json.loads(out)["fail"] == 1  # replayed from the cache
     # Edited sources give a new digest, so the stale record is recomputed.

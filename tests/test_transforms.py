@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from symcol.families import all_graphs
 from symcol.graphs import (
     Graph,
     complete_graph,
@@ -142,6 +143,16 @@ def test_line_graph_small_cases():
     assert lg == complete_graph(3)
     lg, _ = line_graph(star_graph(4))
     assert lg == complete_graph(3)
+
+
+def test_line_graph_matches_the_pairwise_definition():
+    # Vertices a < b of the line graph are adjacent iff edges a and b meet.
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            edges = g.edges()
+            pairs = [(a, b) for b in range(len(edges)) for a in range(b)
+                     if set(edges[a]) & set(edges[b])]
+            assert line_graph(g) == (Graph.from_edges(len(edges), pairs), tuple(edges))
 
 
 def test_middle_is_line_of_endline():
