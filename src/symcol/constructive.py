@@ -7,6 +7,11 @@ ConstructionDefectError instead of returning a bad object.  The final checks
 of every construction are the rows of one table, ``FINAL_CHECKS``, over the
 properties of ``PROPERTIES``, which ``symcol verify`` checks too.
 
+Constructions 3.2 and 3.6 ask no oracle: each builds its coloring from a
+breadth-first search of the base graph, or from a fixed pattern on a cycle,
+so its final check is its one search.  3.4, 4.5 at even order and 4.9's
+cycle and fallback cases still start from an exact oracle's witness.
+
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned in lexicographic order by child label, and roots or
 special vertices are the smallest labels satisfying their defining property.
@@ -639,28 +644,80 @@ def dist_edge_coloring_endline(g: Graph, coloring: TotalColoring) -> EndlineColo
     return EndlineColoring(plus, extended, ok)
 
 
+def _marked_bfs_edge_coloring(g: Graph) -> TotalColoring:
+    """Edge coloring of a connected graph of order at least 3, not a cycle,
+    within max(2, Δ) colors, after Kalinowski & Pilśniak (Europ. J. Combin.
+    45, 2015), who prove D′(G) ≤ Δ for connected G other than C3, C4, C5.
+
+    A path colors the edge at its smallest-label end 2 and every other edge
+    1.  For Δ ≥ 3 the root r is the first max-degree vertex with a neighbor
+    of degree below Δ, or with a neighbor that shares a neighbor with r, and
+    a is the first such neighbor.  Edge ra gets 1.  The other edges at r,
+    and each other vertex's edges down to the next breadth-first layer from
+    r, get 2, 3, ... in neighbor order.  Every edge inside a layer gets 2.
+
+    Why this distinguishes: ra is the only edge colored 1, so an
+    automorphism that keeps the colors maps {r, a} to itself.  r sees each
+    of the Δ colors exactly once, while a has degree below Δ or repeats
+    color 2, so r is fixed.  Distances from r are then kept, and each
+    vertex's down edges carry distinct colors, so induction on distance
+    fixes every vertex.
+
+    Only a regular triangle-free graph has no max-degree vertex with such a
+    neighbor, since in a connected non-regular graph some max-degree vertex
+    has a neighbor of lower degree.  r is then the first max-degree vertex
+    and a its first neighbor, and the argument does not cover the result.
+    At orders 6-8 these are 4 graphs: K3,3, K4,4, the cube and the Wagner
+    graph.  They all verify, and 3.6's final check on the middle graph is
+    the guard for them and for every larger one.
+    """
+    delta = g.max_degree()
+    ec = dict.fromkeys(g.edges(), 1)
+    if delta == 2:
+        end = next(v for v in range(g.n) if g.degree(v) == 1)
+        (u,) = g.neighbors(end)
+        ec[(min(end, u), max(end, u))] = 2
+        return TotalColoring(None, ec)
+    adj = g.adj
+    tops = [v for v in range(g.n) if adj[v].bit_count() == delta]
+    r, a = next(
+        ((v, u) for v in tops for u in iter_bits(adj[v])
+         if adj[u].bit_count() < delta or adj[u] & adj[v]),
+        (tops[0], g.neighbors(tops[0])[0]),
+    )
+    dist, _ = g.bfs(r)
+    for v in range(g.n):
+        color = 2
+        for u in iter_bits(adj[v]):
+            if dist[u] == dist[v] + 1 and (v, u) != (r, a):
+                ec[(v, u) if v < u else (u, v)] = color
+                color += 1
+            elif dist[u] == dist[v]:
+                ec[(v, u) if v < u else (u, v)] = 2
+    return TotalColoring(None, ec)
+
+
 def dist_vertex_coloring_middle(g: Graph) -> ConstructionResult:
-    """Distinguishing vertex coloring of the middle graph within max-degree
-    colors, transported from an edge coloring of the endline graph."""
+    """Distinguishing vertex coloring of the middle graph within max(2, Δ)
+    colors, transported from a distinguishing edge coloring of the endline
+    graph G+.  No oracle is asked: the edge coloring is a fixed pattern on a
+    cycle and a marked breadth-first coloring otherwise."""
     if g.n < 3 or not g.is_connected():
         raise NotApplicableError("requires a connected graph of order at least 3")
     delta = g.max_degree()
-    plus = endline(g)
+    # G+'s edges in its own order: those of g, then the pendant edges {v, n+v}.
+    plus_edges = g.edges() + [(v, g.n + v) for v in range(g.n)]
     if g.is_cycle():
-        plus_ec = oracle_witness(
-            plus.graph, "Dp", 2,
-            "no 2-color distinguishing edge coloring of the cycle's endline graph",
-        ).edge_colors
-        note = "cycle case settled on the endline graph directly"
+        # The pendant edge of 0 and the cycle edge {0, min N(0)} mark vertex
+        # 0 and a direction around the cycle.
+        plus_ec = dict.fromkeys(plus_edges, 1)
+        plus_ec[(0, g.n)] = plus_ec[(0, g.neighbors(0)[0])] = 2
+        note = "cycle case settled on the endline graph by a fixed pattern"
     else:
-        plus_ec = _endline_edge_colors(g, oracle_witness(
-            g, "Dp", delta,
-            f"no distinguishing edge coloring of the base graph with {delta} colors",
-        ))
-        note = "transported from an endline edge coloring"
+        plus_ec = _endline_edge_colors(g, _marked_bfs_edge_coloring(g))
+        note = "transported from a marked breadth-first edge coloring"
     mid = middle(g)
     # Vertex k of L(G+) is edge k of G+, so M(G) reads its colors off G+'s edges.
-    plus_edges = plus.graph.edges()
     vc = tuple(plus_ec[plus_edges[k]] for k in middle_to_line_of_endline(g))
     coloring = TotalColoring(vc, None)
     _final_check("3.6", mid.graph, coloring)

@@ -77,6 +77,12 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on 0..n-1 with the given edges.
+
+        Every edge is checked here, and the table built from them is
+        symmetric, so the instance skips ``__post_init__``'s re-check."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -85,7 +91,10 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, tuple(adj))
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(adj))
+        return g
 
     def __repr__(self) -> str:
         return f"Graph.from_edges({self.n}, {self.edges()})"

@@ -10,7 +10,7 @@ import pytest
 
 from symcol import colorings, constructive
 from symcol.autos import automorphisms
-from symcol.colorings import TotalColoring, is_avd_total, is_proper, is_tdc
+from symcol.colorings import TotalColoring, is_avd_total, is_distinguishing, is_proper, is_tdc
 from symcol.constructive import (
     BfsFrame,
     ConstructionResult,
@@ -258,18 +258,47 @@ def test_middle_vertex_coloring_sweep_orders_3_to_7():
 
 def test_middle_vertex_coloring_matches_the_endline_route():
     # The route through an edge coloring of G+ and the labels of L(G+),
-    # rebuilt from public pieces.
+    # rebuilt from public pieces and the marked breadth-first coloring.
     for n in range(3, 7):
         for g in connected_graphs(n):
             plus = endline(g).graph
             if g.is_cycle():
-                plus_ec = exact_parameter(plus, "Dp", cap=2).witness.edge_colors
+                plus_ec = dict.fromkeys(plus.edges(), 1)
+                plus_ec[(0, g.n)] = plus_ec[(0, min(g.neighbors(0)))] = 2
             else:
-                base = exact_parameter(g, "Dp", cap=g.max_degree()).witness
-                plus_ec = dist_edge_coloring_endline(g, base).coloring.edge_colors
+                ext = dist_edge_coloring_endline(g, constructive._marked_bfs_edge_coloring(g))
+                assert ext.distinguishing, g
+                plus_ec = ext.coloring.edge_colors
             _, labels = line_graph(plus)
             expected = tuple(plus_ec[labels[k]] for k in middle_to_line_of_endline(g))
             assert dist_vertex_coloring_middle(g).coloring.vertex_colors == expected, g
+
+
+def test_middle_vertex_coloring_asks_no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("3.6 asked an oracle")
+
+    monkeypatch.setattr(constructive, "exact_parameter", refuse)
+    graphs = [g for n in range(3, 7) for g in connected_graphs(n)]
+    for g in graphs + [cycle_graph(n) for n in range(3, 13)]:
+        r = dist_vertex_coloring_middle(g)
+        assert r.palette_size <= max(2, g.max_degree()), g
+
+
+def test_marked_bfs_edge_coloring_distinguishes_within_max_degree():
+    # The oracle is only the reference here: its minimum bounds the palette
+    # from below.
+    for n in range(3, 7):
+        for g in connected_graphs(n):
+            if g.is_cycle():
+                continue
+            f = constructive._marked_bfs_edge_coloring(g)
+            assert set(f.edge_colors) == set(g.edges()), g
+            assert is_distinguishing(g, f, "edge"), g
+            delta = g.max_degree()
+            if delta >= 3:
+                assert list(f.edge_colors.values()).count(1) == 1, g
+            assert exact_parameter(g, "Dp").value <= len(f.palette()) <= max(2, delta), g
 
 
 def test_middle_vertex_coloring_makes_one_colored_search(monkeypatch):

@@ -64,6 +64,17 @@ def test_validation_rejects_bad_adjacency():
         Graph.from_edges(3, [(0, 0)])
 
 
+def test_from_edges_checks_what_it_builds():
+    # from_edges skips the table re-check, so its own checks are the guard.
+    for n, edges in ((-1, []), (3, [(1, 1)]), (3, [(0, 3)]), (3, [(-1, 2)])):
+        with pytest.raises(ValueError):
+            Graph.from_edges(n, edges)
+    g = Graph.from_edges(4, [(2, 0), (1, 2), (0, 2), (3, 1)])
+    assert g == Graph(4, (0b0100, 0b1100, 0b0011, 0b0010))
+    assert hash(g) == hash(Graph(4, g.adj)) and g.edges() == [(0, 2), (1, 2), (1, 3)]
+    assert Graph.from_edges(0, []) == Graph(0, ())
+
+
 def test_edges_are_column_major():
     g = complete_graph(4)
     assert g.edges() == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
