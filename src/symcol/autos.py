@@ -2,26 +2,29 @@
 
 The engine is classic individualization-refinement on ordered partitions
 (McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
-2014).  Vertices start in one cell, or in the cells of a given starting
-coloring laid out in increasing color order, and a cell's id is its start
-offset.  Refinement runs from a queue of splitter cells: a step pops one and
-splits every cell whose vertices have different numbers of neighbors in it,
-into fragments laid out in increasing count order inside the cell's own
-offset range.  A split cell that was not queued queues all its fragments but
-its first largest (Hopcroft's rule), and the partition is stable, the
-coarsest equitable one, when the queue is empty (a discrete partition
-empties it at once).  A smallest non-singleton
-cell is then split by trying every target vertex: it goes to the cell's last
-offset, and only its singleton cell is queued.  On the first graph a search
-always individualizes the first vertex of the target cell, so that side of
-every node lies on one path, the search's first path.  It is refined once,
-lazily, one step at a time, also when the path is kept for many searches,
-as the family enumeration keeps one per graph of its exact pool.  The second
-graph is refined alone, and each of its steps is checked against the path's
-step through the step's trace, the cell ids, counts and fragment sizes of
-its splits, which stops the node at the first difference and otherwise
-gives both sides the same layout.  Every complete leaf is adjacency-checked,
-so refinement only prunes, it never decides.
+2014), run on the graphs' own adjacency bitmasks.  A partition is a cell id
+per vertex, the cell's start offset; one vertex mask per cell offset; and the
+set of ids of the cells with more than one vertex, so it is discrete when
+that set is empty.  Vertices start in one cell, or in the cells of a given
+starting coloring laid out in increasing color order.  Refinement runs from a
+queue of splitter cells: a step pops one and splits every cell whose vertices
+have different numbers of neighbors in it, into fragments laid out in
+increasing count order inside the cell's own offset range; a singleton {w}
+splits a cell m into m & ~adj[w] and m & adj[w].  A split cell that was not
+queued queues all its fragments but its first largest (Hopcroft's rule), and
+the partition is stable, the coarsest equitable one, when the queue is empty
+(a discrete partition empties it at once).  A smallest non-singleton cell is
+then split by trying every target vertex: it goes to the cell's last offset,
+and only its singleton cell is queued.  On the first graph a search always
+individualizes the first vertex of the target cell, so that side of every
+node lies on one path, the search's first path.  It is refined once, lazily,
+also when the path is kept for many searches, as the family enumeration keeps
+one per graph of its exact pool.  The second graph is refined alone, and each
+of its steps is checked against the path's step through the step's trace,
+the cell ids, counts and fragment sizes of its splits, which stops the node
+at the first difference and otherwise gives both sides the same layout.
+Every complete leaf is edge-checked, so refinement only prunes, it never
+decides.
 
 ``automorphisms`` returns a group as a stabilizer chain read off the search's
 first path: generators, plus one transversal per base point.  Its order is
@@ -34,10 +37,10 @@ calls.  The distinguishing verifier builds no group: one search on the
 colored graph stops at the first automorphism other than the identity.
 
 A search may also carry edge labels 0..L-1 and then finds only the maps that
-keep them.  A neighbor over an edge labelled l weighs (n+1)^l where a step
-counts neighbors, and a leaf must map each edge onto one of the same
-weight; with one label every weight is 1, so unlabelled searches are
-exactly as without labels.  The verifier's edge colors are such labels, so
+keep them.  It keeps one neighbor mask per vertex and label; a neighbor over
+an edge labelled l weighs (n+1)^l where a step counts neighbors, and a leaf
+must map each edge onto one of the same label.  With one label the search is
+exactly the unlabelled one.  The verifier's edge colors are such labels, so
 an edge-colored graph is searched on its own vertices.
 
 Each public search (one ``automorphisms`` call, one ``find_isomorphism``,
@@ -50,8 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -130,7 +131,7 @@ def _products(transversals: Sequence[Sequence[Permutation]], identity: Permutati
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The permutation applying q first, then p."""
-    return tuple(p[q[v]] for v in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert(p: Permutation) -> Permutation:
@@ -141,123 +142,149 @@ def invert(p: Permutation) -> Permutation:
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
-    if sorted(perm) != list(range(g.n)):
-        return False
-    for v in range(g.n):
-        for u in iter_bits(g.adj[v]):
-            if not g.adj[perm[v]] >> perm[u] & 1:
+    return sorted(perm) == list(range(g.n)) and _maps_edges(g.adj, g.adj, perm)
+
+
+def _maps_edges(adj: Sequence[int], adj_to: Sequence[int], perm: Sequence[int]) -> bool:
+    """Whether perm maps every edge of ``adj`` onto one of ``adj_to``: for a
+    bijection between graphs with as many edges, whether it is an isomorphism."""
+    for x, mask in enumerate(adj):
+        row = adj_to[perm[x]]
+        mask &= -2 << x  # each edge once, from its lower end
+        while mask:
+            low = mask & -mask
+            if not row >> perm[low.bit_length() - 1] & 1:
                 return False
+            mask ^= low
     return True
 
 
-def _partition(colors: list[int]) -> tuple[list[int], list, list[int]]:
-    """The ordered partition of a starting coloring, with every cell queued.
-
-    Returns the cell id of each vertex, the cells and the queue.  A cell's
-    id is its start offset; ``cells[c]`` lists the vertices of the cell with
-    id c in increasing order (other offsets hold stale entries).  The
-    classes are laid out in increasing color order.
-    """
-    classes: dict[int, list[int]] = {}
+def _partition(colors: list[int]) -> tuple[list[int], list[int], set[int], dict[int, None]]:
+    """The ordered partition of a starting coloring, with every cell queued:
+    the cell id (start offset) of each vertex, the vertex mask of each cell
+    at its offset (other offsets hold stale entries), the ids of the cells
+    with more than one vertex, and the queue, a dict in queue order.  The
+    classes are laid out in increasing color order."""
+    classes: dict[int, int] = {}
     for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    ids = [0] * len(colors)
-    cells: list = [None] * len(colors)
-    queue = []
-    offset = 0
+        classes[c] = classes.get(c, 0) | 1 << v
+    cells, wide, queue, offset = [0] * len(colors), set(), {}, 0
     for c in sorted(classes):
         cells[offset] = cell = classes[c]
-        for v in cell:
-            ids[v] = offset
-        queue.append(offset)
-        offset += len(cell)
-    return ids, cells, queue
+        classes[c] = offset
+        if cell & (cell - 1):
+            wide.add(offset)
+        queue[offset] = None
+        offset += cell.bit_count()
+    return [classes[c] for c in colors], cells, wide, queue
 
 
-def _step(nbrs: list[dict[int, int]], weighted: bool, ids: list[int], cells: list, queue: list[int]) -> tuple:
+def _step(adj: Sequence[int], layers: list | None, ids: list[int], cells: list[int],
+          wide: set[int], queue: dict[int, None]) -> tuple:
     """One refinement step of an ordered partition, in place.
 
-    Pops the first queued splitter and sums, for each vertex, the weights
-    ``nbrs[v][u]`` of its neighbors u in it (all 1 unless ``weighted``).  A
-    cell whose sums differ splits into fragments laid out in increasing sum
+    Pops the first queued splitter S and gives each vertex u its count of
+    neighbors in S, ``(adj[u] & S).bit_count()``, an edge labelled l weighing
+    (n+1)^l; a singleton {w} splits a cell by adjacency to w alone.  A cell
+    whose counts differ splits into fragments laid out in increasing count
     order from its own offset, so the first keeps its id and none leaves the
     cell's offset range.  A split cell that was queued queues all its new
-    fragments; one that was not queues all but its first largest (Hopcroft's
-    rule).  Returns the step's trace: the (cell id, sums, sizes) of each
-    split, by cell id.  Two partitions with equal layouts and queues keep
-    them equal through steps with equal traces, so a second graph is
-    compared with the first step by step through the traces alone.
+    fragments, one that was not all but its first largest (Hopcroft's rule).
+    Returns the step's trace, the (cell id, counts, sizes) of each split by
+    cell id: partitions with equal layouts and queues stay equal through
+    steps with equal traces, so a second graph is compared with the first
+    through the traces alone.
     """
-    splitter = cells[queue.pop(0)]
-    if len(splitter) == 1:
-        counts = nbrs[splitter[0]]
-    elif weighted:
-        counts = Counter()
-        for w in splitter:
-            counts.update(nbrs[w])
+    c = next(iter(queue))
+    del queue[c]
+    splitter = cells[c]
+    single = not splitter & (splitter - 1)
+    two = single and layers is None
+    if single:
+        w = splitter.bit_length() - 1
+        reach = adj[w]
     else:
-        counts = Counter(chain.from_iterable(map(nbrs.__getitem__, splitter)))
-    touched: dict[int, list[int]] = {}
-    for u in counts:
-        c = ids[u]
-        if len(cells[c]) > 1:
-            touched.setdefault(c, []).append(u)
+        reach = 0
+        m = splitter
+        while m:
+            low = m & -m
+            reach |= adj[low.bit_length() - 1]
+            m ^= low
     trace = []
-    for c in sorted(touched):
+    for c in sorted(wide):
         cell = cells[c]
-        hit = touched[c]
-        if len(hit) == len(cell) and len(set(map(counts.__getitem__, hit))) == 1:
+        inside = cell & reach
+        if not inside or two and inside == cell:
             continue
-        fragments: dict[int, list[int]] = {}
-        for u in cell:
-            fragments.setdefault(counts.get(u, 0), []).append(u)
-        keys = sorted(fragments)
-        sizes = [len(fragments[k]) for k in keys]
+        if two:
+            # The common case, two fragments, laid out without counting.
+            a, b = (cell & ~reach).bit_count(), inside.bit_count()
+            cells[c] = cell & ~reach
+            cells[c + a] = mask = inside
+            while mask:
+                low = mask & -mask
+                ids[low.bit_length() - 1] = c + a
+                mask ^= low
+            if a == 1:
+                wide.discard(c)
+            if b > 1:
+                wide.add(c + a)
+            queue[c + a if a >= b or c in queue else c] = None
+            trace.append((c, (0, 1), (a, b)))
+            continue
+        if single:
+            by_count = {weight: cell & row[w] for weight, row in layers if cell & row[w]}
+            if inside != cell:
+                by_count[0] = cell & ~reach
+        else:
+            by_count = {}
+            m = cell
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                k = ((adj[u] & splitter).bit_count() if layers is None else
+                     sum(weight * (row[u] & splitter).bit_count() for weight, row in layers))
+                by_count[k] = by_count.get(k, 0) | low
+                m ^= low
+        keys = tuple(sorted(by_count))
+        if len(keys) == 1:
+            continue
+        masks = list(map(by_count.__getitem__, keys))
+        sizes = tuple(map(int.bit_count, masks))
         keep = 0 if c in queue else sizes.index(max(sizes))
         offset = c
-        for i, k in enumerate(keys):
-            cells[offset] = fragment = fragments[k]
+        for i, mask in enumerate(masks):
+            cells[offset] = mask
             if i:
-                for u in fragment:
-                    ids[u] = offset
+                while mask:
+                    low = mask & -mask
+                    ids[low.bit_length() - 1] = offset
+                    mask ^= low
+            if sizes[i] > 1:
+                wide.add(offset)
+            elif not i:
+                wide.discard(c)
             if i != keep:
-                queue.append(offset)
+                queue[offset] = None
             offset += sizes[i]
-        trace.append((c, tuple(keys), tuple(sizes)))
-    if trace and len(set(ids)) == len(ids):
+        trace.append((c, keys, sizes))
+    if trace and not wide:
         queue.clear()  # a discrete partition splits no further
     return tuple(trace)
 
 
-def _individualize(ids: list[int], cells: list, u: int) -> tuple[list[int], list, list[int]]:
+def _individualize(ids: list[int], cells: list[int], wide: set[int], u: int) -> tuple:
     """A copy of a stable partition with u split off its cell c: the rest
     keeps id c, u goes to the cell's last offset, and only {u} is queued."""
     c = ids[u]
     cell = cells[c]
-    last = c + len(cell) - 1
-    ids = ids.copy()
-    cells = cells.copy()
-    cells[c] = [x for x in cell if x != u]
-    cells[last] = [u]
+    last = c + cell.bit_count() - 1
+    ids, cells = ids.copy(), cells.copy()
+    cells[c] = rest = cell & ~(1 << u)
+    cells[last] = 1 << u
     ids[u] = last
-    return ids, cells, [last]
-
-
-def _target_cell(cells: list) -> int | None:
-    """The id of the first smallest cell with more than one vertex, if any."""
-    best, size = None, len(cells) + 1
-    c = 0
-    while c < len(cells):
-        k = len(cells[c])
-        if 1 < k < size:
-            best, size = c, k
-        c += k
-    return best
-
-
-def _neighbors(g: Graph) -> list[dict[int, int]]:
-    """Each vertex's neighbors, each with weight 1."""
-    return [dict.fromkeys(iter_bits(m), 1) for m in g.adj]
+    wide = wide - {c} if not rest & (rest - 1) else wide.copy()
+    return ids, cells, wide, {last: None}
 
 
 class _Path:
@@ -265,119 +292,115 @@ class _Path:
 
     At every node that side individualizes the first vertex of the target
     cell, so all its nodes lie on one path, one per depth.  Each is refined
-    one step at a time, only as far as some node of the second graph at that
-    depth has matched it, and never twice, so a path kept for many searches
-    against one graph refines that graph once.
+    only as far as some node of the second graph at that depth has matched
+    it, and never twice, so a path kept for many searches against one graph
+    refines that graph once.
 
     ``labels``, aligned with ``g.edges()``, label the edges 0..L-1, and
-    every isomorphism found keeps them: ``nbrs[v][u]`` is (n+1)^l for the
-    edge {v, u} labelled l, so a step's sum over a splitter tells every
-    label's count apart (each is below n+1).  Unlabelled, every weight is 1.
-    A labelled path is searched against its own graph only.  ``nodes``
-    counts the nodes of all its searches, which raise past ``budget``.
+    every isomorphism found keeps them: ``layers`` holds, per label l, the
+    weight (n+1)^l and each vertex's neighbor mask over edges labelled l, so
+    a step's count tells every label's count apart (each is below n+1).
+    Unlabelled, or with every label 0, ``layers`` is None.  A labelled path
+    is searched against its own graph only.  ``nodes`` counts the nodes of
+    all its searches, which raise past ``budget``.
     """
 
-    __slots__ = ("graph", "nbrs", "weighted", "parts", "queue", "traces", "ends", "targets",
+    __slots__ = ("graph", "layers", "parts", "queue", "traces", "ends", "targets",
                  "nodes", "budget")
 
-    def __init__(
-        self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None,
-        budget: float = math.inf,
-    ) -> None:
-        self.graph = g
-        self.nodes = 0
-        self.budget = budget
-        self.weighted = labels is not None and any(labels)
-        if self.weighted:
-            self.nbrs = [{} for _ in range(g.n)]
+    def __init__(self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None,
+                 budget: float = math.inf) -> None:
+        self.graph, self.nodes, self.budget, self.layers = g, 0, budget, None
+        if any(labels or ()):
+            rows = [[0] * g.n for _ in range(max(labels) + 1)]
             for (u, v), label in zip(g.edges(), labels):
-                self.nbrs[u][v] = self.nbrs[v][u] = (g.n + 1) ** label
-        else:
-            self.nbrs = _neighbors(g)
-        # The partition (cell ids, cells) of each depth after the steps made
-        # so far, the deepest depth's queue, and the traces of all steps,
-        # depth after depth.  A depth is stable once it has a target cell
-        # (None at the leaf) and the end of its steps in ``traces``; the next
+                rows[label][u] |= 1 << v
+                rows[label][v] |= 1 << u
+            self.layers = [((g.n + 1) ** label, row) for label, row in enumerate(rows)]
+        # The partition (cell ids, cells, wide cells) of each depth after the
+        # steps made so far, the deepest depth's queue, and the traces of all
+        # steps, depth after depth.  A depth is stable once it has a target
+        # cell (None at the leaf) and its steps' end in ``traces``; the next
         # depth starts with the cell's first vertex individualized.
-        ids, cells, self.queue = _partition([0] * g.n if colors is None else colors)
-        self.parts = [(ids, cells)]
+        *part, self.queue = _partition([0] * g.n if colors is None else colors)
+        self.parts = [tuple(part)]
         self.traces: list = []
         self.ends: list[int] = []
         self.targets: list[int | None] = []
 
-    def _advance(self) -> None:
-        """One more step at the deepest depth, which is not yet stable."""
-        ids, cells = self.parts[-1]
-        if self.queue:
-            self.traces.append(_step(self.nbrs, self.weighted, ids, cells, self.queue))
-        if not self.queue:
-            c = _target_cell(cells)
+    def _advance(self, whole: bool) -> None:
+        """One more step at the deepest depth, which is not yet stable, or
+        all its steps if ``whole``."""
+        ids, cells, wide = self.parts[-1]
+        adj, layers, queue = self.graph.adj, self.layers, self.queue
+        while queue:
+            self.traces.append(_step(adj, layers, ids, cells, wide, queue))
+            if not whole:
+                break
+        if not queue:
+            # The first smallest cell with more than one vertex, if any.
+            c = min(wide, key=lambda c: (cells[c].bit_count(), c), default=None)
             self.targets.append(c)
             self.ends.append(len(self.traces))
             if c is not None:
-                ids, cells, self.queue = _individualize(ids, cells, cells[c][0])
-                self.parts.append((ids, cells))
+                *part, self.queue = _individualize(ids, cells, wide, next(iter_bits(cells[c])))
+                self.parts.append(tuple(part))
 
     def target(self, depth: int) -> int | None:
         """The target cell at ``depth``, refining the path down to it."""
         while len(self.targets) <= depth:
-            self._advance()
+            self._advance(True)
         return self.targets[depth]
 
-    def matches(self, depth: int, r: int, trace: tuple) -> bool:
-        """Whether step r of a second-graph node at ``depth`` has the trace
-        of the path's step r."""
-        i = (self.ends[depth - 1] if depth else 0) + r
+    def matches(self, depth: int, i: int, trace: tuple) -> bool:
+        """Whether a second-graph node's step at ``depth`` has the trace of
+        the path's step i (counted over all depths)."""
         if i == len(self.traces) and depth == len(self.ends):
-            self._advance()
+            self._advance(False)
         end = self.ends[depth] if depth < len(self.ends) else len(self.traces)
         return i < end and self.traces[i] == trace
 
 
-def _walk(
-    path: _Path, depth: int, nbrs_h: list[dict[int, int]], part: tuple | None, same: bool
-) -> Iterator[Permutation]:
-    """Every isomorphism below the search node at ``depth`` whose second-graph
-    partition is ``part`` (cell ids, cells, queue), in search order.
+def _walk(path: _Path, depth: int, adj_h: Sequence[int], part: tuple | None,
+          same: bool) -> Iterator[Permutation]:
+    """Every isomorphism below the search node at ``depth`` whose partition
+    of the second graph, of adjacency ``adj_h``, is ``part`` (cell ids,
+    cells, wide cells, queue), in search order.
 
     ``part`` starts with the layout and queue of the path's partition at
     that depth.  Only the second graph is refined; each step is checked
     against the path's step, so both reach stability together.  The node's
     children individualize the path's vertex against each vertex of the
     target cell on the second graph in turn.  ``same`` says that the node is
-    the path's own (the same graph and partition), so it is not refined at
-    all and ``part`` is not read.
+    the path's own (the same graph and partition), so ``part`` is not read.
     """
     path.nodes += 1
     if path.nodes > path.budget:
-        raise _exhausted(path.graph, path.budget)
+        raise BudgetExceededError(f"node budget of {path.budget} exhausted by an automorphism "
+                                  f"search on {path.graph.n} vertices", nodes=path.budget + 1)
     if same:
         path.target(depth)
-        ids, cells = path.parts[depth]
+        ids, cells, wide = path.parts[depth]
     else:
-        ids, cells, queue = part
-        r = 0
+        ids, cells, wide, queue = part
+        i = path.ends[depth - 1] if depth else 0
         while queue:
-            if not path.matches(depth, r, _step(nbrs_h, path.weighted, ids, cells, queue)):
+            if not path.matches(depth, i, _step(adj_h, path.layers, ids, cells, wide, queue)):
                 return
-            r += 1
+            i += 1
     c = path.target(depth)
     if c is None:
-        # Everything is singleton on both sides: read off the bijection.
-        # The edge counts agree, so it is an isomorphism if it maps every
-        # edge of h back onto an edge of g with the same weight.
-        cells_g = path.parts[depth][1]
-        back = [cells_g[k][0] for k in ids]
-        for x, row in enumerate(nbrs_h):
-            row_g = path.nbrs[back[x]]
-            for y, weight in row.items():
-                if row_g.get(back[y]) != weight:
-                    return
-        yield invert(back)
+        # All cells are singletons: read off the bijection offset by offset.
+        # The edge counts agree, so it is an isomorphism if each label's edges map into h.
+        phi = [y.bit_length() - 1 for _, y in sorted(zip(path.parts[depth][1], cells))]
+        pairs = [(row, row) for _, row in path.layers] if path.layers else [(path.graph.adj, adj_h)]
+        if all(_maps_edges(row, row_h, phi) for row, row_h in pairs):
+            yield tuple(phi)
         return
-    v = cells[c][0] if same else None
-    for u in cells[c]:
-        yield from _walk(path, depth + 1, nbrs_h, _individualize(ids, cells, u), same and u == v)
+    cell = cells[c]
+    v = next(iter_bits(cell)) if same else None
+    for u in iter_bits(cell):
+        yield from _walk(path, depth + 1, adj_h, _individualize(ids, cells, wide, u), same and u == v)
 
 
 def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
@@ -386,24 +409,8 @@ def _search(path: _Path, h: Graph, start: list[int]) -> Iterator[Permutation]:
     g = path.graph
     if g.n != h.n or g.edge_count() != h.edge_count():
         return
-    if g == h:
-        yield from _walk(path, 0, path.nbrs, None, True)
-    else:
-        yield from _walk(path, 0, _neighbors(h), _partition(start), False)
-
-
-def _isomorphisms(
-    g: Graph, h: Graph, colors: list[int] | None = None, labels: list[int] | None = None,
-    budget: float = math.inf,
-) -> Iterator[Permutation]:
-    """All isomorphisms g -> h, in deterministic search order.
-
-    ``colors`` is the starting coloring of both graphs (default: one class);
-    only isomorphisms that keep it are found.  Edge ``labels`` (see
-    ``_Path``) are kept too; they need h to be g.
-    """
-    start = [0] * g.n if colors is None else list(colors)
-    return _search(_Path(g, start, labels, budget), h, start)
+    same = g == h
+    yield from _walk(path, 0, h.adj, None if same else _partition(start), same)
 
 
 def _orbit(v: int, generators: list[Permutation], identity: Permutation) -> dict[int, Permutation]:
@@ -442,14 +449,14 @@ def _stabilizer_chain(g: Graph, budget: float = math.inf) -> AutGroup:
     generators: list[Permutation] = []
     transversals = []
     for depth in reversed(range(levels)):
-        ids, cells = path.parts[depth]
+        ids, cells, wide = path.parts[depth]
         target = cells[path.targets[depth]]
-        v = target[0]
+        v = next(iter_bits(target))
         reps = {v: identity}
-        for u in target:
+        for u in iter_bits(target):
             if u in reps:
                 continue
-            branch = _walk(path, depth + 1, path.nbrs, _individualize(ids, cells, u), False)
+            branch = _walk(path, depth + 1, g.adj, _individualize(ids, cells, wide, u), False)
             leaf = next(branch, None)
             if leaf is not None:
                 generators.append(leaf)
@@ -458,19 +465,11 @@ def _stabilizer_chain(g: Graph, budget: float = math.inf) -> AutGroup:
     return AutGroup(n, tuple(generators), tuple(reversed(transversals)), path.nodes)
 
 
-def _exhausted(g: Graph, budget: float) -> BudgetExceededError:
-    message = f"node budget of {budget} exhausted by an automorphism search on {g.n} vertices"
-    return BudgetExceededError(message, nodes=budget + 1)
-
-
-def _nontrivial_automorphism(
-    g: Graph, colors: list[int], labels: list[int] | None
-) -> Permutation | None:
+def _nontrivial_automorphism(g: Graph, colors: list[int], labels: list[int] | None) -> Permutation | None:
     """The first automorphism of g that keeps ``colors`` and the edge
     ``labels`` (see ``_Path``) and is not the identity; charged."""
-    identity = tuple(range(g.n))
-    found = _isomorphisms(g, g, colors, labels, _resolve_budget(None))
-    return next((p for p in found if p != identity), None)
+    found = _search(_Path(g, colors, labels, _resolve_budget(None)), g, colors)
+    return next((p for p in found if p != tuple(range(g.n))), None)
 
 
 def automorphisms(g: Graph) -> AutGroup:
@@ -609,13 +608,8 @@ def check_aut_chain(g: Graph) -> AutChainReport:
         middle_order=automorphisms(middle(g).graph).order,
         endline_order=automorphisms(plus.graph).order,
     )
-    orders = {
-        report.line_order,
-        report.subdivision_order,
-        report.central_order,
-        report.middle_order,
-        report.endline_order,
-    }
+    orders = {report.line_order, report.subdivision_order, report.central_order,
+              report.middle_order, report.endline_order}
     report.all_equal = orders == {report.base_order}
 
     # A lift is an injective homomorphism, so when the orders agree the

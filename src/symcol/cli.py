@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from .autos import automorphisms, check_aut_chain
 from .colorings import TDCPartition, coloring_from_json
 from .constructive import (
     PROPERTIES,
+    ConstructionResult,
     avd_coloring_central_join,
     avd_coloring_central_regular,
     avd_coloring_subdivision,
@@ -165,10 +167,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if holds else 1
 
 
-def _result_doc(result) -> dict:
-    doc = result.to_json()
-    doc["verdict"] = "pass"
-    return doc
+def _document(value: dict | ConstructionResult) -> dict:
+    """A check's ``construct`` document: a construction's JSON, or its own."""
+    return {**value.to_json(), "verdict": "pass"} if isinstance(value, ConstructionResult) else value
 
 
 def _partition_doc(tag: str, g: Graph, partition: TDCPartition, bound: int) -> dict:
@@ -187,7 +188,7 @@ def _complement_doc(g: Graph) -> dict:
     return _partition_doc("6.1", g.complement(), tdc_to_complement(p, g), len(p.classes))
 
 
-def _join_doc(g: Graph, g2: Graph | None) -> dict:
+def _join_doc(g: Graph, g2: Graph | None) -> ConstructionResult:
     if g2 is None:
         raise _UsageError("--theorem 5.5 takes the second part via --in2")
     # Equal part orders take proper total colorings, unequal ones AVD colorings.
@@ -199,7 +200,7 @@ def _join_doc(g: Graph, g2: Graph | None) -> dict:
         )
         for part in (g, g2)
     )
-    return _result_doc(avd_coloring_central_join(g, g2, c1, c2))
+    return avd_coloring_central_join(g, g2, c1, c2)
 
 
 def _chain_doc(g: Graph) -> dict:
@@ -224,19 +225,20 @@ _CONSTRUCT, _SWEEP = ("construct",), ("sweep",)
 _BOTH = _CONSTRUCT + _SWEEP
 
 # Every check by tag, in listing order: the subcommands that accept it, and
-# a function of (graph, second graph) returning its document.  Its oracle
-# searches, those inside the constructions included, read the budget that
-# run_check sets.  The lambdas look each construction up by name when called,
-# so a wrapper bound to that name in this module later is the one that runs.
+# a function of (graph, second graph) returning its construction result or
+# its document; a sweep reads a result's palette and bound, not its JSON.
+# Its oracle searches, those inside the constructions included, read the
+# budget that run_check sets.  The lambdas look each construction up by name
+# when called, so a wrapper bound to that name here later is the one that runs.
 CHECKS = {
     "2.11": (_SWEEP, lambda g, _: _chain_doc(g)),
-    "3.2": (_BOTH, lambda g, _: _result_doc(dist_edge_coloring_central(g))),
-    "3.4": (_BOTH, lambda g, _: _result_doc(dist_vertex_coloring_central(g))),
-    "3.6": (_BOTH, lambda g, _: _result_doc(dist_vertex_coloring_middle(g))),
-    "4.5": (_BOTH, lambda g, _: _result_doc(total_dist_coloring_central_regular(g))),
-    "4.9": (_BOTH, lambda g, _: _result_doc(total_dist_coloring_subdivision(g))),
-    "5.1": (_BOTH, lambda g, _: _result_doc(avd_coloring_central_regular(g))),
-    "5.3": (_BOTH, lambda g, _: _result_doc(avd_coloring_subdivision(g))),
+    "3.2": (_BOTH, lambda g, _: dist_edge_coloring_central(g)),
+    "3.4": (_BOTH, lambda g, _: dist_vertex_coloring_central(g)),
+    "3.6": (_BOTH, lambda g, _: dist_vertex_coloring_middle(g)),
+    "4.5": (_BOTH, lambda g, _: total_dist_coloring_central_regular(g)),
+    "4.9": (_BOTH, lambda g, _: total_dist_coloring_subdivision(g)),
+    "5.1": (_BOTH, lambda g, _: avd_coloring_central_regular(g)),
+    "5.3": (_BOTH, lambda g, _: avd_coloring_subdivision(g)),
     "5.5": (_CONSTRUCT, _join_doc),
     "6.1": (_BOTH, lambda g, _: _complement_doc(g)),
     "6.2": (_BOTH, lambda g, _: _partition_doc("6.2", central(g).graph, tdc_central(g), g.n)),
@@ -252,9 +254,9 @@ def _tags(command: str) -> list[str]:
     return [tag for tag, (commands, _) in CHECKS.items() if command in commands]
 
 
-def _attempt(run: Callable[[], dict]) -> dict:
-    """The document ``run`` returns, or a verdict document with a ``detail``
-    for the failure it raised."""
+def _attempt(run: Callable[[], dict | ConstructionResult]) -> dict | ConstructionResult:
+    """What ``run`` returns, or a verdict document with a ``detail`` for the
+    failure it raised."""
     try:
         return run()
     except NotApplicableError as exc:
@@ -269,7 +271,7 @@ def _attempt(run: Callable[[], dict]) -> dict:
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = _parse_graph(args.graph)
     g2 = _parse_graph(args.graph2) if args.graph2 else None
-    doc = _attempt(lambda: CHECKS[args.theorem][1](g, g2))
+    doc = _attempt(lambda: _document(CHECKS[args.theorem][1](g, g2)))
     if doc["verdict"] != "pass":
         _print_json(doc)
         return 1
@@ -310,6 +312,8 @@ def run_check(graph6: str, check: str, budget: int | None = None) -> dict:
             _check_budget.reset(token)
 
     doc = _attempt(run)
+    if isinstance(doc, ConstructionResult):
+        doc = {"verdict": "pass", "promised_bound": doc.promised_bound, "palette_size": doc.palette_size}
     record["verdict"] = doc["verdict"]
     record["promised_bound"] = doc.get("promised_bound")
     record["achieved"] = doc.get("palette_size", doc.get("class_count"))
@@ -368,8 +372,17 @@ def _source_digest() -> str:
 
 def _journal_path(cache_dir: Path, check: str, budget: int | None) -> Path:
     # Searches given no budget read SYMCOL_BUDGET, so both are keyed.
-    text = f"{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}\n{_source_digest()}"
-    return cache_dir / f"{hashlib.sha256(text.encode()).hexdigest()}.jsonl"
+    text = f"{check}\n{budget}\n{os.environ.get('SYMCOL_BUDGET')}"
+    return cache_dir / f"{_source_digest()}-{hashlib.sha256(text.encode()).hexdigest()}.jsonl"
+
+
+def _prune_cache(cache_dir: Path) -> None:
+    """Delete the journals of other source digests and the unprefixed files
+    of earlier versions; this digest's journals of every check stay."""
+    for path in cache_dir.iterdir():
+        name = re.fullmatch(r"(?:([0-9a-f]{64})-)?[0-9a-f]{64}\.jsonl?", path.name)
+        if name and name[1] != _source_digest():
+            path.unlink(missing_ok=True)
 
 
 def _read_journal(name: str, data: bytes, check: str) -> dict[str, dict]:
@@ -405,6 +418,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     journal_path = _journal_path(cache_dir, args.check, args.budget)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
+        _prune_cache(cache_dir)
         # Unbuffered, so each record is one write(2) on an O_APPEND descriptor.
         journal = open(journal_path, "a+b", buffering=0)
     except OSError as exc:

@@ -5,11 +5,12 @@ exhaustive generation", J. Algorithms 26, 1998).  Each graph of order n is
 made from the representatives of order n-1 by adding a vertex v joined to a
 mask of the parent's vertices, one mask per orbit of the parent's group on
 masks.  A child is accepted only if v lies in its canonical cell: refine the
-child to stability from one cell, and take the deletable vertices (those
-whose removal leaves a graph of the family) of the highest cell among them.
-The cells are ordered by isomorphism-invariant counts and refine the degree
-order, so a deletable vertex of higher degree than v rejects the child before
-any refinement.
+child's adjacency masks (the parent's, with v's bit added) to stability from
+one cell with the automorphism search's own step, and take the deletable
+vertices (those whose removal leaves a graph of the family) of the highest
+cell among them.  The cells are ordered by isomorphism-invariant counts and
+refine the degree order, so a deletable vertex of higher degree than v
+rejects the child before any refinement.
 
 When that cell is one orbit of the child's group, McKay's argument shows that
 exactly one accepted child falls in each isomorphism class, so the child is
@@ -19,11 +20,11 @@ to a pool that keeps the first of each class by an exact isomorphism test.
 Of the connected graphs, 1 class of order 7 goes there (2 children) and 19
 of order 8 (43 children).
 
-Whether an automorphism maps v to another vertex of the cell is one search,
-from v individualized against that vertex.  Representatives are the
-accepted children in the order of their parents and masks.  This scales to
-order 8 (11117 connected graphs), which covers everything the built-in
-sweeps need.
+Whether an automorphism maps v to another vertex of the cell is one search
+on the child's masks, from v individualized against that vertex.
+Representatives are the accepted children in the order of their parents and
+masks.  This scales to order 8 (11117 connected graphs), which covers
+everything the built-in sweeps need.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Iterable, Sequence
 from .autos import (
     Permutation,
     _first_isomorphism,
-    _neighbors,
     _partition,
     _Path,
     _stabilizer_chain,
@@ -86,7 +86,7 @@ def _mask_orbit_reps(parent: Graph, masks: Sequence[int]) -> list[int]:
 
 
 def _canonical_cell(
-    nbrs: list[dict[int, int]], mask: int, deletable: Callable[[int, int], bool]
+    adj: list[int], mask: int, deletable: Callable[[int, int], bool]
 ) -> list[int] | None:
     """The deletable vertices of the highest stable cell, if the new vertex
     (the last) is among them; else None.
@@ -98,17 +98,17 @@ def _canonical_cell(
     so a deletable vertex of higher degree rejects the child before any step
     is run.
     """
-    v = len(nbrs) - 1
-    degree = len(nbrs[v])
+    v = len(adj) - 1
+    degree = mask.bit_count()
     rivals = []
     for w in range(v):
-        if len(nbrs[w]) >= degree and deletable(mask, w):
-            if len(nbrs[w]) > degree:
+        if adj[w].bit_count() >= degree and deletable(mask, w):
+            if adj[w].bit_count() > degree:
                 return None
             rivals.append(w)
-    ids, cells, queue = _partition([0] * len(nbrs))
+    ids, cells, wide, queue = _partition([0] * len(adj))
     while rivals and queue:
-        _step(nbrs, False, ids, cells, queue)
+        _step(adj, None, ids, cells, wide, queue)
         top = ids[v]
         if any(ids[w] > top for w in rivals):
             return None
@@ -116,26 +116,19 @@ def _canonical_cell(
     return [v, *rivals]
 
 
-def _pinned(n: int, v: int) -> list[int]:
-    """The coloring of 0..n-1 that sets v apart from the rest."""
-    colors = [0] * n
-    colors[v] = 1
-    return colors
-
-
 def _one_orbit(g: Graph, cell: list[int]) -> bool:
     """Whether the vertices of ``cell`` form one orbit of Aut(g)."""
     if len(cell) == 1:
         return True
     v = cell[0]
-    path = _Path(g, _pinned(g.n, v))
+    path = _Path(g, [int(u == v) for u in range(g.n)])
     found: list[Permutation] = []
     orbits = list(range(g.n))
     for w in cell[1:]:
         if orbits[w] == orbits[v]:
             continue
         # The first automorphism mapping v to w, if any.
-        phi = next(_walk(path, 0, path.nbrs, _partition(_pinned(g.n, w)), False), None)
+        phi = next(_walk(path, 0, g.adj, _partition([int(u == w) for u in range(g.n)]), False), None)
         if phi is None:
             return False
         found.append(phi)
@@ -153,18 +146,16 @@ def _augment(parents: Iterable[Graph], masks: Sequence[int], deletable: Deletabl
     for parent in parents:
         v = parent.n
         bit = 1 << v
-        parent_nbrs = _neighbors(parent)
         may_delete = deletable(parent)
         for mask in _mask_orbit_reps(parent, masks):
-            nbrs = [{**nb, v: 1} if mask >> u & 1 else nb for u, nb in enumerate(parent_nbrs)]
-            nbrs.append(dict.fromkeys(iter_bits(mask), 1))
-            cell = _canonical_cell(nbrs, mask, may_delete)
+            adj = [m | bit if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
+            adj.append(mask)
+            cell = _canonical_cell(adj, mask, may_delete)
             if cell is None:
                 continue
-            adj = [m | bit if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
-            child = Graph(v + 1, (*adj, mask))
+            child = Graph(v + 1, tuple(adj))
             if not _one_orbit(child, cell):
-                bucket = pool.setdefault(tuple(sorted(map(len, nbrs))), [])
+                bucket = pool.setdefault(tuple(sorted(m.bit_count() for m in adj)), [])
                 if any(_first_isomorphism(seen, child) is not None for seen in bucket):
                     continue
                 bucket.append(_Path(child))

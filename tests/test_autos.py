@@ -20,7 +20,6 @@ from symcol.autos import (
     lift_to_endline,
     vertex_orbits,
 )
-from symcol.autos import _isomorphisms
 from symcol.errors import BudgetExceededError
 from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
@@ -102,7 +101,8 @@ def test_chain_matches_full_search_on_small_graphs():
             for h in (g, line_graph(g)[0], subdivision(g).graph, central(g).graph,
                       middle(g).graph, endline(g).graph):
                 group = automorphisms(h)
-                assert group.elements == tuple(sorted(_isomorphisms(h, h)))
+                leaves = autos._search(autos._Path(h), h, [0] * h.n)
+                assert group.elements == tuple(sorted(leaves))
                 assert group.order == len(group.elements)
                 assert all(is_automorphism(h, p) for p in group.generators)
 
@@ -175,13 +175,28 @@ def _transforms(g):
             middle(g).graph, endline(g).graph)
 
 
-def _run_steps(nbrs, weighted, part):
-    """Run the engine's steps on ``part`` until stable; return the traces."""
-    ids, cells, queue = part
+def _run_steps(adj, layers, part):
+    """Run the engine's steps on ``part`` until stable; return the traces.
+
+    After every step the partition must be consistent: each vertex lies in
+    the cell mask of its id, the cells tile 0..n-1 at their offsets, and the
+    wide set holds exactly the ids of the cells with more than one vertex."""
+    ids, cells, wide, queue = part
     traces = []
     while queue:
-        traces.append(autos._step(nbrs, weighted, ids, cells, queue))
+        traces.append(autos._step(adj, layers, ids, cells, wide, queue))
+        _check_layout(ids, cells, wide)
     return traces
+
+
+def _check_layout(ids, cells, wide):
+    n = len(ids)
+    starts = sorted(set(ids))
+    assert all(cells[ids[v]] >> v & 1 for v in range(n))
+    assert sum(cells[c] for c in starts) == (1 << n) - 1
+    bounds = starts + [n]
+    assert all(cells[c].bit_count() == bounds[i + 1] - c for i, c in enumerate(starts))
+    assert wide == {c for c in starts if cells[c].bit_count() > 1}
 
 
 def _blocks(colors):
@@ -213,12 +228,13 @@ def _check_coarsest_equitable(g, labels=None):
         labelled[v].append((u, label))
     path = autos._Path(g, labels=labels)
     part = autos._partition([0] * g.n)
-    _run_steps(path.nbrs, path.weighted, part)
-    ids, cells, _ = part
+    _run_steps(g.adj, path.layers, part)
+    ids, cells, wide, _ = part
     assert _blocks(ids) == _coarsest_equitable(labelled, [0] * g.n), g
     for v in range(g.n):
-        child = autos._individualize(ids, cells, v)
-        _run_steps(path.nbrs, path.weighted, child)
+        child = autos._individualize(ids, cells, wide, v)
+        _check_layout(*child[:3])
+        _run_steps(g.adj, path.layers, child)
         pinned = ids.copy()
         pinned[v] = g.n
         assert _blocks(child[0]) == _coarsest_equitable(labelled, pinned), (g, v)
@@ -261,14 +277,13 @@ def test_traces_are_invariant_under_relabelling():
             perm = list(range(n))
             rng.shuffle(perm)
             h = g.relabel(perm)
-            nbrs_g, nbrs_h = autos._neighbors(g), autos._neighbors(h)
             part_g, part_h = autos._partition([0] * n), autos._partition([0] * n)
-            assert _run_steps(nbrs_g, False, part_g) == _run_steps(nbrs_h, False, part_h), g
+            assert _run_steps(g.adj, None, part_g) == _run_steps(h.adj, None, part_h), g
             assert all(part_g[0][x] == part_h[0][perm[x]] for x in range(n)), g
             for x in range(n):
-                child_g = autos._individualize(*part_g[:2], x)
-                child_h = autos._individualize(*part_h[:2], perm[x])
-                assert _run_steps(nbrs_g, False, child_g) == _run_steps(nbrs_h, False, child_h), (g, x)
+                child_g = autos._individualize(*part_g[:3], x)
+                child_h = autos._individualize(*part_h[:3], perm[x])
+                assert _run_steps(g.adj, None, child_g) == _run_steps(h.adj, None, child_h), (g, x)
                 # Equal ids at corresponding vertices give equal cell sizes too.
                 assert all(child_g[0][y] == child_h[0][perm[y]] for y in range(n)), (g, x)
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symcol import cli, errors
+from symcol import cli, colorings, errors
 from symcol.cli import CHECKS, main, run_check
 from symcol.graphs import (
     Graph,
@@ -699,3 +699,51 @@ def test_sweep_cache_keyed_by_source_digest(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0 and json.loads(out)["pass"] == 1
     assert record_rows(report)[0]["verdict"] == "pass"
+    # The journal of the earlier digest is pruned.
+    (journal,) = (tmp_path / "r.cache").iterdir()
+    assert journal.name.startswith("edited sources-")
+
+
+def test_sweep_prunes_other_source_versions_from_its_cache(capsys, tmp_path):
+    # Journals of another digest, and the per-record files and unprefixed
+    # journals of earlier versions, go; this version's journals of other
+    # checks and budgets, and files that are not the cache's, stay.
+    cache = tmp_path / "c"
+    listing = tmp_path / "c5.txt"
+    listing.write_text(f"{C5}\n")
+    args = ["sweep", "--file", str(listing), "--report", str(tmp_path / "r.jsonl"),
+            "--cache", str(cache)]
+    run_cli(capsys, *args, "--check", "2.11")
+    run_cli(capsys, *args, "--check", "3.2", "--budget", "10")
+    kept = sorted(cache.iterdir())
+    assert len(kept) == 2
+    stale = ["a" * 64 + ".json", "b" * 64 + ".jsonl", "c" * 64 + "-" + "d" * 64 + ".jsonl"]
+    for name in stale + ["notes.txt"]:
+        (cache / name).write_text("{}\n")
+    code, out, _ = run_cli(capsys, *args, "--check", "3.2")
+    assert code == 0 and json.loads(out)["pass"] == 1
+    left = sorted(cache.iterdir())
+    assert set(kept) < set(left) and cache / "notes.txt" in left
+    assert len(left) == 4 and not any(cache / name in left for name in stale)
+
+
+def test_sweep_records_build_no_coloring_json(monkeypatch):
+    # A record reads the palette and the bound off the construction's
+    # result; only `construct` turns the coloring into JSON.
+    graphs = [C5, K4, K15, encode_graph6(petersen_graph())]
+    checks = ["3.2", "3.4", "3.6", "4.5", "4.9", "5.1", "5.3"]
+
+    def records():
+        rows = [run_check(g6, check) for g6 in graphs for check in checks]
+        for row in rows:
+            row.pop("seconds")
+        return rows
+
+    before = records()
+    assert sum(row["achieved"] is not None for row in before) > 15
+
+    def refuse(*args):
+        raise AssertionError("a sweep record built a coloring's JSON")
+
+    monkeypatch.setattr(colorings, "coloring_to_json", refuse)
+    assert records() == before

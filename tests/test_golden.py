@@ -1,0 +1,86 @@
+"""Golden digests of the automorphism engine's outputs.
+
+Each digest is SHA-256 over a JSON line per case, so a change to the search
+that keeps every group but moves a generator, a transversal, a node count,
+a verifier's first automorphism or a family representative shows here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from symcol import autos, colorings
+from symcol.autos import automorphisms
+from symcol.constructive import dist_edge_coloring_central, dist_vertex_coloring_middle
+from symcol.families import all_graphs, all_trees, connected_graphs
+from symcol.graphs import encode_graph6
+from symcol.transforms import central, endline, line_graph, middle, subdivision
+
+CHAIN_DIGEST = "7064c795aed046efc165def3a70c3fa82650bc7a94ba237e0480998c35a96d31"
+VERIFIER_DIGEST = "c0662983aeb0f46679262ee4595e5a31ebbfc35f7ba3ed4efda8ffcedb67384c"
+FAMILIES_DIGEST = "99812f5dce38769955b7f363e1973f238dcd41bbbfd0cf395be29f92424bd3e2"
+
+
+def _digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _chain_rows():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for kind, h in (("base", g), ("line", line_graph(g)[0]),
+                            ("subdivision", subdivision(g).graph), ("central", central(g).graph),
+                            ("middle", middle(g).graph), ("endline", endline(g).graph)):
+                group = automorphisms(h)
+                yield [encode_graph6(g), kind, group.generators, group.transversals, group.nodes]
+
+
+def test_automorphism_groups_of_the_chain_are_pinned():
+    # The six groups check 2.11 compares, on every connected graph of
+    # orders 1-7: generators, transversals and search nodes.
+    assert _digest(_chain_rows()) == CHAIN_DIGEST
+
+
+def _verifier_rows(monkeypatch):
+    searches = []
+    real = colorings._nontrivial_automorphism
+
+    def recorded(g, colors, labels):
+        found = real(g, colors, labels)
+        searches.append((g, list(colors), labels, found))
+        return found
+
+    monkeypatch.setattr(colorings, "_nontrivial_automorphism", recorded)
+    for tag, build in (("3.2", dist_edge_coloring_central), ("3.6", dist_vertex_coloring_middle)):
+        for n in range(4, 7):
+            for g in connected_graphs(n):
+                searches.clear()
+                build(g)
+                for h, colors, labels, found in searches:
+                    # The same search again, on its own path, for its node count.
+                    path = autos._Path(h, colors, labels)
+                    identity = tuple(range(h.n))
+                    again = next((p for p in autos._search(path, h, colors) if p != identity), None)
+                    assert again == found
+                    yield [tag, encode_graph6(g), encode_graph6(h), colors, labels, found, path.nodes]
+
+
+def test_verifier_searches_are_pinned(monkeypatch):
+    # The distinguishing verifier's colored searches inside constructions
+    # 3.2 and 3.6 on orders 4-6: the first automorphism other than the
+    # identity, and the nodes it took.
+    rows = list(_verifier_rows(monkeypatch))
+    assert len(rows) > 200
+    assert _digest(rows) == VERIFIER_DIGEST
+
+
+def test_family_representatives_are_pinned():
+    rows = [[name, n, [encode_graph6(g) for g in family(n)]]
+            for name, family, top in (("connected", connected_graphs, 7), ("trees", all_trees, 9),
+                                      ("all", all_graphs, 5))
+            for n in range(1, top + 1)]
+    assert _digest(rows) == FAMILIES_DIGEST
