@@ -37,6 +37,7 @@ from .constructive import (
     tdc_central,
     tdc_central_tree,
     tdc_to_complement,
+    total_coloring_central,
     total_dist_coloring_central_regular,
     total_dist_coloring_subdivision,
 )
@@ -51,7 +52,7 @@ from .errors import (
 from .families import all_trees, connected_graphs, regular_graphs
 from .graphs import Graph, encode_graph6, parse_graph6
 from .latin import icls
-from .oracles import PARAM_KINDS, exact_parameter, upper_bound_witness
+from .oracles import PARAM_KINDS, exact_parameter
 from .transforms import central, endline, line_graph, middle, subdivision
 
 MAX_BUILTIN_ORDER = 8
@@ -191,7 +192,12 @@ def _complement_doc(g: Graph) -> dict:
 def _join_doc(g: Graph, g2: Graph | None) -> ConstructionResult:
     if g2 is None:
         raise _UsageError("--theorem 5.5 takes the second part via --in2")
-    # Equal part orders take proper total colorings, unequal ones AVD colorings.
+    if g.n == g2.n >= 4:
+        # Equal part orders take proper total colorings within n + 1 colors.
+        c1, c2 = (total_coloring_central(part).coloring for part in (g, g2))
+        return avd_coloring_central_join(g, g2, c1, c2)
+    # The square refuses K2 + K1, so smaller equal parts take the oracle's
+    # proper total colorings, and unequal ones its AVD colorings.
     kind, extra = ("chi2", 1) if g.n == g2.n else ("chi2a", 2)
     c1, c2 = (
         oracle_witness(
@@ -208,17 +214,6 @@ def _chain_doc(g: Graph) -> dict:
     if not report.applicable:
         raise NotApplicableError(report.reason)
     return {"verdict": "pass" if report.passed else "fail"}
-
-
-def _tcc_doc(g: Graph) -> dict:
-    if g.n < 3 or not g.is_connected():
-        raise NotApplicableError("requires a connected graph of order at least 3")
-    cent = central(g).graph
-    bound = cent.max_degree() + 2
-    witness = upper_bound_witness(cent, "chi2", bound)
-    if witness is None:
-        return {"verdict": "fail", "promised_bound": bound}
-    return {"verdict": "pass", "promised_bound": bound, "palette_size": len(witness.palette())}
 
 
 _CONSTRUCT, _SWEEP = ("construct",), ("sweep",)
@@ -246,7 +241,7 @@ CHECKS = {
         _BOTH,
         lambda g, _: _partition_doc("appendix-tree", central(g).graph, tdc_central_tree(g), g.n),
     ),
-    "tcc-central": (_SWEEP, lambda g, _: _tcc_doc(g)),
+    "tcc-central": (_SWEEP, lambda g, _: total_coloring_central(g)),
 }
 
 

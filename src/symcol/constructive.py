@@ -9,8 +9,12 @@ properties of ``PROPERTIES``, which ``symcol verify`` checks too.
 
 Constructions 3.2 and 3.6 ask no oracle: each builds its coloring from a
 breadth-first search of the base graph, or from a fixed pattern on a cycle,
-so its final check is its one search.  3.4, 4.5 at even order and 4.9's
-cycle and fallback cases still start from an exact oracle's witness.
+so its final check is its one search.  Nor do the total colorings of central
+graphs that an idempotent commutative Latin square drives: the one within
+n + 1 colors of ``total_coloring_central`` (the sweep check tcc-central),
+4.5 at odd order and 5.1.  5.5 takes its parts' colorings as arguments.
+3.4, 4.5 at even order and 4.9's cycle and fallback cases still start from
+an exact oracle's witness.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned in lexicographic order by child label, and roots or
@@ -34,7 +38,7 @@ from .colorings import (
 )
 from .errors import ConstructionDefectError, NotApplicableError
 from .graphs import Graph, iter_bits, join
-from .latin import LatinSquare, icls
+from .latin import icls
 from .oracles import exact_parameter
 from .transforms import (
     TaggedGraph,
@@ -58,6 +62,7 @@ __all__ = [
     "dist_vertex_coloring_central",
     "dist_edge_coloring_endline",
     "dist_vertex_coloring_middle",
+    "total_coloring_central",
     "total_coloring_central_regular_odd",
     "total_dist_coloring_central_regular",
     "total_dist_coloring_subdivision",
@@ -157,6 +162,7 @@ FINAL_CHECKS = {
     "6.1": (("tdc", "complement partition is not total dominating"),),
     "6.2": (("tdc", "central partition is not total dominating"),),
     "appendix-tree": (("tdc", "tree partition is not total dominating"),),
+    "tcc-central": (("proper-total", "central total coloring is not proper"),),
 }
 
 
@@ -261,14 +267,21 @@ def list_edge_coloring_bipartite(
     is colored.  Stability is exactly the property that every passed-over edge
     loses the color to a dominating neighbor, so lists of size at least the
     maximum degree never run dry.
+
+    Lists need only max(d(u), d(v)) colors on each edge uv: every bipartite
+    graph is colorable from such lists (Borodin, Kostochka & Woodall, J.
+    Combin. Theory Ser. B 71, 1997).  The orientation above bounds an edge's
+    dominating neighbors by the maximum degree only, so for shorter lists the
+    guard is this function's own check: an edge left with no list color, or
+    a coloring that is not proper, raises ConstructionDefectError.
     """
     side_a, _ = _require_bipartite(g)
-    delta = g.max_degree()
     lmap = _normalize_lists(g, lists)
-    for e, colors in lmap.items():
-        if len(colors) < delta:
+    for (u, v), colors in lmap.items():
+        need = max(g.degree(u), g.degree(v))
+        if len(colors) < need:
             raise ValueError(
-                f"list for edge {e} has {len(colors)} colors, below the degree bound {delta}"
+                f"list for edge {(u, v)} has {len(colors)} colors, below its degree bound {need}"
             )
     if not lmap:
         return TotalColoring(None, {})
@@ -746,11 +759,20 @@ def _color_subdivision_vertices(
 
 def _square_total_central(
     g: Graph, square_order: int
-) -> tuple[TaggedGraph, tuple[int, ...], dict[tuple[int, int], int], LatinSquare]:
+) -> tuple[TaggedGraph, tuple[int, ...], dict[tuple[int, int], int]]:
     """Total coloring of the central graph driven by an idempotent commutative
     Latin square: the diagonal colors the original vertices, off-diagonal
     entries color the complement edges, and the subdivision edges are list
-    colored from what is left of each row."""
+    colored from what is left of each row.
+
+    Past the diagonal and the complement edges, row i has deg(i) entries of
+    columns 1..n left, and an edge {i, w} of S(G) needs a list of
+    max(deg(i), 2) colors, so only a leaf's row is short.  It gets one spare
+    color that its first n columns do not hold: its entry in column n + 1
+    when the square has one, else the new color n + 1.  The subdivision
+    vertices then take colors within the larger of the square's order and
+    n + 1.
+    """
     n = g.n
     if square_order < n or square_order % 2 == 0:
         raise ValueError("square order must be odd and at least the graph order")
@@ -766,24 +788,41 @@ def _square_total_central(
     bip = subdivision(g).graph
     lists: dict[tuple[int, int], set[int]] = {}
     for i in range(n):
-        row = {square.entry(i + 1, j + 1) for j in range(n)}
-        used = {vc[i]} | {square.entry(i + 1, j + 1) for j in comp.neighbors(i)}
-        leftover = row - used
+        leftover = {square.entry(i + 1, j + 1) for j in iter_bits(g.adj[i])}
+        if len(leftover) == 1:
+            leftover.add(square.entry(i + 1, n + 1) if square_order > n else n + 1)
         for w in bip.neighbors(i):
-            lists[(i, w)] = set(leftover)
+            lists[(i, w)] = leftover
     selected = list_edge_coloring_bipartite(bip, lists)
     assert selected.edge_colors is not None
     ec.update(selected.edge_colors)
-    _color_subdivision_vertices(cent, range(n, cent.graph.n), vc, ec, square_order)
-    for i in range(n):
-        row = {square.entry(i + 1, j + 1) for j in range(n)}
-        incident = [vc[i]]
-        incident += [ec[(min(i, x), max(i, x))] for x in iter_bits(cent.graph.adj[i])]
-        if len(set(incident)) != len(incident) or not set(incident) <= row:
-            raise ConstructionDefectError(
-                f"colors at original vertex {i} are not distinct entries of row {i + 1}"
-            )
-    return cent, tuple(vc), ec, square
+    _color_subdivision_vertices(
+        cent, range(n, cent.graph.n), vc, ec, max(square_order, n + 1)
+    )
+    return cent, tuple(vc), ec
+
+
+def total_coloring_central(g: Graph) -> ConstructionResult:
+    """Proper total coloring of the central graph within two colors past its
+    max degree, n + 1, from the square of order n or n + 1, whichever is odd.
+
+    Applies to every graph of order at least 4 and to the connected graphs of
+    order 3.  For n >= 4 a subdivision vertex sees at most 4 colors, so one of
+    the n + 1 is free for it.  The square refuses K2 + K1: its central graph
+    is the 4-cycle, whose three original vertices the diagonal colors apart,
+    and the subdivision vertex then sees all 4 colors.
+    """
+    if g.n < 3 or (g.n == 3 and not g.is_connected()):
+        raise NotApplicableError(
+            "requires a graph of order at least 4, or a connected graph of order 3"
+        )
+    cent, vc, ec = _square_total_central(g, g.n if g.n % 2 else g.n + 1)
+    coloring = TotalColoring(vc, ec)
+    _final_check("tcc-central", cent.graph, coloring)
+    return ConstructionResult(
+        cent.graph, coloring, len(coloring.palette()), cent.graph.max_degree() + 2,
+        "tcc-central", ("square-driven total coloring",),
+    )
 
 
 def total_coloring_central_regular_odd(g: Graph) -> ConstructionResult:
@@ -793,7 +832,7 @@ def total_coloring_central_regular_odd(g: Graph) -> ConstructionResult:
         raise NotApplicableError(
             "requires a connected regular graph of odd order at least 5"
         )
-    cent, vc, ec, _ = _square_total_central(g, g.n)
+    cent, vc, ec = _square_total_central(g, g.n)
     coloring = TotalColoring(vc, ec)
     _final_check("4.5-square", cent.graph, coloring)
     bound = cent.graph.max_degree() + 1
@@ -990,7 +1029,7 @@ def avd_coloring_central_regular(g: Graph) -> ConstructionResult:
             "requires a connected regular graph of order at least 5"
         )
     square_order = g.n + 1 if g.n % 2 == 0 else g.n + 2
-    cent, vc, ec, _ = _square_total_central(g, square_order)
+    cent, vc, ec = _square_total_central(g, square_order)
     coloring = TotalColoring(vc, ec)
     _final_check("5.1", cent.graph, coloring)
     bound = cent.graph.max_degree() + (2 if g.n % 2 == 0 else 3)

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import autos
 from .autos import (
@@ -63,6 +63,9 @@ from .errors import (
     DEFAULT_BUDGET, BudgetExceededError, NotApplicableError, _check_budget, _resolve_budget,
 )
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "PARAM_KINDS",
@@ -527,8 +530,12 @@ def _solve(
         raise ValueError(f"unknown parameter kind {kind!r}")
     budget = _resolve_budget(budget)
     nodes = 0
-    pool = (ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(budget,))
-            if workers > 1 else None)
+    pool = None
+    if workers > 1:
+        # Imported here, so that a one-worker run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(budget,))
 
     def first_sat(kind: str, levels: range, message: str):
         nonlocal nodes

@@ -87,9 +87,8 @@ def central(g: Graph) -> TaggedGraph:
 def middle(g: Graph) -> TaggedGraph:
     """Subdivide every edge, then join subdivided vertices of adjacent edges."""
     sub_edges, origin = _subdivision_parts(g)
-    lg, _ = line_graph(g)
-    extra = [(g.n + a, g.n + b) for a, b in lg.edges()]
-    graph = Graph.from_edges(g.n + lg.n, sub_edges + extra)
+    extra = [(g.n + a, g.n + b) for a, b in _incidence_pairs(g)]
+    graph = Graph.from_edges(g.n + g.edge_count(), sub_edges + extra)
     return TaggedGraph(graph, g, tuple(range(g.n)), tuple(sorted(origin)), origin)
 
 
@@ -107,14 +106,18 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     Vertex k of the result stands for edge labels[k] of the input; two
     vertices are adjacent iff their edges share an endpoint.
     """
-    edges = g.edges()
+    return Graph.from_edges(g.edge_count(), _incidence_pairs(g)), tuple(g.edges())
+
+
+def _incidence_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, of indices into ``g.edges()`` whose edges
+    share an endpoint: the edges of the line graph."""
     # The edges at each vertex form a clique; two edges share one end at most.
     incident: list[list[int]] = [[] for _ in range(g.n)]
-    for k, (u, v) in enumerate(edges):
+    for k, (u, v) in enumerate(g.edges()):
         incident[u].append(k)
         incident[v].append(k)
-    pairs = [(a, b) for ks in incident for i, b in enumerate(ks) for a in ks[:i]]
-    return Graph.from_edges(len(edges), pairs), tuple(edges)
+    return [(a, b) for ks in incident for i, b in enumerate(ks) for a in ks[:i]]
 
 
 def middle_to_line_of_endline(g: Graph) -> tuple[int, ...]:

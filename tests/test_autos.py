@@ -300,6 +300,22 @@ def test_chain_check_builds_no_elements(monkeypatch):
         assert rep.passed and rep.base_order == order
 
 
+def test_chain_check_builds_the_line_graph_once(monkeypatch):
+    built = []
+    real = Graph.from_edges
+
+    def counted(n, edges):
+        built.append(real(n, edges))
+        return built[-1]
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counted))
+    for g in (complete_graph(5), path_graph(6), star_graph(5), petersen_graph()):
+        line = line_graph(g)[0]
+        built.clear()
+        assert check_aut_chain(g).passed
+        assert built.count(line) == 1, g
+
+
 def test_petersen_group_order():
     g = petersen_graph()
     assert sorted(naive_automorphisms(g)) == list(automorphisms(g).elements)

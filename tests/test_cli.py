@@ -7,12 +7,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from symcol import cli, colorings, errors
+from symcol import cli, colorings, errors, oracles
 from symcol.cli import CHECKS, main, run_check
+from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    empty_graph,
     encode_graph6,
     parse_graph6,
     path_graph,
@@ -554,13 +556,15 @@ def test_cold_sweep_leaves_one_file_in_its_cache(capsys, tmp_path, workers):
 
 
 def test_sweep_cache_keyed_by_budget(capsys, tmp_path):
-    args = ["sweep", "--check", "tcc-central", "--min-order", "5",
+    args = ["sweep", "--check", "2.11", "--min-order", "5",
             "--max-order", "5", "--report", str(tmp_path / "r.jsonl")]
-    code, out, _ = run_cli(capsys, *args, "--budget", "10")
-    assert code == 0 and json.loads(out)["budget_exceeded"] == 21
+    code, out, _ = run_cli(capsys, *args, "--budget", "1")
+    summary = json.loads(out)
+    assert code == 0 and (summary["budget_exceeded"], summary["pass"]) == (11, 9)
     # A budget-exceeded verdict must not be replayed under another budget.
     code, out, _ = run_cli(capsys, *args)
-    assert code == 0 and json.loads(out)["pass"] == 21
+    summary = json.loads(out)
+    assert code == 0 and (summary["budget_exceeded"], summary["pass"]) == (0, 20)
 
 
 def test_sweep_tcc_check(capsys, tmp_path):
@@ -645,10 +649,9 @@ def test_central_edge_check_on_complete_graphs_and_cycles_spends_no_oracle_node(
             assert run_check(encode_graph6(g), "3.2", 1)["verdict"] == "pass", n
 
 
-def test_middle_check_passes_past_desk_scale():
-    # K8-K12, K1,9-K1,12, three cycles, the Petersen graph, three connected
-    # G(30, 0.2) and three random trees of order 30: 3.6 asks no oracle, so
-    # no node budget stops it.
+def _past_desk_scale() -> list[Graph]:
+    """K8-K12, K1,9-K1,12, three cycles, the Petersen graph, three connected
+    G(30, 0.2) and three random trees of order 30."""
     rng = random.Random(30)
     dense = [g for g in (random_graph(30, 0.2, rng) for _ in range(10)) if g.is_connected()]
     rng = random.Random(31)
@@ -657,10 +660,44 @@ def test_middle_check_passes_past_desk_scale():
               + [cycle_graph(n) for n in (12, 20, 30)] + [petersen_graph()]
               + dense[:3] + [random_tree(30, rng) for _ in range(3)])
     assert len(graphs) == 19
-    for g in graphs:
+    return graphs
+
+
+def test_middle_check_passes_past_desk_scale():
+    # 3.6 asks no oracle, so no node budget stops it.
+    for g in _past_desk_scale():
         record = run_check(encode_graph6(g), "3.6")
         assert record["verdict"] == "pass", g
         assert record["achieved"] <= max(2, g.max_degree())
+
+
+def _refuse_oracles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle was asked")
+
+    monkeypatch.setattr(oracles, "_solve", refuse)
+
+
+def test_central_total_check_asks_no_oracle(monkeypatch):
+    _refuse_oracles(monkeypatch)
+    graphs = [g for n in range(3, 7) for g in connected_graphs(n)] + _past_desk_scale()
+    graphs += [star_graph(40), cycle_graph(31), complete_graph(13)]
+    for g in graphs:
+        record = run_check(encode_graph6(g), "tcc-central")
+        assert record["verdict"] == "pass", g
+        assert record["achieved"] <= record["promised_bound"] == g.n + 1, g
+
+
+def test_join_of_equal_parts_from_order_4_asks_no_oracle(capsys, monkeypatch):
+    _refuse_oracles(monkeypatch)
+    parts = [encode_graph6(g) for n in (4, 5) for g in all_graphs(n)]
+    parts += [encode_graph6(g) for g in (cycle_graph(7), star_graph(7), empty_graph(6))]
+    # Every part joined with itself, and pairs of different parts of one order.
+    pairs = [(a, a) for a in parts] + list(zip(parts[:10], parts[1:11]))
+    pairs += [(encode_graph6(star_graph(6)), encode_graph6(complete_graph(6)))]
+    for a, b in pairs:
+        code, out, _ = run_cli(capsys, "construct", "--theorem", "5.5", "--in", a, "--in2", b)
+        assert code == 0 and json.loads(out)["verdict"] == "pass", (a, b)
 
 
 def test_sweep_budget_verdicts_do_not_depend_on_workers(capsys, tmp_path):

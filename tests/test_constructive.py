@@ -26,12 +26,13 @@ from symcol.constructive import (
     tdc_central,
     tdc_central_tree,
     tdc_to_complement,
+    total_coloring_central,
     total_coloring_central_regular_odd,
     total_dist_coloring_central_regular,
     total_dist_coloring_subdivision,
 )
 from symcol.errors import ConstructionDefectError, NotApplicableError
-from symcol.families import all_trees, connected_graphs, regular_graphs
+from symcol.families import all_graphs, all_trees, connected_graphs, regular_graphs
 from symcol.graphs import (
     Graph,
     complete_bipartite,
@@ -95,6 +96,21 @@ def test_list_edge_coloring_respects_lists():
         list_edge_coloring_bipartite(g, {e: {1} for e in g.edges()})
     with pytest.raises(NotApplicableError):
         list_edge_coloring_bipartite(complete_graph(3), {})
+
+
+def test_list_edge_coloring_takes_the_larger_end_degree_per_edge():
+    # S(K1,5): the hub's edges need 5 colors, a leaf's edge only 2, since
+    # its other end, a subdividing vertex, has degree 2.
+    s = subdivision(star_graph(6)).graph
+    lists = {e: ({1, 2, 3, 4, 5} if 0 in e else {1, 2}) for e in s.edges()}
+    f = list_edge_coloring_bipartite(s, lists)
+    assert is_proper(s, f, "edge")
+    assert all(f.edge(*e) in allowed for e, allowed in lists.items())
+    leaf_edge = next(e for e in s.edges() if 0 not in e)
+    hub_edge = next(e for e in s.edges() if 0 in e)
+    for e, short in ((leaf_edge, {1}), (hub_edge, {1, 2, 3, 4})):
+        with pytest.raises(ValueError, match="below its degree bound"):
+            list_edge_coloring_bipartite(s, {**lists, e: short})
 
 
 def _color_keeping_permutations(g: Graph, ec: dict) -> list[tuple[int, ...]]:
@@ -322,6 +338,29 @@ def test_total_coloring_central_regular_odd():
         total_coloring_central_regular_odd(cycle_graph(6))
     with pytest.raises(NotApplicableError):
         total_coloring_central_regular_odd(path_graph(5))
+
+
+def test_total_coloring_central_within_two_past_max_degree():
+    for n in range(3, 8):
+        for g in all_graphs(n):
+            if n == 3 and not g.is_connected():
+                continue
+            r = total_coloring_central(g)
+            assert is_proper(r.graph, r.coloring, "total"), g
+            assert r.palette_size <= r.promised_bound == r.graph.max_degree() + 2 == n + 1, g
+            if n % 2 and g.is_regular() and g.is_connected() and n >= 5:
+                # The square of 4.5 at odd order: the spare is never needed.
+                assert r.coloring == total_coloring_central_regular_odd(g).coloring, g
+                assert r.palette_size == n, g
+    # Orders 1-3: the square refuses K2 + K1, whose central graph is the
+    # 4-cycle, and 3K1 and the graphs of order at most 2 are not claimed.
+    for g in (empty_graph(1), empty_graph(2), path_graph(2), empty_graph(3),
+              Graph.from_edges(3, [(0, 1)])):
+        with pytest.raises(NotApplicableError):
+            total_coloring_central(g)
+    for g in (path_graph(3), complete_graph(3)):
+        r = total_coloring_central(g)
+        assert r.palette_size == r.promised_bound == 4, g
 
 
 def test_total_dist_central_regular_odd_orders():
@@ -628,6 +667,9 @@ FINAL_CHECK_CASES = {
     "appendix-tree": (tdc_central_tree, lambda: (star_graph(5),),
                       ["tree partition is not total dominating"],
                       {"is_tdc": 1}),
+    "tcc-central": (total_coloring_central, lambda: (path_graph(5),),
+                    ["central total coloring is not proper"],
+                    {"is_proper": 3}),
 }
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import itertools
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -316,14 +321,26 @@ def test_worker_determinism():
 def test_workers_take_the_budget_of_the_call(monkeypatch):
     # Each worker builds its search, group lookup included, under the budget
     # the call resolved; one node from its environment would stop it.
-    # Spawned workers do not inherit that budget.
+    # Spawned workers do not inherit that budget.  The oracles import the
+    # pool class when they start a pool, so the patch is read then.
     spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         functools.partial(ProcessPoolExecutor, mp_context=spawn))
     g = central(star_graph(5)).graph
     monkeypatch.setenv("SYMCOL_BUDGET", "1")
     runs = [_outcome(lambda: exact_parameter(g, "D", budget=10**6, workers=w)) for w in (1, 2)]
     assert runs[0] == runs[1] and runs[0][0] == 2
+
+
+def test_one_worker_runs_load_no_process_pool():
+    # The pool's module pulls in multiprocessing; only a run with more than
+    # one worker should pay for it.
+    probe = ("import sys, symcol.cli; "
+             "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)")
+    src = str(Path(oracles.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_group_lookup_is_held_to_the_budget_cold_and_warm(monkeypatch):
