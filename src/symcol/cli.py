@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .autos import automorphisms, check_aut_chain
-from .colorings import TDCPartition, coloring_from_json
+from .colorings import TDCPartition, TotalColoring, coloring_from_json
 from .constructive import (
     PROPERTIES,
     ConstructionResult,
@@ -194,19 +194,21 @@ def _join_doc(g: Graph, g2: Graph | None) -> ConstructionResult:
         raise _UsageError("--theorem 5.5 takes the second part via --in2")
     if g.n == g2.n >= 4:
         # Equal part orders take proper total colorings within n + 1 colors.
-        c1, c2 = (total_coloring_central(part).coloring for part in (g, g2))
-        return avd_coloring_central_join(g, g2, c1, c2)
-    # The square refuses K2 + K1, so smaller equal parts take the oracle's
-    # proper total colorings, and unequal ones its AVD colorings.
-    kind, extra = ("chi2", 1) if g.n == g2.n else ("chi2a", 2)
-    c1, c2 = (
-        oracle_witness(
-            central(part).graph, kind, part.n + extra,
-            f"no {kind} coloring of an input part within {part.n + extra} colors",
-        )
-        for part in (g, g2)
-    )
-    return avd_coloring_central_join(g, g2, c1, c2)
+        def color(part: Graph) -> TotalColoring:
+            return total_coloring_central(part).coloring
+    else:
+        # The square refuses K2 + K1, so smaller equal parts take the oracle's
+        # proper total colorings, and unequal ones its AVD colorings.
+        kind, extra = ("chi2", 1) if g.n == g2.n else ("chi2a", 2)
+
+        def color(part: Graph) -> TotalColoring:
+            return oracle_witness(
+                central(part).graph, kind, part.n + extra,
+                f"no {kind} coloring of an input part within {part.n + extra} colors",
+            )
+    # A part given twice is colored once.
+    c1 = color(g)
+    return avd_coloring_central_join(g, g2, c1, c1 if g2 == g else color(g2))
 
 
 def _chain_doc(g: Graph) -> dict:

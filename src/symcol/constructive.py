@@ -9,12 +9,13 @@ properties of ``PROPERTIES``, which ``symcol verify`` checks too.
 
 Constructions 3.2 and 3.6 ask no oracle: each builds its coloring from a
 breadth-first search of the base graph, or from a fixed pattern on a cycle,
-so its final check is its one search.  Nor do the total colorings of central
+so its final check is its one search.  Nor does 4.9, which walks a path or
+a cycle with a fixed pattern and otherwise gives every original vertex the
+color after the edge coloring's.  Nor do the total colorings of central
 graphs that an idempotent commutative Latin square drives: the one within
 n + 1 colors of ``total_coloring_central`` (the sweep check tcc-central),
 4.5 at odd order and 5.1.  5.5 takes its parts' colorings as arguments.
-3.4, 4.5 at even order and 4.9's cycle and fallback cases still start from
-an exact oracle's witness.
+3.4 and 4.5 at even order still start from an exact oracle's witness.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned in lexicographic order by child label, and roots or
@@ -743,7 +744,7 @@ def dist_vertex_coloring_middle(g: Graph) -> ConstructionResult:
 
 
 def _color_subdivision_vertices(
-    cent: TaggedGraph,
+    tagged: TaggedGraph,
     ws: Iterable[int],
     vc: list[int],
     ec: Mapping[tuple[int, int], int],
@@ -752,7 +753,7 @@ def _color_subdivision_vertices(
     """Give each subdivision vertex in ``ws`` the smallest color in
     1..palette that its two edges and two endpoints leave free."""
     for w in ws:
-        a, b = cent.origin[w]  # type: ignore[misc]
+        a, b = tagged.origin[w]  # type: ignore[misc]
         blocked = {ec[(min(a, w), max(a, w))], ec[(min(b, w), max(b, w))], vc[a], vc[b]}
         vc[w] = min(c for c in range(1, palette + 1) if c not in blocked)
 
@@ -911,60 +912,49 @@ def total_dist_coloring_central_regular(g: Graph) -> ConstructionResult:
 # --- total distinguishing colorings of subdivision graphs --------------------
 
 
-def _path_pattern_total(s: Graph) -> TotalColoring:
-    """Proper total 3-coloring of a path: walk the path and repeat 1,2,3 over
-    the alternating vertex/edge sequence."""
+def _walk_pattern_total(s: Graph) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """Proper total coloring of a path or a cycle, read off a walk through
+    its vertices and edges alternately: from the smaller end of a path, or
+    from vertex 0 of a cycle towards its smaller neighbor.
+
+    A path repeats 1 2 3.  A cycle whose walk has length L repeats 1 2 3 4
+    b times, b = L mod 3 (3 when 3 divides L), then 1 2 3; it needs L > 12.
+    Any three elements in a row differ, also across the wrap, so the
+    coloring is proper.  No rotation keeps the 4s, whose gaps are unequal or
+    which are only one, and no reflection keeps the colors, because every 4
+    has a 3 before it and a 1 after it in walk order.
+    """
     ends = [v for v in range(s.n) if s.degree(v) == 1]
-    start = min(ends) if ends else 0
-    order = [start]
+    order = [min(ends) if ends else 0]
     prev = -1
     while len(order) < s.n:
         nxt = [u for u in s.neighbors(order[-1]) if u != prev]
         prev = order[-1]
         order.append(nxt[0])
+    if ends:
+        length, pattern = 2 * s.n - 1, [1, 2, 3] * s.n
+    else:
+        length = 2 * s.n
+        blocks = length % 3 or 3
+        pattern = [1, 2, 3, 4] * blocks + [1, 2, 3] * ((length - 4 * blocks) // 3)
     vc = [0] * s.n
     ec: dict[tuple[int, int], int] = {}
-    tick = 0
     for idx, v in enumerate(order):
-        vc[v] = tick % 3 + 1
-        tick += 1
-        if idx + 1 < len(order):
-            u = order[idx + 1]
-            ec[(min(v, u), max(v, u))] = tick % 3 + 1
-            tick += 1
-    return TotalColoring(tuple(vc), ec)
-
-
-def _complete_vertex_lists(
-    s: Graph, ec: Mapping[tuple[int, int], int], palette: int
-) -> tuple[int, ...] | None:
-    """Lexicographically least proper completion of the vertex colors, or
-    None when the fixed edge coloring admits no completion in the palette."""
-    lists = []
-    for v in range(s.n):
-        banned = {ec[(min(v, u), max(v, u))] for u in s.neighbors(v)}
-        lists.append([c for c in range(1, palette + 1) if c not in banned])
-    vc = [0] * s.n
-
-    def place(v: int) -> bool:
-        if v == s.n:
-            return True
-        for c in lists[v]:
-            if all(vc[u] != c for u in s.neighbors(v) if u < v):
-                vc[v] = c
-                if place(v + 1):
-                    return True
-        vc[v] = 0
-        return False
-
-    return tuple(vc) if place(0) else None
+        vc[v] = pattern[2 * idx]
+        if 2 * idx + 1 < length:
+            u = order[(idx + 1) % s.n]
+            ec[(min(v, u), max(v, u))] = pattern[2 * idx + 1]
+    return vc, ec
 
 
 def total_dist_coloring_subdivision(g: Graph) -> ConstructionResult:
     """Total distinguishing chromatic coloring of the subdivision graph.
 
-    When some vertex of the base graph is fixed by its whole automorphism
-    group, one color past the subdivision max degree suffices; otherwise the
+    No oracle is asked.  A subdivided cycle takes a fixed pattern within two
+    colors past its max degree, which is exact: three colors force period 3
+    around it, and a rotation keeps a period-3 coloring.  Otherwise, when
+    some vertex of the base graph is fixed by its whole automorphism group,
+    one color past the subdivision max degree suffices; when none is, the
     smallest original vertex is recolored with a fresh color, which pins it
     and then the proper edge coloring pins everything else.
     """
@@ -973,44 +963,32 @@ def total_dist_coloring_subdivision(g: Graph) -> ConstructionResult:
     sub = subdivision(g)
     s = sub.graph
     delta = s.max_degree()
-    orbits = vertex_orbits(automorphisms(g).generators, g.n)
-    fixed = any(orbits.count(o) == 1 for o in set(orbits))
     if g.is_cycle():
-        coloring = oracle_witness(
-            s, "chi2D", delta + 2,
-            "no total distinguishing coloring of the subdivided cycle "
-            "within two colors past its max degree",
-        )
+        vc, ec = _walk_pattern_total(s)
         bound = delta + 2
-        notes = ("cycle case settled by bounded search",)
+        notes = ("cycle case settled by a fixed pattern that no rotation or reflection keeps",)
     else:
         if g.max_degree() == 2:
-            # A non-cycle with max degree 2 is a path; the alternating edge
-            # coloring admits no vertex completion there, so the path gets
-            # its own explicit pattern.
-            coloring = _path_pattern_total(s)
+            # A non-cycle with max degree 2 is a path.  Under the rule below
+            # its subdivision vertices would see all delta + 1 = 3 colors.
+            vc, ec = _walk_pattern_total(s)
         else:
-            edge_part = bipartite_edge_coloring(s)
-            assert edge_part.edge_colors is not None
-            vc = _complete_vertex_lists(s, edge_part.edge_colors, delta + 1)
-            if vc is None:
-                coloring = oracle_witness(
-                    s, "chi2", delta + 1,
-                    "no proper total coloring within one color past the "
-                    "subdivision max degree",
-                )
-            else:
-                coloring = TotalColoring(vc, dict(edge_part.edge_colors))
-        if fixed:
+            # The edge coloring uses exactly the colors 1..delta, so every
+            # original vertex takes delta + 1, and a subdivision vertex then
+            # sees 3 colors of the delta + 1 >= 4.
+            ec = bipartite_edge_coloring(s).edge_colors
+            assert ec is not None
+            vc = [delta + 1] * s.n
+            _color_subdivision_vertices(sub, range(g.n, s.n), vc, ec, delta + 1)
+        orbits = vertex_orbits(automorphisms(g).generators, g.n)
+        if any(orbits.count(o) == 1 for o in set(orbits)):
             bound = delta + 1
             notes = ("a fixed base vertex makes any proper coloring distinguishing",)
         else:
-            assert coloring.vertex_colors is not None
-            vc2 = list(coloring.vertex_colors)
-            vc2[0] = delta + 2
-            coloring = TotalColoring(tuple(vc2), dict(coloring.edge_colors or {}))
+            vc[0] = delta + 2
             bound = delta + 2
             notes = ("vertex 0 recolored with a fresh color to break symmetry",)
+    coloring = TotalColoring(tuple(vc), ec)
     _final_check("4.9", s, coloring)
     return ConstructionResult(
         s, coloring, len(coloring.palette()), bound, "4.9", notes

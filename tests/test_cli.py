@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symcol import cli, colorings, errors, oracles
+from symcol import cli, colorings, constructive, errors, oracles
 from symcol.cli import CHECKS, main, run_check
 from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
@@ -671,6 +671,18 @@ def test_middle_check_passes_past_desk_scale():
         assert record["achieved"] <= max(2, g.max_degree())
 
 
+def test_subdivision_check_asks_no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("4.9 asked an oracle")
+
+    monkeypatch.setattr(constructive, "exact_parameter", refuse)
+    graphs = [g for n in range(5, 8) for g in connected_graphs(n)] + _past_desk_scale()
+    for g in graphs + [cycle_graph(n) for n in range(5, 32)]:
+        record = run_check(encode_graph6(g), "4.9")
+        assert record["verdict"] == "pass", g
+        assert record["achieved"] <= record["promised_bound"], g
+
+
 def _refuse_oracles(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle was asked")
@@ -698,6 +710,29 @@ def test_join_of_equal_parts_from_order_4_asks_no_oracle(capsys, monkeypatch):
     for a, b in pairs:
         code, out, _ = run_cli(capsys, "construct", "--theorem", "5.5", "--in", a, "--in2", b)
         assert code == 0 and json.loads(out)["verdict"] == "pass", (a, b)
+
+
+def test_join_colors_a_part_given_twice_once(capsys, monkeypatch):
+    calls = []
+    real_square, real_solve = cli.total_coloring_central, oracles._solve
+
+    def square(g):
+        calls.append("total_coloring_central")
+        return real_square(g)
+
+    def solve(*args, **kwargs):
+        calls.append("_solve")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "total_coloring_central", square)
+    monkeypatch.setattr(oracles, "_solve", solve)
+    for part, expected in ((complete_graph(12), "total_coloring_central"),
+                           (complete_graph(3), "_solve")):
+        calls.clear()
+        g6 = encode_graph6(part)
+        code, out, _ = run_cli(capsys, "construct", "--theorem", "5.5", "--in", g6, "--in2", g6)
+        assert code == 0 and json.loads(out)["verdict"] == "pass", part
+        assert calls == [expected], part
 
 
 def test_sweep_budget_verdicts_do_not_depend_on_workers(capsys, tmp_path):

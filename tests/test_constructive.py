@@ -397,8 +397,37 @@ def test_subdivision_total_dist_examples():
     assert r.promised_bound == 3
     r = total_dist_coloring_subdivision(complete_graph(5))
     assert r.palette_size == 6 and r.promised_bound == 6
+    r = total_dist_coloring_subdivision(cycle_graph(5))
+    assert r.palette_size == 4 == r.promised_bound
+    # The oracle is only the reference here: 4 colors are the minimum.
+    assert exact_parameter(r.graph, "chi2D", cap=4).value == 4
     with pytest.raises(NotApplicableError):
         total_dist_coloring_subdivision(path_graph(4))
+
+
+def test_subdivided_cycle_pattern_is_kept_by_no_rotation_or_reflection():
+    # Every automorphism of C_n, built by hand, lifted to S(C_n): a base map
+    # sends the subdivision vertex of {u, v} to that of its image edge.
+    for n in range(5, 41):
+        cycle = cycle_graph(n)
+        sub = subdivision(cycle)
+        r = total_dist_coloring_subdivision(cycle)
+        f = r.coloring
+        assert f.vertex_colors is not None and f.edge_colors is not None
+        assert is_proper(r.graph, f, "total"), n
+        assert r.palette_size == 4 == r.promised_bound, n
+        maps = [[(k + v) % n for v in range(n)] for k in range(1, n)]
+        maps += [[(k - v) % n for v in range(n)] for k in range(n)]
+        for base in maps:
+            lift = base + [sub.subdivided(base[a], base[b]) for a, b in cycle.edges()]
+            moved_vertex = any(
+                f.vertex_colors[lift[x]] != c for x, c in enumerate(f.vertex_colors)
+            )
+            moved_edge = any(
+                f.edge_colors[tuple(sorted((lift[x], lift[y])))] != c
+                for (x, y), c in f.edge_colors.items()
+            )
+            assert moved_vertex or moved_edge, (n, base)
 
 
 def test_subdivision_total_dist_sweep_orders_5_to_7():
