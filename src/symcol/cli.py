@@ -33,7 +33,6 @@ from .constructive import (
     dist_edge_coloring_central,
     dist_vertex_coloring_central,
     dist_vertex_coloring_middle,
-    oracle_witness,
     tdc_central,
     tdc_central_tree,
     tdc_to_complement,
@@ -189,6 +188,18 @@ def _complement_doc(g: Graph) -> dict:
     return _partition_doc("6.1", g.complement(), tdc_to_complement(p, g), len(p.classes))
 
 
+def _oracle_witness(g: Graph, kind: str, cap: int, defect: str) -> TotalColoring:
+    """The exact oracle's witness for ``kind`` within ``cap`` colors.
+
+    Raises ConstructionDefectError with the message ``defect`` when every
+    level up to the cap is refuted.
+    """
+    res = exact_parameter(g, kind, cap=cap)
+    if res.value is None or res.witness is None:
+        raise ConstructionDefectError(defect)
+    return res.witness
+
+
 def _join_doc(g: Graph, g2: Graph | None) -> ConstructionResult:
     if g2 is None:
         raise _UsageError("--theorem 5.5 takes the second part via --in2")
@@ -202,7 +213,7 @@ def _join_doc(g: Graph, g2: Graph | None) -> ConstructionResult:
         kind, extra = ("chi2", 1) if g.n == g2.n else ("chi2a", 2)
 
         def color(part: Graph) -> TotalColoring:
-            return oracle_witness(
+            return _oracle_witness(
                 central(part).graph, kind, part.n + extra,
                 f"no {kind} coloring of an input part within {part.n + extra} colors",
             )

@@ -7,15 +7,15 @@ ConstructionDefectError instead of returning a bad object.  The final checks
 of every construction are the rows of one table, ``FINAL_CHECKS``, over the
 properties of ``PROPERTIES``, which ``symcol verify`` checks too.
 
-Constructions 3.2 and 3.6 ask no oracle: each builds its coloring from a
-breadth-first search of the base graph, or from a fixed pattern on a cycle,
+Constructions 3.2, 3.4 and 3.6 ask no oracle: each builds its coloring from
+a breadth-first search of the base graph, or from a fixed pattern on a cycle,
 so its final check is its one search.  Nor does 4.9, which walks a path or
 a cycle with a fixed pattern and otherwise gives every original vertex the
 color after the edge coloring's.  Nor do the total colorings of central
 graphs that an idempotent commutative Latin square drives: the one within
 n + 1 colors of ``total_coloring_central`` (the sweep check tcc-central),
 4.5 at odd order and 5.1.  5.5 takes its parts' colorings as arguments.
-3.4 and 4.5 at even order still start from an exact oracle's witness.
+Only 4.5 at even order still starts from an exact oracle's witness.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned in lexicographic order by child label, and roots or
@@ -56,7 +56,6 @@ __all__ = [
     "ConstructionResult",
     "EndlineColoring",
     "BfsFrame",
-    "oracle_witness",
     "bipartite_edge_coloring",
     "list_edge_coloring_bipartite",
     "dist_edge_coloring_central",
@@ -173,18 +172,6 @@ def _final_check(tag: str, g: Graph, result: TotalColoring | TDCPartition) -> No
     for prop, defect in FINAL_CHECKS[tag]:
         if not PROPERTIES[prop](g, result):
             raise ConstructionDefectError(defect)
-
-
-def oracle_witness(g: Graph, kind: str, cap: int, defect: str) -> TotalColoring:
-    """The exact oracle's witness for ``kind`` within ``cap`` colors.
-
-    Raises ConstructionDefectError with the message ``defect`` when every
-    level up to the cap is refuted.
-    """
-    res = exact_parameter(g, kind, cap=cap)
-    if res.value is None or res.witness is None:
-        raise ConstructionDefectError(defect)
-    return res.witness
 
 
 # --- bipartite edge colorings ------------------------------------------------
@@ -612,15 +599,106 @@ def dist_edge_coloring_central(g: Graph) -> ConstructionResult:
     )
 
 
+def _marked_bfs_total_coloring(g: Graph, k: int) -> TotalColoring:
+    """Total coloring of a connected graph of order at least 4 within k =
+    ⌈√Δ⌉ colors, after Kalinowski, Pilśniak & Woźniak (Ars Math. Contemp.
+    11, 2016), who prove D″(G) ≤ ⌈√Δ⌉.
+
+    A cycle colors vertex 0 and edge {0, min N(0)} 2 and the rest 1.
+    Otherwise r is the first max-degree vertex with a neighbor a of lower
+    degree, or else with a neighbor a sharing a neighbor x with r, or else
+    (regular and triangle-free) the first vertex, with a its last neighbor.
+    r, a and ra are colored 1.  Taking vertices by (distance from r, label),
+    each vertex v gives its children (the down-neighbors whose
+    smallest-label neighbor in v's layer is v) distinct (edge color, child
+    color) pairs in lexicographic order, from the k² pairs less those of
+    v's other down-neighbors and less (1, 1) when v is colored 1; r's
+    children put x first.  A non-root vertex has at most Δ − 1
+    down-neighbors, so the pairs never run out.  Every other edge gets 1,
+    or 2 when both its ends are colored 1, so ra is the only edge colored 1
+    with both its ends.
+
+    Why this distinguishes: an automorphism keeping the colors maps {r, a}
+    to itself, and swapping them needs a's multiset of (edge color,
+    neighbor color) pairs to equal r's Δ distinct pairs.  When they agree,
+    ax is recolored 2, or else a (the last vertex of its layer) recolors
+    its first non-tree down edge from 1 to 2 where that matches no child's
+    pair, or else moves its last child to the next free pair.  With r
+    fixed, each child's pair, unique among its parent's down-neighbors,
+    fixes it, layer by layer.  A regular triangle-free graph on which
+    neither repair applies is not covered; 3.4's final check is its guard.
+    """
+    adj = g.adj
+    vc = [1] * g.n
+    ec = dict.fromkeys(g.edges(), 1)
+    if g.is_cycle():
+        vc[0] = ec[(0, g.neighbors(0)[0])] = 2
+        return TotalColoring(tuple(vc), ec)
+
+    def key(v: int, u: int) -> tuple[int, int]:
+        return (v, u) if v < u else (u, v)
+
+    def profile(v: int) -> list[tuple[int, int]]:
+        return sorted((ec[key(v, u)], vc[u]) for u in iter_bits(adj[v]))
+
+    delta = g.max_degree()
+    tops = [v for v in range(g.n) if adj[v].bit_count() == delta]
+    r, a = next(
+        ((v, u) for v in tops for u in iter_bits(adj[v]) if adj[u].bit_count() < delta),
+        None,
+    ) or next(
+        ((v, u) for v in tops for u in iter_bits(adj[v]) if adj[u] & adj[v]),
+        (tops[0], adj[tops[0]].bit_length() - 1),
+    )
+    common = adj[r] & adj[a] if adj[a].bit_count() == delta else 0
+    x = (common & -common).bit_length() - 1  # -1 unless r and a share a neighbor
+    dist, _ = g.bfs(r)
+    layers = [0] * (max(dist) + 2)
+    for v in range(g.n):
+        layers[dist[v]] |= 1 << v
+    pairs = [(e, c) for e in range(1, k + 1) for c in range(1, k + 1)]
+    for v in sorted(range(g.n), key=lambda v: (dist[v], v)):
+        d = dist[v]
+        kids, taken = [], {(1, 1)} if vc[v] == 1 else set()
+        for u in iter_bits(adj[v] & (layers[d] | layers[d + 1])):
+            up = adj[u] & layers[d]
+            if dist[u] > d and up & -up == 1 << v:
+                kids.append(u)
+                continue
+            if vc[u] == vc[v] == 1:
+                ec[key(v, u)] = 2
+            if dist[u] > d:
+                taken.add((ec[key(v, u)], vc[u]))
+        if v == r:
+            kids = [u for u in kids if u == x] + [u for u in kids if u not in (a, x)]
+        free = [p for p in pairs if p not in taken]
+        for u, (e, c) in zip(kids, free):
+            ec[key(v, u)], vc[u] = e, c
+        if v != adj[r].bit_length() - 1 or profile(a) != profile(r):
+            continue
+        # r's layer is done, and a's pairs match r's: repair a.
+        if x >= 0:
+            ec[key(a, x)] = 2
+            continue
+        # v is a here, and no neighbor of a lies in its layer.
+        u = next((u for u in iter_bits(adj[a] & layers[2]) if u not in kids
+                  and vc[u] != 1 and (2, vc[u]) not in free[: len(kids)]), None)
+        if u is not None:
+            ec[key(a, u)] = 2
+        elif kids and len(free) > len(kids):
+            ec[key(a, kids[-1])], vc[kids[-1]] = free[len(kids)]
+    return TotalColoring(tuple(vc), ec)
+
+
 def dist_vertex_coloring_central(g: Graph) -> ConstructionResult:
-    """Distinguishing vertex coloring of the central graph, lifted from a
-    total distinguishing coloring of the base graph."""
+    """Distinguishing vertex coloring of the central graph within
+    ⌈√Δ⌉ colors, lifted from a marked breadth-first total coloring of the
+    base graph: its vertex colors, then its edge colors in ``g.edges()``
+    order.  No oracle is asked."""
     if g.n < 4 or not g.is_connected():
         raise NotApplicableError("requires a connected graph of order at least 4")
     k = max(1, _sqrt_ceil(g.max_degree()))
-    f = oracle_witness(
-        g, "Dpp", k, f"no total distinguishing coloring of the base graph with {k} colors"
-    )
+    f = _marked_bfs_total_coloring(g, k)
     assert f.vertex_colors is not None and f.edge_colors is not None
     vc = list(f.vertex_colors)
     for e in g.edges():
@@ -630,7 +708,7 @@ def dist_vertex_coloring_central(g: Graph) -> ConstructionResult:
     _final_check("3.4", cent.graph, coloring)
     return ConstructionResult(
         cent.graph, coloring, len(coloring.palette()), k, "3.4",
-        ("lift of an oracle total distinguishing coloring",),
+        ("lift of a marked breadth-first total coloring",),
     )
 
 

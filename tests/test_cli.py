@@ -12,6 +12,7 @@ from symcol.cli import CHECKS, main, run_check
 from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
     Graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -28,6 +29,10 @@ from symcol.transforms import central
 K4 = encode_graph6(complete_graph(4))
 C5 = encode_graph6(cycle_graph(5))
 K15 = encode_graph6(star_graph(6))
+# Even-order regular graphs, on which 4.5 asks the chi2D oracle about the
+# complement.
+C6 = encode_graph6(cycle_graph(6))
+K33 = encode_graph6(complete_bipartite(3, 3))
 
 
 def run_cli(capsys, *argv):
@@ -199,8 +204,8 @@ def test_oracle_budget_exceeded_exit(capsys):
 
 
 def test_construct_and_aut_budget_exceeded_exit(capsys, monkeypatch):
-    # C(P33) and S(P33) have 65 vertices; only the node budget bounds their
-    # searches.
+    # C(P33) and S(P33) have 65 vertices, and C(C34) 68; only the node
+    # budget bounds their searches.
     p33 = encode_graph6(path_graph(33))
     code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4", "--in", p33)
     assert code == 0 and json.loads(out)["verdict"] == "pass"
@@ -215,7 +220,9 @@ def test_construct_and_aut_budget_exceeded_exit(capsys, monkeypatch):
         assert code == 1
         doc = json.loads(out)
         assert doc["error"] == "budget-exceeded" and "automorphism search" in doc["detail"]
-    code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4", "--in", p33)
+    # 4.5 asks the chi2D oracle about the complement of C34.
+    c34 = encode_graph6(cycle_graph(34))
+    code, out, _ = run_cli(capsys, "construct", "--theorem", "4.5", "--in", c34)
     assert code == 1 and json.loads(out)["verdict"] == "budget-exceeded"
 
 
@@ -603,12 +610,12 @@ def record_rows(path):
     return rows
 
 
-@pytest.mark.parametrize("check", ["3.4"])
+@pytest.mark.parametrize("check", ["4.5"])
 def test_sweep_budget_reaches_oracles_inside_constructions(capsys, tmp_path, check):
-    # 3.4 colors K4 from an oracle witness on the base graph, whose search
+    # 4.5 colors C6 from an oracle witness on the complement, whose search
     # one node cannot finish.
-    listing = tmp_path / "k4.txt"
-    listing.write_text(f"{K4}\n")
+    listing = tmp_path / "c6.txt"
+    listing.write_text(f"{C6}\n")
     args = ["sweep", "--check", check, "--file", str(listing),
             "--report", str(tmp_path / "r.jsonl")]
     code, out, _ = run_cli(capsys, *args, "--budget", "1")
@@ -618,8 +625,8 @@ def test_sweep_budget_reaches_oracles_inside_constructions(capsys, tmp_path, che
 
 
 def test_run_check_budget_does_not_outlive_its_check():
-    assert run_check(K4, "3.4", 1)["verdict"] == "budget-exceeded"
-    assert run_check(K4, "3.4")["verdict"] == "pass"
+    assert run_check(C6, "4.5", 1)["verdict"] == "budget-exceeded"
+    assert run_check(C6, "4.5")["verdict"] == "pass"
 
 
 def test_run_check_reads_the_budget_variable_once(monkeypatch):
@@ -700,6 +707,16 @@ def test_central_total_check_asks_no_oracle(monkeypatch):
         assert record["achieved"] <= record["promised_bound"] == g.n + 1, g
 
 
+def test_central_vertex_check_asks_no_oracle(monkeypatch):
+    _refuse_oracles(monkeypatch)
+    graphs = [g for n in range(4, 7) for g in connected_graphs(n)] + _past_desk_scale()
+    graphs += [complete_bipartite(4, 4), complete_bipartite(9, 9), star_graph(13)]
+    for g in graphs:
+        record = run_check(encode_graph6(g), "3.4")
+        assert record["verdict"] == "pass", g
+        assert record["achieved"] <= record["promised_bound"], g
+
+
 def test_join_of_equal_parts_from_order_4_asks_no_oracle(capsys, monkeypatch):
     _refuse_oracles(monkeypatch)
     parts = [encode_graph6(g) for n in (4, 5) for g in all_graphs(n)]
@@ -736,15 +753,16 @@ def test_join_colors_a_part_given_twice_once(capsys, monkeypatch):
 
 
 def test_sweep_budget_verdicts_do_not_depend_on_workers(capsys, tmp_path):
-    # 3.4 searches for a total distinguishing coloring of each graph.  K4
-    # and C5 need more than one node; the two asymmetric graphs are settled
-    # at the first.
+    # 4.5 asks an oracle about the complements of C6 and K3,3, which need
+    # more than one node; C5 and C7 take the square, and their final checks
+    # are settled at the first.
     listing = tmp_path / "graphs.txt"
-    listing.write_text("".join(f"{g6}\n" for g6 in (K4, C5, "EsR_", "EsQg")))
+    c7 = encode_graph6(cycle_graph(7))
+    listing.write_text("".join(f"{g6}\n" for g6 in (C6, K33, C5, c7)))
     reports = []
     for workers in ("1", "2"):
         report = tmp_path / f"w{workers}.jsonl"
-        run_cli(capsys, "sweep", "--check", "3.4", "--file", str(listing),
+        run_cli(capsys, "sweep", "--check", "4.5", "--file", str(listing),
                 "--report", str(report), "--cache", str(tmp_path / f"c{workers}"),
                 "--budget", "1", "--workers", workers)
         reports.append(record_rows(report))

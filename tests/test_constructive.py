@@ -219,13 +219,56 @@ def test_central_vertex_coloring_examples():
     r = dist_vertex_coloring_central(star_graph(5))
     assert r.palette_size == 2 and r.promised_bound == 2
     r = dist_vertex_coloring_central(complete_graph(4))
-    assert r.palette_size <= 2
-    # A rigid tree lifts its one-color coloring; the group being trivial
-    # makes that coloring distinguishing.
+    assert r.palette_size == 2
+    r = dist_vertex_coloring_central(star_graph(13))
+    assert r.palette_size == 4 and r.promised_bound == 4
+    # A rigid tree takes its bound of 2: one color would do, but telling that
+    # needs a group search beyond the final check, and the marked edge needs
+    # a second color.
     rigid = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
     assert automorphisms(rigid).order == 1
     r = dist_vertex_coloring_central(rigid)
-    assert r.palette_size == 1
+    assert r.palette_size == 2 == r.promised_bound
+    # A cubic bipartite graph of order 10 on which a's pairs match r's and
+    # only moving a's last child to the next free pair keeps r and a apart.
+    r = dist_vertex_coloring_central(parse_graph6("I??{uR_[?"))
+    assert r.palette_size == 2
+
+
+def test_marked_bfs_total_coloring_within_the_bound():
+    # The oracle is only the reference here: its minimum bounds the palette
+    # from below.
+    for n in range(4, 7):
+        for g in connected_graphs(n):
+            k = constructive._sqrt_ceil(g.max_degree())
+            f = constructive._marked_bfs_total_coloring(g, k)
+            assert set(f.edge_colors) == set(g.edges()), g
+            palette = len(f.palette())
+            assert exact_parameter(g, "Dpp").value <= palette <= k, g
+            assert palette == dist_vertex_coloring_central(g).palette_size, g
+
+
+def _total_color_keeping_permutations(g: Graph, f: TotalColoring) -> list[tuple[int, ...]]:
+    """Each permutation of g's vertices that maps edges onto edges and keeps
+    the vertex and edge colors of ``f``, by brute force."""
+    vc, ec = f.vertex_colors, f.edge_colors
+    return [
+        perm for perm in itertools.permutations(range(g.n))
+        if all(vc[perm[v]] == vc[v] for v in range(g.n))
+        and all(ec.get(tuple(sorted((perm[a], perm[b])))) == c for (a, b), c in ec.items())
+    ]
+
+
+def test_marked_bfs_total_coloring_is_distinguishing_by_brute_force():
+    # Without the library's automorphism search.  Eqlo takes the triangle
+    # repair; K3,3 (Es\o) recolors a non-tree down edge of a, and the Wagner
+    # graph (GsP`ow) moves a's last child.  K4,4 is regular and
+    # triangle-free, and needs no repair.
+    graphs = [path_graph(4), cycle_graph(5), complete_bipartite(3, 3), complete_bipartite(4, 4)]
+    graphs += [parse_graph6(s) for s in ("Dqo", "Eqlo", "GsP`ow")]
+    for g in graphs:
+        f = constructive._marked_bfs_total_coloring(g, constructive._sqrt_ceil(g.max_degree()))
+        assert _total_color_keeping_permutations(g, f) == [tuple(range(g.n))], g
 
 
 def test_central_vertex_coloring_sweep_orders_4_to_7():

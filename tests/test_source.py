@@ -241,11 +241,7 @@ def test_process_wide_caches_are_listed():
 
 # The functions of ``constructive`` that still reach an exact oracle; each
 # construction that stops starting from an oracle's witness leaves the list.
-ORACLE_CALLERS = [
-    "dist_vertex_coloring_central",
-    "oracle_witness",
-    "total_dist_coloring_central_regular",
-]
+ORACLE_CALLERS = ["total_dist_coloring_central_regular"]
 
 
 def oracle_callers(source: str, targets: frozenset[str] = frozenset(
