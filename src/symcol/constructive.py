@@ -9,21 +9,25 @@ properties of ``PROPERTIES``, which ``symcol verify`` checks too.
 
 Constructions 3.2, 3.4 and 3.6 ask no oracle: each builds its coloring from
 a breadth-first search of the base graph, or from a fixed pattern on a cycle,
-so its final check is its one search.  Nor does 4.9, which walks a path or
-a cycle with a fixed pattern and otherwise gives every original vertex the
-color after the edge coloring's.  Nor do the total colorings of central
+so its final check is its one search.  3.2 layers the graph breadth-first
+from vertex 0 and gives each vertex's edges down to the next layer distinct
+(parent half, child half) pairs of colors, with (1, 1) at vertex 0 alone; it
+orients a complete graph or a cycle along a vertex order.  Nor does 4.9,
+which walks a path or a cycle with a fixed pattern and otherwise gives every
+original vertex the color after the edge coloring's.  Nor do the total colorings of central
 graphs that an idempotent commutative Latin square drives: the one within
 n + 1 colors of ``total_coloring_central`` (the sweep check tcc-central),
 4.5 at odd order and 5.1.  5.5 takes its parts' colorings as arguments.
 Only 4.5 at even order still starts from an exact oracle's witness.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
-pair codes are assigned in lexicographic order by child label, and roots or
-special vertices are the smallest labels satisfying their defining property.
+pair codes are assigned to children in label order, and roots or special
+vertices are the smallest labels satisfying their defining property.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -55,7 +59,6 @@ __all__ = [
     "FINAL_CHECKS",
     "ConstructionResult",
     "EndlineColoring",
-    "BfsFrame",
     "bipartite_edge_coloring",
     "list_edge_coloring_bipartite",
     "dist_edge_coloring_central",
@@ -337,84 +340,8 @@ def _stable_edge_matching(
 # --- distinguishing edge colorings of central graphs -------------------------
 
 
-@dataclass(frozen=True)
-class BfsFrame:
-    """Layered spanning-tree skeleton used by the central edge colorings."""
-
-    root: int
-    layers: tuple[tuple[int, ...], ...]
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    tree_edges: frozenset[tuple[int, int]]
-
-    def pair_edges(
-        self, cent: TaggedGraph, v: int, u: int
-    ) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The two subdivision edges of tree edge {v, u}, v-side first."""
-        key = (v, u) if v < u else (u, v)
-        if key not in self.tree_edges:
-            raise ValueError(f"{key} is not a tree edge")
-        w = cent.subdivided(v, u)
-        return (min(v, w), max(v, w)), (min(u, w), max(u, w))
-
-
-def _bfs_frame(g: Graph, root: int) -> BfsFrame:
-    dist, parent = g.bfs(root)
-    depth = max(dist)
-    layers = tuple(
-        tuple(v for v in range(g.n) if dist[v] == k) for k in range(depth + 1)
-    )
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    tree = set()
-    for v in range(g.n):
-        p = parent[v]
-        if p >= 0:
-            children[p].append(v)
-            tree.add((v, p) if v < p else (p, v))
-    return BfsFrame(
-        root,
-        layers,
-        tuple(parent),
-        tuple(tuple(c) for c in children),
-        frozenset(tree),
-    )
-
-
-def _on_cycle(g: Graph, v: int) -> bool:
-    """Whether v lies on a cycle: two of its neighbors stay connected when
-    v itself is removed."""
-    rest = ~(1 << v)
-    left = g.adj[v]
-    while left:
-        seen = frontier = left & -left
-        while frontier:
-            reach = 0
-            for x in iter_bits(frontier):
-                reach |= g.adj[x]
-            frontier = reach & rest & ~seen
-            seen |= frontier
-        if (seen & left).bit_count() > 1:
-            return True
-        left &= ~seen
-    return False
-
-
 def _sqrt_ceil(x: int) -> int:
-    return max(1, math.isqrt(max(x - 1, 0)) + 1) if x > 1 else 1
-
-
-def _pair_pool(k: int, allow_11: bool, allow_22: bool) -> list[tuple[int, int]]:
-    """Ordered color pairs: lexicographic, with (2,2) demoted to last when it
-    is allowed at all (it doubles as the marker of non-tree edges)."""
-    pool = [
-        (a, b)
-        for a in range(1, k + 1)
-        for b in range(1, k + 1)
-        if (allow_11 or (a, b) != (1, 1)) and (a, b) != (2, 2)
-    ]
-    if allow_22 and k >= 2:
-        pool.append((2, 2))
-    return pool
+    return math.isqrt(x - 1) + 1 if x > 1 else 1
 
 
 def _write_pair(
@@ -429,120 +356,43 @@ def _write_pair(
     ec[(min(u, w), max(u, w))] = pair[1]
 
 
-def _central_edges_cyclic(g: Graph, cent: TaggedGraph, k: int) -> dict[tuple[int, int], int]:
-    """Case of a connected graph with a cycle, neither complete nor a cycle.
+def _central_edges_bfs(g: Graph, cent: TaggedGraph, k: int) -> dict[tuple[int, int], int]:
+    """Case of a connected graph neither complete nor a cycle, within k =
+    max(2, ⌈√Δ⌉) colors, after the breadth-first pair argument of
+    Kalinowski, Pilśniak & Woźniak (Ars Math. Contemp. 11, 2016).
 
-    A doubled (1,1) pair marks the root, complement edges from the root
-    separate its two marked neighbors, and distinct pairs fix each layer of
-    the spanning tree; everything else is colored 2 so non-tree pairs read
-    (2,2).
+    Each edge vu of G is two edges v–w and w–u of C(G), at its subdividing
+    vertex w.  The pairs (p, q) over 1..k are taken by (max(p, q), (p, q)),
+    so (1, 1) comes first.  With distances from 0, each vertex v gives its
+    down-edges vu (u one step farther from 0), in neighbor order, the next
+    pairs: p on v–w and q on u–w.  The root takes pairs from the whole
+    list, so its edge to a = min N(0) reads (1, 1); every other vertex
+    skips (1, 1).  Every other half-edge, and every complement edge at 0,
+    gets 2; the other complement edges get 1.
+
+    Why this distinguishes: for n ≥ 4 the original vertices (degree n − 1
+    ≥ 3) are told from the subdividing ones (degree 2), so Aut(C(G)) acts
+    as Aut(G).  {0, a} is the only edge of G whose two halves are both 1,
+    so a color-keeping automorphism maps {0, a} to itself.  If deg a ≠
+    deg 0, the degrees keep 0 and a apart.  Otherwise, if 0 is not
+    universal, its n − 1 − deg 0 complement edges colored 2 do, since a
+    has none.  Otherwise a is universal too, and it reads (2, 2) on its
+    n − 2 ≥ 2 edges inside the first layer, while 0 reads (2, 2) on at
+    most one of its edges.  With 0 fixed, distances are kept, and each
+    vertex's down-edges carry distinct ordered pairs, so induction on
+    distance fixes every vertex.  The pairs cannot run out: the root
+    needs at most Δ ≤ k² of them, and any other vertex at most Δ − 1 ≤
+    k² − 1.
     """
-    root = next(
-        (v for v in range(g.n) if g.adj[v].bit_count() < g.n - 1 and _on_cycle(g, v)), None
-    )
-    if root is None:
-        raise ConstructionDefectError(
-            "no root lies on a cycle with a nonempty second sphere"
-        )
-    frame = _bfs_frame(g, root)
-    s1 = frame.layers[1]
-    with_child = [v for v in s1 if frame.children[v]]
-    if not with_child:
-        raise ConstructionDefectError("no first-sphere vertex has a deeper child")
-    v1 = with_child[0]
-    v2 = min(v for v in s1 if v != v1)
-
-    has_nontree = [
-        any(
-            ((v, u) if v < u else (u, v)) not in frame.tree_edges
-            for u in g.neighbors(v)
-        )
-        for v in range(g.n)
-    ]
+    pairs = sorted(itertools.product(range(1, k + 1), repeat=2), key=lambda p: (max(p), p))
+    dist, _ = g.bfs(0)
     ec: dict[tuple[int, int], int] = {}
-    for layer in frame.layers:
-        for v in layer:
-            kids = list(frame.children[v])
-            if v == root:
-                _write_pair(ec, cent, v, v1, (1, 1))
-                _write_pair(ec, cent, v, v2, (1, 1))
-                kids = [u for u in kids if u not in (v1, v2)]
-            pool = _pair_pool(k, allow_11=False, allow_22=not has_nontree[v])
-            if len(kids) > len(pool):
-                raise ConstructionDefectError(
-                    f"vertex {v} has {len(kids)} tree children but only "
-                    f"{len(pool)} admissible pairs"
-                )
-            for u, pair in zip(kids, pool):
-                _write_pair(ec, cent, v, u, pair)
-
-    # Complement edges from the root to the first marked neighbor's children
-    # get 1; every other still-uncolored edge (complement edges and the
-    # subdivision edges of non-tree base edges) gets 2.
-    for u in frame.children[v1]:
-        key = (min(root, u), max(root, u))
-        ec[key] = 1
-    for e in cent.graph.edges():
-        ec.setdefault(e, 2)
-
-    marks = _root_mark_counts(g, cent, ec)
-    if not (marks[root] == 2 and all(c < 2 for v, c in enumerate(marks) if v != root)):
-        raise ConstructionDefectError("the doubled root pair is not unique")
-    return ec
-
-
-def _root_mark_counts(
-    g: Graph, cent: TaggedGraph, ec: dict[tuple[int, int], int]
-) -> list[int]:
-    """How many incident subdivision pairs of each vertex read (1,1)."""
-    counts = [0] * g.n
-    for x, y in g.edges():
-        w = cent.subdivided(x, y)
-        a = ec[(min(x, w), max(x, w))]
-        b = ec[(min(y, w), max(y, w))]
-        if a == 1 and b == 1:
-            counts[x] += 1
-            counts[y] += 1
-    return counts
-
-
-def _tree_centers(g: Graph) -> list[int]:
-    best = None
-    centers: list[int] = []
     for v in range(g.n):
-        ecc = max(g.bfs(v)[0])
-        if best is None or ecc < best:
-            best, centers = ecc, [v]
-        elif ecc == best:
-            centers.append(v)
-    return centers
-
-
-def _central_edges_tree(g: Graph, cent: TaggedGraph, k: int) -> dict[tuple[int, int], int]:
-    """Case of a tree: every automorphism fixes the center vertex or center
-    edge, and distinct pairs per layer propagate that fixing outward."""
-    centers = _tree_centers(g)
-    ec: dict[tuple[int, int], int] = {}
-    pool = _pair_pool(k, allow_11=True, allow_22=True)
-    if len(centers) == 1:
-        frame = _bfs_frame(g, centers[0])
-        skip: dict[int, int] = {}
-    else:
-        x, y = sorted(centers)
-        frame = _bfs_frame(g, x)
-        _write_pair(ec, cent, x, y, (1, 2))
-        skip = {x: y}
-    for layer in frame.layers:
-        for v in layer:
-            kids = [u for u in frame.children[v] if skip.get(v) != u]
-            if len(kids) > len(pool):
-                raise ConstructionDefectError(
-                    f"vertex {v} has {len(kids)} children but only {len(pool)} pairs"
-                )
-            for u, pair in zip(kids, pool):
-                _write_pair(ec, cent, v, u, pair)
+        down = [u for u in g.neighbors(v) if dist[u] == dist[v] + 1]
+        for u, pair in zip(down, pairs if v == 0 else pairs[1:]):
+            _write_pair(ec, cent, v, u, pair)
     for e in cent.graph.edges():
-        ec.setdefault(e, 1)
+        ec.setdefault(e, 2 if e[0] == 0 or e[1] >= g.n else 1)
     return ec
 
 
@@ -586,12 +436,9 @@ def dist_edge_coloring_central(g: Graph) -> ConstructionResult:
     if g.is_complete() or g.is_cycle():
         ec = _central_edges_oriented(g, cent)
         note = "complete-or-cycle case oriented with one source and one sink"
-    elif g.is_tree():
-        ec = _central_edges_tree(g, cent, k)
-        note = "tree case rooted at the center"
     else:
-        ec = _central_edges_cyclic(g, cent, k)
-        note = "cyclic case with a doubled root pair"
+        ec = _central_edges_bfs(g, cent, k)
+        note = "breadth-first pairs from vertex 0; complement edges at 0 colored 2"
     coloring = TotalColoring(None, ec)
     _final_check("3.2", cent.graph, coloring)
     return ConstructionResult(
@@ -697,7 +544,7 @@ def dist_vertex_coloring_central(g: Graph) -> ConstructionResult:
     order.  No oracle is asked."""
     if g.n < 4 or not g.is_connected():
         raise NotApplicableError("requires a connected graph of order at least 4")
-    k = max(1, _sqrt_ceil(g.max_degree()))
+    k = _sqrt_ceil(g.max_degree())
     f = _marked_bfs_total_coloring(g, k)
     assert f.vertex_colors is not None and f.edge_colors is not None
     vc = list(f.vertex_colors)

@@ -12,7 +12,6 @@ from symcol import colorings, constructive
 from symcol.autos import automorphisms
 from symcol.colorings import TotalColoring, is_avd_total, is_distinguishing, is_proper, is_tdc
 from symcol.constructive import (
-    BfsFrame,
     ConstructionResult,
     avd_coloring_central_join,
     avd_coloring_central_regular,
@@ -181,6 +180,29 @@ def test_central_edge_coloring_golden_witnesses():
         for a, b in g.edges():
             by_label[tuple(sorted((b, cent.subdivided(a, b))))] = 2
         assert len(_color_keeping_permutations(g, by_label)) > 1, s
+
+
+def test_central_edge_coloring_by_pairs_is_distinguishing_by_brute_force():
+    # Without the library's automorphism search.  K1,4 has Δ = k², so the
+    # root uses every pair; relabeled, its root 0 is a leaf.  In W6, 0 is
+    # universal and a is not; in K5 minus the edge 34 both are universal.
+    # Cq is P4 with 0 and a in the middle: only the complement edges at 0
+    # keep them apart.
+    star_leaf_root = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
+    k5_minus_34 = Graph.from_edges(5, [e for e in complete_graph(5).edges() if e != (3, 4)])
+    wheel = join(Graph.from_edges(1, []), cycle_graph(5))
+    cube = Graph.from_edges(8, [(v, v ^ 1 << i) for v in range(8) for i in range(3)
+                                if v < v ^ 1 << i])
+    graphs = [path_graph(5), parse_graph6("Cq"), star_graph(5), star_leaf_root, wheel,
+              k5_minus_34, complete_bipartite(3, 3), complete_bipartite(2, 4), cube]
+    assert wheel.degrees()[:2] == [5, 3] and k5_minus_34.degrees()[:2] == [4, 4]
+    for g in graphs:
+        r = dist_edge_coloring_central(g)
+        assert r.notes[0].startswith("breadth-first pairs"), g
+        assert r.palette_size <= r.promised_bound, g
+        assert _color_keeping_permutations(g, r.coloring.edge_colors) == [
+            tuple(range(r.graph.n))
+        ], g
 
 
 def test_central_edge_coloring_examples():
@@ -673,22 +695,6 @@ def test_construction_result_enforces_bound():
         ConstructionResult(r.graph, r.coloring, 5, 4, "3.2")
     doc = r.to_json()
     assert doc["tag"] == "3.2" and doc["palette_size"] <= doc["promised_bound"]
-
-
-def test_bfs_frame_layers_partition():
-    from symcol.constructive import _bfs_frame
-
-    g = _broom(6, 3)
-    frame = _bfs_frame(g, 0)
-    assert frame.layers[0] == (0,)
-    seen = [v for layer in frame.layers for v in layer]
-    assert sorted(seen) == list(range(g.n))
-    cent = central(g)
-    e1, e2 = frame.pair_edges(cent, 0, 1)
-    w = cent.subdivided(0, 1)
-    assert e1 == (0, w) and e2 == (1, w)
-    with pytest.raises(ValueError):
-        frame.pair_edges(cent, 0, 5)
 
 
 def _join_parts():

@@ -18,7 +18,7 @@ from symcol.graphs import encode_graph6
 from symcol.transforms import central, endline, line_graph, middle, subdivision
 
 CHAIN_DIGEST = "7064c795aed046efc165def3a70c3fa82650bc7a94ba237e0480998c35a96d31"
-VERIFIER_DIGEST = "c0662983aeb0f46679262ee4595e5a31ebbfc35f7ba3ed4efda8ffcedb67384c"
+VERIFIER_DIGEST = "9da4a36eab320ff3a8f0884a3e2012d9c1b27680c3a7eaa0eb3c24cf395f076e"
 FAMILIES_DIGEST = "99812f5dce38769955b7f363e1973f238dcd41bbbfd0cf395be29f92424bd3e2"
 
 
