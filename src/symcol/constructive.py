@@ -14,11 +14,12 @@ from vertex 0 and gives each vertex's edges down to the next layer distinct
 (parent half, child half) pairs of colors, with (1, 1) at vertex 0 alone; it
 orients a complete graph or a cycle along a vertex order.  Nor does 4.9,
 which walks a path or a cycle with a fixed pattern and otherwise gives every
-original vertex the color after the edge coloring's.  Nor do the total colorings of central
-graphs that an idempotent commutative Latin square drives: the one within
-n + 1 colors of ``total_coloring_central`` (the sweep check tcc-central),
-4.5 at odd order and 5.1.  5.5 takes its parts' colorings as arguments.
-Only 4.5 at even order still starts from an exact oracle's witness.
+original vertex the color after the edge coloring's.  Nor do the total
+colorings of central graphs that an idempotent commutative Latin square
+drives: the one within n + 1 colors of ``total_coloring_central`` (the sweep
+check tcc-central), 4.5, which at even order lays the square's symbol n + 1
+on a perfect matching, and 5.1.  5.5 takes its parts' colorings as
+arguments.  No construction here asks an exact oracle.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned to children in label order, and roots or special
@@ -44,7 +45,6 @@ from .colorings import (
 from .errors import ConstructionDefectError, NotApplicableError
 from .graphs import Graph, iter_bits, join
 from .latin import icls
-from .oracles import exact_parameter
 from .transforms import (
     TaggedGraph,
     central,
@@ -66,7 +66,6 @@ __all__ = [
     "dist_edge_coloring_endline",
     "dist_vertex_coloring_middle",
     "total_coloring_central",
-    "total_coloring_central_regular_odd",
     "total_dist_coloring_central_regular",
     "total_dist_coloring_subdivision",
     "avd_coloring_central_regular",
@@ -142,15 +141,13 @@ PROPERTIES = {
 }
 
 # Each construction's final checks, by tag, in order: a property its result
-# must have, and the defect reported when it does not.  "4.5-square" is the
-# square-driven proper total coloring that 4.5 starts from at odd orders.
+# must have, and the defect reported when it does not.
 FINAL_CHECKS = {
     "3.2": (("distinguishing", "central edge coloring is preserved by a nontrivial automorphism"),),
     "3.4": (("distinguishing", "lifted vertex coloring is preserved by a nontrivial automorphism"),),
     "3.6": (
         ("distinguishing", "middle-graph vertex coloring is preserved by a nontrivial automorphism"),
     ),
-    "4.5-square": (("proper-total", "square-driven total coloring is not proper"),),
     "4.5": (
         ("proper-total", "total coloring is not proper"),
         ("distinguishing", "total coloring is preserved by a nontrivial automorphism"),
@@ -684,12 +681,13 @@ def _color_subdivision_vertices(
 
 
 def _square_total_central(
-    g: Graph, square_order: int
+    g: Graph, square_order: int, rows: Sequence[int] | None = None
 ) -> tuple[TaggedGraph, tuple[int, ...], dict[tuple[int, int], int]]:
     """Total coloring of the central graph driven by an idempotent commutative
     Latin square: the diagonal colors the original vertices, off-diagonal
     entries color the complement edges, and the subdivision edges are list
-    colored from what is left of each row.
+    colored from what is left of each row.  Vertex i takes row and column
+    ``rows[i]``, i + 1 by default.
 
     Past the diagonal and the complement edges, row i has deg(i) entries of
     columns 1..n left, and an edge {i, w} of S(G) needs a list of
@@ -698,25 +696,33 @@ def _square_total_central(
     when the square has one, else the new color n + 1.  The subdivision
     vertices then take colors within the larger of the square's order and
     n + 1.
+
+    Given ``rows`` that put the cells of symbol n + 1 on edges of G, no
+    complement edge wears n + 1, and each row's list swaps n + 1 for the
+    spare, so the whole coloring keeps within n colors.
     """
     n = g.n
     if square_order < n or square_order % 2 == 0:
         raise ValueError("square order must be odd and at least the graph order")
     square = icls((square_order + 1) // 2)
+    at = rows or range(1, n + 1)
     cent = central(g)
     comp = g.complement()
     vc = [0] * cent.graph.n
     ec: dict[tuple[int, int], int] = {}
     for i in range(n):
-        vc[i] = square.entry(i + 1, i + 1)
+        vc[i] = square.entry(at[i], at[i])
     for i, j in comp.edges():
-        ec[(i, j)] = square.entry(i + 1, j + 1)
+        ec[(i, j)] = square.entry(at[i], at[j])
     bip = subdivision(g).graph
     lists: dict[tuple[int, int], set[int]] = {}
     for i in range(n):
-        leftover = {square.entry(i + 1, j + 1) for j in iter_bits(g.adj[i])}
+        leftover = {square.entry(at[i], at[j]) for j in iter_bits(g.adj[i])}
+        spare = square.entry(at[i], n + 1) if square_order > n else n + 1
+        if rows and n + 1 in leftover:
+            leftover = leftover - {n + 1} | {spare}
         if len(leftover) == 1:
-            leftover.add(square.entry(i + 1, n + 1) if square_order > n else n + 1)
+            leftover.add(spare)
         for w in bip.neighbors(i):
             lists[(i, w)] = leftover
     selected = list_edge_coloring_bipartite(bip, lists)
@@ -726,6 +732,60 @@ def _square_total_central(
         cent, range(n, cent.graph.n), vc, ec, max(square_order, n + 1)
     )
     return cent, tuple(vc), ec
+
+
+def _perfect_matching(g: Graph) -> list[int] | None:
+    """Each vertex's mate in a perfect matching of g, or None when g has
+    none, by Edmonds' blossom algorithm (Canad. J. Math. 17, 1965): each
+    unmatched vertex grows an alternating tree breadth-first, shrinking the
+    odd cycles it closes, until it reaches another unmatched vertex and
+    flips the path between them.  A vertex that reaches none is left
+    unmatched by every maximum matching."""
+    n = g.n
+    mate = [-1] * n
+
+    def augment(root: int) -> bool:
+        parent, base, outer, queue = [-1] * n, list(range(n)), {root}, [root]
+
+        def climb(v: int) -> list[int]:
+            path = [base[v]]
+            while mate[path[-1]] >= 0:
+                path.append(base[parent[mate[path[-1]]]])
+            return path
+
+        def mark(v: int, top: int, child: int, blossom: set[int]) -> None:
+            while base[v] != top:
+                blossom.update((base[v], base[mate[v]]))
+                parent[v], child = child, mate[v]
+                v = parent[child]
+
+        for v in queue:
+            for u in g.neighbors(v):
+                if base[v] == base[u] or mate[v] == u:
+                    continue
+                if u == root or mate[u] >= 0 and parent[mate[u]] >= 0:
+                    below, blossom = set(climb(v)), set()
+                    top = next(b for b in climb(u) if b in below)
+                    mark(v, top, u, blossom)
+                    mark(u, top, v, blossom)
+                    for x in range(n):
+                        if base[x] in blossom:
+                            base[x] = top
+                            if x not in outer:
+                                outer.add(x)
+                                queue.append(x)
+                elif parent[u] < 0:
+                    parent[u] = v
+                    if mate[u] < 0:
+                        while u >= 0:  # flip the path from u back to the root
+                            v, after = parent[u], mate[parent[u]]
+                            mate[u], mate[v], u = v, u, after
+                        return True
+                    outer.add(mate[u])
+                    queue.append(mate[u])
+        return False
+
+    return mate if all(mate[v] >= 0 or augment(v) for v in range(n)) else None
 
 
 def total_coloring_central(g: Graph) -> ConstructionResult:
@@ -751,86 +811,36 @@ def total_coloring_central(g: Graph) -> ConstructionResult:
     )
 
 
-def total_coloring_central_regular_odd(g: Graph) -> ConstructionResult:
-    """Proper total coloring of the central graph of a connected regular
-    graph of odd order, using exactly one more color than its max degree."""
-    if not (g.is_connected() and g.is_regular() and g.n % 2 == 1 and g.n >= 5):
-        raise NotApplicableError(
-            "requires a connected regular graph of odd order at least 5"
-        )
-    cent, vc, ec = _square_total_central(g, g.n)
-    coloring = TotalColoring(vc, ec)
-    _final_check("4.5-square", cent.graph, coloring)
-    bound = cent.graph.max_degree() + 1
-    return ConstructionResult(
-        cent.graph, coloring, len(coloring.palette()), bound, "4.5",
-        ("square-driven total coloring",),
-    )
-
-
 def total_dist_coloring_central_regular(g: Graph) -> ConstructionResult:
     """Total distinguishing chromatic coloring of the central graph of a
     connected regular graph, one more color than the central max degree.
 
-    Odd orders reuse the square-driven construction, whose idempotent
-    diagonal makes all original vertices differently colored.  Even orders
-    (non-complete) start from a total distinguishing coloring of the
-    complement found by the oracle, add fresh colors on the subdivision
-    edges, and fold any overflow color back into the complement's range.
+    The square of order n or n + 1, whichever is odd, colors it as in
+    ``_square_total_central``.  At even n (non-complete) a perfect matching
+    of G takes the cells of symbol n + 1: pair t gets rows t and n + 1 - t,
+    so n + 1 is left to no complement edge and is swapped out of every row's
+    list.  A graph with no perfect matching is not covered.  The idempotent
+    diagonal colors the original vertices apart, and Aut(C(G)) acts on them
+    faithfully, so the coloring is distinguishing.
     """
     if not (g.is_connected() and g.is_regular() and g.n >= 5):
-        raise NotApplicableError(
-            "requires a connected regular graph of order at least 5"
-        )
+        raise NotApplicableError("requires a connected regular graph of order at least 5")
     n = g.n
-    cent_bound = n  # central max degree n-1, plus one
-    if n % 2 == 1:
-        base = total_coloring_central_regular_odd(g)
-        coloring = base.coloring
-        cent_graph = base.graph
-        notes = base.notes + ("distinct diagonal pins every original vertex",)
-    else:
+    rows = list(range(1, n + 1))
+    if n % 2 == 0:
         if g.is_complete():
             raise NotApplicableError("even-order complete graphs are excluded")
-        comp = g.complement()
-        comp_delta = comp.max_degree()
-        res = exact_parameter(comp, "chi2D", cap=comp_delta + 2)
-        if res.value is None or res.witness is None:
-            raise NotApplicableError(
-                "the complement has no total distinguishing coloring within "
-                "two colors above its max degree, so this path does not apply"
-            )
-        f1 = res.witness
-        assert f1.vertex_colors is not None and f1.edge_colors is not None
-        cent = central(g)
-        cent_graph = cent.graph
-        bip = subdivision(g).graph
-        shifted = bipartite_edge_coloring(bip)
-        assert shifted.edge_colors is not None
-        ec = {(i, j): f1.edge_colors[(i, j)] for i, j in comp.edges()}
-        for e, c in shifted.edge_colors.items():
-            ec[e] = c + res.value
-        vc = [0] * cent_graph.n
-        for i in range(n):
-            vc[i] = f1.vertex_colors[i]
-        if res.value == comp_delta + 2:
-            # The shifted palette peaks one past the target; every edge
-            # wearing the overflow color moves into the complement's range.
-            overflow = res.value + bip.max_degree()
-            for e in sorted(e for e, c in ec.items() if c == overflow):
-                u = min(e)
-                blocked = {vc[u]} | {
-                    f1.edge_colors[(min(u, x), max(u, x))] for x in comp.neighbors(u)
-                }
-                ec[e] = min(
-                    c for c in range(1, comp_delta + 3) if c not in blocked
-                )
-        _color_subdivision_vertices(cent, range(n, cent_graph.n), vc, ec, cent_bound)
-        coloring = TotalColoring(tuple(vc), ec)
-        notes = ("complement coloring from the oracle, fresh subdivision colors",)
-    _final_check("4.5", cent_graph, coloring)
+        mate = _perfect_matching(g)
+        if mate is None:
+            raise NotApplicableError("an even-order graph needs a perfect matching")
+        for t, v in enumerate((v for v in range(n) if v < mate[v]), 1):
+            rows[v], rows[mate[v]] = t, n + 1 - t
+    cent, vc, ec = _square_total_central(g, n | 1, rows)
+    coloring = TotalColoring(vc, ec)
+    _final_check("4.5", cent.graph, coloring)
     return ConstructionResult(
-        cent_graph, coloring, len(coloring.palette()), cent_bound, "4.5", notes
+        cent.graph, coloring, len(coloring.palette()), n, "4.5",
+        ("square-driven total coloring", "distinct diagonal pins every original vertex"),
     )
 
 

@@ -1,6 +1,21 @@
-"""Prints the acceptance verdict lines after the run, bypassing capture."""
+"""Prints the acceptance verdict lines after the run, bypassing capture, and
+holds the fixture that fails any test that asks an exact oracle."""
 
 import sys
+
+import pytest
+
+from symcol import oracles
+
+
+@pytest.fixture
+def refuse_oracles(monkeypatch):
+    """Fail the test at the first exact oracle search it starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle was asked")
+
+    monkeypatch.setattr(oracles, "_solve", refuse)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

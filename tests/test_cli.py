@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symcol import cli, colorings, constructive, errors, oracles
+from symcol import cli, colorings, errors, oracles
 from symcol.cli import CHECKS, main, run_check
 from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
@@ -29,9 +29,9 @@ from symcol.transforms import central
 K4 = encode_graph6(complete_graph(4))
 C5 = encode_graph6(cycle_graph(5))
 K15 = encode_graph6(star_graph(6))
-# Even-order regular graphs, on which 4.5 asks the chi2D oracle about the
-# complement.
-C6 = encode_graph6(cycle_graph(6))
+# Graphs with no vertex that their whole automorphism group fixes, whose
+# groups 4.9 searches in more than one node.
+K5 = encode_graph6(complete_graph(5))
 K33 = encode_graph6(complete_bipartite(3, 3))
 
 
@@ -204,15 +204,15 @@ def test_oracle_budget_exceeded_exit(capsys):
 
 
 def test_construct_and_aut_budget_exceeded_exit(capsys, monkeypatch):
-    # C(P33) and S(P33) have 65 vertices, and C(C34) 68; only the node
-    # budget bounds their searches.
+    # C(P33) and S(P33) have 65 vertices; only the node budget bounds their
+    # searches.
     p33 = encode_graph6(path_graph(33))
     code, out, _ = run_cli(capsys, "construct", "--theorem", "3.4", "--in", p33)
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     code, out, _ = run_cli(capsys, "aut", "--chain", "--in", p33)
     assert code == 0 and json.loads(out)["passed"]
     # The groups of K5 and of C(K8) take 10 and 28 search nodes.
-    assert run_check(encode_graph6(complete_graph(5)), "2.11", 1)["verdict"] == "budget-exceeded"
+    assert run_check(K5, "2.11", 1)["verdict"] == "budget-exceeded"
     ck8 = encode_graph6(central(complete_graph(8)).graph)
     monkeypatch.setenv("SYMCOL_BUDGET", "1")
     for argv in (("aut", "--in", ck8), ("oracle", "--param", "D", "--in", ck8)):
@@ -220,9 +220,8 @@ def test_construct_and_aut_budget_exceeded_exit(capsys, monkeypatch):
         assert code == 1
         doc = json.loads(out)
         assert doc["error"] == "budget-exceeded" and "automorphism search" in doc["detail"]
-    # 4.5 asks the chi2D oracle about the complement of C34.
-    c34 = encode_graph6(cycle_graph(34))
-    code, out, _ = run_cli(capsys, "construct", "--theorem", "4.5", "--in", c34)
+    # 4.9 searches the group of K3,3 for a vertex that it fixes.
+    code, out, _ = run_cli(capsys, "construct", "--theorem", "4.9", "--in", K33)
     assert code == 1 and json.loads(out)["verdict"] == "budget-exceeded"
 
 
@@ -610,13 +609,12 @@ def record_rows(path):
     return rows
 
 
-@pytest.mark.parametrize("check", ["4.5"])
-def test_sweep_budget_reaches_oracles_inside_constructions(capsys, tmp_path, check):
-    # 4.5 colors C6 from an oracle witness on the complement, whose search
-    # one node cannot finish.
-    listing = tmp_path / "c6.txt"
-    listing.write_text(f"{C6}\n")
-    args = ["sweep", "--check", check, "--file", str(listing),
+def test_sweep_budget_reaches_searches_inside_constructions(capsys, tmp_path):
+    # 4.9 searches the group of K3,3 for a vertex that it fixes, which one
+    # node cannot finish.
+    listing = tmp_path / "k33.txt"
+    listing.write_text(f"{K33}\n")
+    args = ["sweep", "--check", "4.9", "--file", str(listing),
             "--report", str(tmp_path / "r.jsonl")]
     code, out, _ = run_cli(capsys, *args, "--budget", "1")
     assert code == 0 and json.loads(out)["budget_exceeded"] == 1
@@ -625,8 +623,8 @@ def test_sweep_budget_reaches_oracles_inside_constructions(capsys, tmp_path, che
 
 
 def test_run_check_budget_does_not_outlive_its_check():
-    assert run_check(C6, "4.5", 1)["verdict"] == "budget-exceeded"
-    assert run_check(C6, "4.5")["verdict"] == "pass"
+    assert run_check(K33, "4.9", 1)["verdict"] == "budget-exceeded"
+    assert run_check(K33, "4.9")["verdict"] == "pass"
 
 
 def test_run_check_reads_the_budget_variable_once(monkeypatch):
@@ -678,11 +676,7 @@ def test_middle_check_passes_past_desk_scale():
         assert record["achieved"] <= max(2, g.max_degree())
 
 
-def test_subdivision_check_asks_no_oracle(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("4.9 asked an oracle")
-
-    monkeypatch.setattr(constructive, "exact_parameter", refuse)
+def test_subdivision_check_asks_no_oracle(refuse_oracles):
     graphs = [g for n in range(5, 8) for g in connected_graphs(n)] + _past_desk_scale()
     for g in graphs + [cycle_graph(n) for n in range(5, 32)]:
         record = run_check(encode_graph6(g), "4.9")
@@ -690,15 +684,7 @@ def test_subdivision_check_asks_no_oracle(monkeypatch):
         assert record["achieved"] <= record["promised_bound"], g
 
 
-def _refuse_oracles(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an oracle was asked")
-
-    monkeypatch.setattr(oracles, "_solve", refuse)
-
-
-def test_central_total_check_asks_no_oracle(monkeypatch):
-    _refuse_oracles(monkeypatch)
+def test_central_total_check_asks_no_oracle(refuse_oracles):
     graphs = [g for n in range(3, 7) for g in connected_graphs(n)] + _past_desk_scale()
     graphs += [star_graph(40), cycle_graph(31), complete_graph(13)]
     for g in graphs:
@@ -707,8 +693,7 @@ def test_central_total_check_asks_no_oracle(monkeypatch):
         assert record["achieved"] <= record["promised_bound"] == g.n + 1, g
 
 
-def test_central_vertex_check_asks_no_oracle(monkeypatch):
-    _refuse_oracles(monkeypatch)
+def test_central_vertex_check_asks_no_oracle(refuse_oracles):
     graphs = [g for n in range(4, 7) for g in connected_graphs(n)] + _past_desk_scale()
     graphs += [complete_bipartite(4, 4), complete_bipartite(9, 9), star_graph(13)]
     for g in graphs:
@@ -717,8 +702,7 @@ def test_central_vertex_check_asks_no_oracle(monkeypatch):
         assert record["achieved"] <= record["promised_bound"], g
 
 
-def test_join_of_equal_parts_from_order_4_asks_no_oracle(capsys, monkeypatch):
-    _refuse_oracles(monkeypatch)
+def test_join_of_equal_parts_from_order_4_asks_no_oracle(capsys, refuse_oracles):
     parts = [encode_graph6(g) for n in (4, 5) for g in all_graphs(n)]
     parts += [encode_graph6(g) for g in (cycle_graph(7), star_graph(7), empty_graph(6))]
     # Every part joined with itself, and pairs of different parts of one order.
@@ -753,16 +737,16 @@ def test_join_colors_a_part_given_twice_once(capsys, monkeypatch):
 
 
 def test_sweep_budget_verdicts_do_not_depend_on_workers(capsys, tmp_path):
-    # 4.5 asks an oracle about the complements of C6 and K3,3, which need
-    # more than one node; C5 and C7 take the square, and their final checks
-    # are settled at the first.
+    # 4.9 searches the groups of K5 and K3,3 in more than one node; C5 and
+    # C7 take a fixed pattern, and their final checks are settled at the
+    # first.
     listing = tmp_path / "graphs.txt"
     c7 = encode_graph6(cycle_graph(7))
-    listing.write_text("".join(f"{g6}\n" for g6 in (C6, K33, C5, c7)))
+    listing.write_text("".join(f"{g6}\n" for g6 in (K5, K33, C5, c7)))
     reports = []
     for workers in ("1", "2"):
         report = tmp_path / f"w{workers}.jsonl"
-        run_cli(capsys, "sweep", "--check", "4.5", "--file", str(listing),
+        run_cli(capsys, "sweep", "--check", "4.9", "--file", str(listing),
                 "--report", str(report), "--cache", str(tmp_path / f"c{workers}"),
                 "--budget", "1", "--workers", workers)
         reports.append(record_rows(report))

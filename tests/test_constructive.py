@@ -26,7 +26,6 @@ from symcol.constructive import (
     tdc_central_tree,
     tdc_to_complement,
     total_coloring_central,
-    total_coloring_central_regular_odd,
     total_dist_coloring_central_regular,
     total_dist_coloring_subdivision,
 )
@@ -355,11 +354,7 @@ def test_middle_vertex_coloring_matches_the_endline_route():
             assert dist_vertex_coloring_middle(g).coloring.vertex_colors == expected, g
 
 
-def test_middle_vertex_coloring_asks_no_oracle(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("3.6 asked an oracle")
-
-    monkeypatch.setattr(constructive, "exact_parameter", refuse)
+def test_middle_vertex_coloring_asks_no_oracle(refuse_oracles):
     graphs = [g for n in range(3, 7) for g in connected_graphs(n)]
     for g in graphs + [cycle_graph(n) for n in range(3, 13)]:
         r = dist_vertex_coloring_middle(g)
@@ -394,17 +389,6 @@ def test_middle_vertex_coloring_makes_one_colored_search(monkeypatch):
         assert searched == [r.graph], g
 
 
-def test_total_coloring_central_regular_odd():
-    for g in [cycle_graph(5), complete_graph(5), cycle_graph(7)]:
-        r = total_coloring_central_regular_odd(g)
-        assert r.palette_size == g.n == r.promised_bound
-        assert is_proper(r.graph, r.coloring, "total")
-    with pytest.raises(NotApplicableError):
-        total_coloring_central_regular_odd(cycle_graph(6))
-    with pytest.raises(NotApplicableError):
-        total_coloring_central_regular_odd(path_graph(5))
-
-
 def test_total_coloring_central_within_two_past_max_degree():
     for n in range(3, 8):
         for g in all_graphs(n):
@@ -415,7 +399,7 @@ def test_total_coloring_central_within_two_past_max_degree():
             assert r.palette_size <= r.promised_bound == r.graph.max_degree() + 2 == n + 1, g
             if n % 2 and g.is_regular() and g.is_connected() and n >= 5:
                 # The square of 4.5 at odd order: the spare is never needed.
-                assert r.coloring == total_coloring_central_regular_odd(g).coloring, g
+                assert r.coloring == total_dist_coloring_central_regular(g).coloring, g
                 assert r.palette_size == n, g
     # Orders 1-3: the square refuses K2 + K1, whose central graph is the
     # 4-cycle, and 3K1 and the graphs of order at most 2 are not claimed.
@@ -431,10 +415,13 @@ def test_total_coloring_central_within_two_past_max_degree():
 def test_total_dist_central_regular_odd_orders():
     for g in [cycle_graph(5), complete_graph(5), cycle_graph(7), complete_graph(7)]:
         r = total_dist_coloring_central_regular(g)
-        assert r.palette_size == g.n
+        assert r.palette_size == g.n == r.promised_bound
+        assert is_proper(r.graph, r.coloring, "total")
         # The square diagonal is idempotent, so the original vertices all
         # wear different colors.
         assert len(set(r.coloring.vertex_colors[: g.n])) == g.n
+    with pytest.raises(NotApplicableError):
+        total_dist_coloring_central_regular(path_graph(5))
 
 
 def test_total_dist_central_regular_even_orders():
@@ -448,11 +435,78 @@ def test_total_dist_central_regular_even_orders():
                     seen_gated += 1
                     continue
                 assert r.palette_size <= g.n
-    # Only the order-8 cocktail-party complement (a perfect matching) lacks
-    # a small distinguishing coloring of its complement.
-    assert seen_gated == 1
+    assert seen_gated == 0
     with pytest.raises(NotApplicableError):
         total_dist_coloring_central_regular(complete_graph(6))
+    # K8 less a perfect matching, shown distinguishing with no automorphism
+    # search: only the originals have degree 7 in C(G), and their colors
+    # differ, so a color-keeping automorphism fixes each of them; each
+    # subdivision vertex is the only one joining its two neighbors, so it is
+    # fixed too.
+    g = parse_graph6("Gr~v~w")
+    r = total_dist_coloring_central_regular(g)
+    c, vc = r.graph, r.coloring.vertex_colors
+    assert r.palette_size <= 8 and is_proper(c, r.coloring, "total")
+    assert len(set(vc[:8])) == 8
+    assert [c.degree(v) for v in range(c.n)] == [7] * 8 + [2] * (c.n - 8)
+    assert len({c.adj[w] for w in range(8, c.n)}) == c.n - 8
+
+
+def _matchable(g: Graph, left: frozenset[int]) -> bool:
+    """Whether the vertices ``left`` of g have a perfect matching, by brute force."""
+    if not left:
+        return True
+    v = min(left)
+    return any(_matchable(g, left - {v, u}) for u in g.neighbors(v) if u in left)
+
+
+def test_perfect_matching_agrees_with_brute_force():
+    for n in range(2, 8):
+        for g in connected_graphs(n):
+            mate = constructive._perfect_matching(g)
+            assert (mate is not None) == _matchable(g, frozenset(range(n))), g
+            if mate is not None:
+                assert all(mate[mate[v]] == v and g.has_edge(v, mate[v]) for v in range(n)), g
+
+
+def test_total_dist_central_regular_needs_a_perfect_matching(refuse_oracles):
+    # A connected cubic graph of order 16 with no perfect matching.
+    g = parse_graph6("Or[?GGB?w??@?A?@_?{GO")
+    assert g.n == 16 and g.is_connected() and g.is_regular() and g.max_degree() == 3
+    assert not _matchable(g, frozenset(range(16)))
+    assert constructive._perfect_matching(g) is None
+    with pytest.raises(NotApplicableError):
+        total_dist_coloring_central_regular(g)
+
+
+def _random_regular(n: int, d: int, rng: random.Random) -> Graph:
+    """A d-regular graph of order n: a circulant whose edges are then
+    switched at random, ab and ce into ac and be, whenever that keeps the
+    graph simple."""
+    edges = {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in range(1, d // 2 + 1)}
+    edges |= {(v, v + n // 2) for v in range(n // 2)} if d % 2 else set()
+    for _ in range(10 * len(edges)):
+        (a, b), (c, e) = rng.sample(sorted(edges), 2)
+        ac, be = tuple(sorted((a, c))), tuple(sorted((b, e)))
+        if len({a, b, c, e}) == 4 and ac not in edges and be not in edges:
+            edges -= {(a, b), (c, e)}
+            edges |= {ac, be}
+    return Graph.from_edges(n, edges)
+
+
+def test_total_dist_central_regular_past_desk_scale(refuse_oracles):
+    rng = random.Random(45)
+    graphs = [cycle_graph(n) for n in (12, 20, 30, 34)] + [complete_bipartite(5, 5)]
+    while len(graphs) < 25:
+        n = rng.randrange(9, 31)
+        g = _random_regular(n, rng.choice((3, 4, 5)) if n % 2 == 0 else 4, rng)
+        if g.is_connected():
+            graphs.append(g)
+    for g in graphs:
+        assert g.is_regular(), g
+        r = total_dist_coloring_central_regular(g)
+        assert r.palette_size <= r.promised_bound == g.n, g
+        assert len(set(r.coloring.vertex_colors[: g.n])) == g.n, g
 
 
 def test_subdivision_total_dist_examples():
@@ -716,13 +770,10 @@ FINAL_CHECK_CASES = {
     "3.6": (dist_vertex_coloring_middle, lambda: (cycle_graph(5),),
             ["middle-graph vertex coloring is preserved by a nontrivial automorphism"],
             {"is_distinguishing": 1}),
-    "4.5-square": (total_coloring_central_regular_odd, lambda: (cycle_graph(5),),
-                   ["square-driven total coloring is not proper"],
-                   {"is_proper": 3}),
     "4.5": (total_dist_coloring_central_regular, lambda: (cycle_graph(6),),
             ["total coloring is not proper",
              "total coloring is preserved by a nontrivial automorphism"],
-            {"is_proper": 2, "is_distinguishing": 1}),
+            {"is_proper": 3, "is_distinguishing": 1}),
     "4.9": (total_dist_coloring_subdivision, lambda: (path_graph(5),),
             ["subdivision total coloring is not proper",
              "subdivision total coloring is preserved by a nontrivial automorphism"],

@@ -239,53 +239,14 @@ def test_process_wide_caches_are_listed():
     assert [name for name in found if name not in PROCESS_WIDE_CACHES] == []
 
 
-# The functions of ``constructive`` that still reach an exact oracle; each
-# construction that stops starting from an oracle's witness leaves the list.
-ORACLE_CALLERS = ["total_dist_coloring_central_regular"]
-
-
-def oracle_callers(source: str, targets: frozenset[str] = frozenset(
-        {"exact_parameter", "oracle_witness"})) -> list[str]:
-    """The top-level functions of a module that name one of ``targets``
-    (``f`` or ``m.f``), or another function of the module that does, in
-    their bodies, nested functions included."""
-    names = {}
-    for stmt in ast.parse(source).body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names[stmt.name] = {
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            }
-    reaching: set[str] = set()
-    while True:
-        more = {name for name, read in names.items() if read & (targets | reaching)}
-        if more == reaching:
-            return sorted(reaching)
-        reaching = more
-
-
-def test_oracle_callers_are_found():
-    source = (
-        "from . import oracles\n"
-        "from .oracles import exact_parameter\n"
-        "def oracle_witness(g):\n"
-        "    return exact_parameter(g, 'chi2')\n"
-        "def direct(g):\n"
-        "    return oracles.exact_parameter(g, 'D')\n"
-        "def through(g):\n"
-        "    def inner():\n"
-        "        return oracle_witness(g)\n"
-        "    return inner()\n"
-        "def twice_removed(g):\n"
-        "    return max(map(through, [g]))\n"
-        "def by_rule(g):\n"
-        "    '''Asks no exact_parameter.'''\n"
-        "    return g.edges()\n"
-    )
-    assert oracle_callers(source) == ["direct", "oracle_witness", "through", "twice_removed"]
-
-
-def test_constructions_that_reach_an_oracle_are_listed():
+def test_constructive_imports_nothing_from_oracles():
+    # Every construction builds its coloring by rule; the exact oracles are
+    # ground truth, not a step of any construction.
     source = next(p for p in SOURCES if p.stem == "constructive").read_text()
-    assert oracle_callers(source) == ORACLE_CALLERS
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+    assert [name for name in imported if "oracles" in name.split(".")] == []
