@@ -412,16 +412,27 @@ def test_total_coloring_central_within_two_past_max_degree():
         assert r.palette_size == r.promised_bound == 4, g
 
 
-def test_total_dist_central_regular_odd_orders():
-    for g in [cycle_graph(5), complete_graph(5), cycle_graph(7), complete_graph(7)]:
+def test_total_coloring_central_regular_odd():
+    for g in [cycle_graph(5), complete_graph(5), cycle_graph(7)]:
         r = total_dist_coloring_central_regular(g)
         assert r.palette_size == g.n == r.promised_bound
         assert is_proper(r.graph, r.coloring, "total")
+    # Even order now takes the square of order n + 1 with a perfect matching
+    # on the spare symbol, and still needs only n colors.
+    r = total_dist_coloring_central_regular(cycle_graph(6))
+    assert r.palette_size == 6 == r.promised_bound
+    assert is_proper(r.graph, r.coloring, "total")
+    with pytest.raises(NotApplicableError):
+        total_dist_coloring_central_regular(path_graph(5))
+
+
+def test_total_dist_central_regular_odd_orders():
+    for g in [cycle_graph(5), complete_graph(5), cycle_graph(7), complete_graph(7)]:
+        r = total_dist_coloring_central_regular(g)
+        assert r.palette_size == g.n
         # The square diagonal is idempotent, so the original vertices all
         # wear different colors.
         assert len(set(r.coloring.vertex_colors[: g.n])) == g.n
-    with pytest.raises(NotApplicableError):
-        total_dist_coloring_central_regular(path_graph(5))
 
 
 def test_total_dist_central_regular_even_orders():
