@@ -23,10 +23,11 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .autos import automorphisms, check_aut_chain
-from .colorings import TDCPartition, TotalColoring, coloring_from_json
+from .colorings import TDCPartition, coloring_from_json
 from .constructive import (
     PROPERTIES,
     ConstructionResult,
+    _central_part_coloring,
     avd_coloring_central_join,
     avd_coloring_central_regular,
     avd_coloring_subdivision,
@@ -188,38 +189,15 @@ def _complement_doc(g: Graph) -> dict:
     return _partition_doc("6.1", g.complement(), tdc_to_complement(p, g), len(p.classes))
 
 
-def _oracle_witness(g: Graph, kind: str, cap: int, defect: str) -> TotalColoring:
-    """The exact oracle's witness for ``kind`` within ``cap`` colors.
-
-    Raises ConstructionDefectError with the message ``defect`` when every
-    level up to the cap is refuted.
-    """
-    res = exact_parameter(g, kind, cap=cap)
-    if res.value is None or res.witness is None:
-        raise ConstructionDefectError(defect)
-    return res.witness
-
-
 def _join_doc(g: Graph, g2: Graph | None) -> ConstructionResult:
     if g2 is None:
         raise _UsageError("--theorem 5.5 takes the second part via --in2")
-    if g.n == g2.n >= 4:
-        # Equal part orders take proper total colorings within n + 1 colors.
-        def color(part: Graph) -> TotalColoring:
-            return total_coloring_central(part).coloring
-    else:
-        # The square refuses K2 + K1, so smaller equal parts take the oracle's
-        # proper total colorings, and unequal ones its AVD colorings.
-        kind, extra = ("chi2", 1) if g.n == g2.n else ("chi2a", 2)
-
-        def color(part: Graph) -> TotalColoring:
-            return _oracle_witness(
-                central(part).graph, kind, part.n + extra,
-                f"no {kind} coloring of an input part within {part.n + extra} colors",
-            )
-    # A part given twice is colored once.
-    c1 = color(g)
-    return avd_coloring_central_join(g, g2, c1, c1 if g2 == g else color(g2))
+    # Proper part colorings within n + 1 for equal orders, AVD ones within
+    # n + 2 for unequal orders.  A part given twice is colored once.
+    extra = 1 if g.n == g2.n else 2
+    c1 = _central_part_coloring(g, g.n + extra)
+    c2 = c1 if g2 == g else _central_part_coloring(g2, g2.n + extra)
+    return avd_coloring_central_join(g, g2, c1, c2)
 
 
 def _chain_doc(g: Graph) -> dict:
@@ -235,9 +213,10 @@ _BOTH = _CONSTRUCT + _SWEEP
 # Every check by tag, in listing order: the subcommands that accept it, and
 # a function of (graph, second graph) returning its construction result or
 # its document; a sweep reads a result's palette and bound, not its JSON.
-# Its oracle searches, those inside the constructions included, read the
-# budget that run_check sets.  The lambdas look each construction up by name
-# when called, so a wrapper bound to that name here later is the one that runs.
+# No check asks an oracle; its automorphism searches, the verifiers'
+# included, read the budget that run_check sets.  The lambdas look each
+# construction up by name when called, so a wrapper bound to that name here
+# later is the one that runs.
 CHECKS = {
     "2.11": (_SWEEP, lambda g, _: _chain_doc(g)),
     "3.2": (_BOTH, lambda g, _: dist_edge_coloring_central(g)),

@@ -19,7 +19,8 @@ colorings of central graphs that an idempotent commutative Latin square
 drives: the one within n + 1 colors of ``total_coloring_central`` (the sweep
 check tcc-central), 4.5, which at even order lays the square's symbol n + 1
 on a perfect matching, and 5.1.  5.5 takes its parts' colorings as
-arguments.  No construction here asks an exact oracle.
+arguments, and ``_central_part_coloring`` makes them from the same square.
+No construction here asks an exact oracle.
 
 All tie-breaking is deterministic: "any color" picks the minimum available,
 pair codes are assigned to children in label order, and roots or special
@@ -681,30 +682,35 @@ def _color_subdivision_vertices(
 
 
 def _square_total_central(
-    g: Graph, square_order: int, rows: Sequence[int] | None = None
+    g: Graph, palette: int, rows: Sequence[int] | None = None
 ) -> tuple[TaggedGraph, tuple[int, ...], dict[tuple[int, int], int]]:
-    """Total coloring of the central graph driven by an idempotent commutative
-    Latin square: the diagonal colors the original vertices, off-diagonal
-    entries color the complement edges, and the subdivision edges are list
-    colored from what is left of each row.  Vertex i takes row and column
-    ``rows[i]``, i + 1 by default.
+    """Total coloring of the central graph within ``palette`` colors, driven
+    by the idempotent commutative Latin square of the largest odd order
+    within the palette: the diagonal colors the original vertices,
+    off-diagonal entries color the complement edges, and the subdivision
+    edges are list colored from what is left of each row.  Vertex i takes
+    row and column ``rows[i]``, i + 1 by default.
 
     Past the diagonal and the complement edges, row i has deg(i) entries of
     columns 1..n left, and an edge {i, w} of S(G) needs a list of
     max(deg(i), 2) colors, so only a leaf's row is short.  It gets one spare
-    color that its first n columns do not hold: its entry in column n + 1
-    when the square has one, else the new color n + 1.  The subdivision
-    vertices then take colors within the larger of the square's order and
-    n + 1.
+    color that its first n columns do not hold: the fresh color ``palette``
+    when the square is smaller, else its entry in a column past n.  Row k's
+    colors miss its entries past column n; a leaf i with neighbor j whose
+    edge takes the spare misses the other ones and L(i, j) instead, so of
+    two columns the spare is the first that keeps those apart from the
+    entries missed by each row k ∉ {i, j}.  The subdivision vertices then
+    take colors within the palette.
 
     Given ``rows`` that put the cells of symbol n + 1 on edges of G, no
     complement edge wears n + 1, and each row's list swaps n + 1 for the
     spare, so the whole coloring keeps within n colors.
     """
     n = g.n
-    if square_order < n or square_order % 2 == 0:
-        raise ValueError("square order must be odd and at least the graph order")
-    square = icls((square_order + 1) // 2)
+    order = (palette - 1) | 1
+    if order < n:
+        raise ValueError("the palette must hold a square of at least the graph order")
+    square = icls((order + 1) // 2)
     at = rows or range(1, n + 1)
     cent = central(g)
     comp = g.complement()
@@ -714,23 +720,25 @@ def _square_total_central(
         vc[i] = square.entry(at[i], at[i])
     for i, j in comp.edges():
         ec[(i, j)] = square.entry(at[i], at[j])
+    beyond = [[square.entry(at[k], c) for c in range(n + 1, order + 1)] for k in range(n)]
     bip = subdivision(g).graph
     lists: dict[tuple[int, int], set[int]] = {}
     for i in range(n):
         leftover = {square.entry(at[i], at[j]) for j in iter_bits(g.adj[i])}
-        spare = square.entry(at[i], n + 1) if square_order > n else n + 1
+        spares = beyond[i] if order == palette else [palette]
         if rows and n + 1 in leftover:
-            leftover = leftover - {n + 1} | {spare}
+            leftover = leftover - {n + 1} | {spares[0]}
         if len(leftover) == 1:
-            leftover.add(spare)
+            (j,) = iter_bits(g.adj[i])
+            others = {frozenset(beyond[k]) for k in range(n) if k not in (i, j)}
+            keeps = [s for s in spares if set(beyond[i]) - {s} | leftover not in others]
+            leftover.add((keeps or spares)[0])
         for w in bip.neighbors(i):
             lists[(i, w)] = leftover
     selected = list_edge_coloring_bipartite(bip, lists)
     assert selected.edge_colors is not None
     ec.update(selected.edge_colors)
-    _color_subdivision_vertices(
-        cent, range(n, cent.graph.n), vc, ec, max(square_order, n + 1)
-    )
+    _color_subdivision_vertices(cent, range(n, cent.graph.n), vc, ec, palette)
     return cent, tuple(vc), ec
 
 
@@ -802,7 +810,7 @@ def total_coloring_central(g: Graph) -> ConstructionResult:
         raise NotApplicableError(
             "requires a graph of order at least 4, or a connected graph of order 3"
         )
-    cent, vc, ec = _square_total_central(g, g.n if g.n % 2 else g.n + 1)
+    cent, vc, ec = _square_total_central(g, g.n + 1)
     coloring = TotalColoring(vc, ec)
     _final_check("tcc-central", cent.graph, coloring)
     return ConstructionResult(
@@ -816,11 +824,11 @@ def total_dist_coloring_central_regular(g: Graph) -> ConstructionResult:
     connected regular graph, one more color than the central max degree.
 
     The square of order n or n + 1, whichever is odd, colors it as in
-    ``_square_total_central``.  At even n (non-complete) a perfect matching
-    of G takes the cells of symbol n + 1: pair t gets rows t and n + 1 - t,
-    so n + 1 is left to no complement edge and is swapped out of every row's
-    list.  A graph with no perfect matching is not covered.  The idempotent
-    diagonal colors the original vertices apart, and Aut(C(G)) acts on them
+    ``_square_total_central``.  At even n a perfect matching of G takes the
+    cells of symbol n + 1: pair t gets rows t and n + 1 - t, so n + 1 is
+    left to no complement edge and is swapped out of every row's list.  A
+    graph with no perfect matching is not covered.  The idempotent diagonal
+    colors the original vertices apart, and Aut(C(G)) acts on them
     faithfully, so the coloring is distinguishing.
     """
     if not (g.is_connected() and g.is_regular() and g.n >= 5):
@@ -828,14 +836,12 @@ def total_dist_coloring_central_regular(g: Graph) -> ConstructionResult:
     n = g.n
     rows = list(range(1, n + 1))
     if n % 2 == 0:
-        if g.is_complete():
-            raise NotApplicableError("even-order complete graphs are excluded")
         mate = _perfect_matching(g)
         if mate is None:
             raise NotApplicableError("an even-order graph needs a perfect matching")
         for t, v in enumerate((v for v in range(n) if v < mate[v]), 1):
             rows[v], rows[mate[v]] = t, n + 1 - t
-    cent, vc, ec = _square_total_central(g, n | 1, rows)
+    cent, vc, ec = _square_total_central(g, n + 1, rows)
     coloring = TotalColoring(vc, ec)
     _final_check("4.5", cent.graph, coloring)
     return ConstructionResult(
@@ -853,11 +859,11 @@ def _walk_pattern_total(s: Graph) -> tuple[list[int], dict[tuple[int, int], int]
     from vertex 0 of a cycle towards its smaller neighbor.
 
     A path repeats 1 2 3.  A cycle whose walk has length L repeats 1 2 3 4
-    b times, b = L mod 3 (3 when 3 divides L), then 1 2 3; it needs L > 12.
+    b times, b = L mod 3 (3 when 3 divides L), then 1 2 3; it needs L ≥ 4b.
     Any three elements in a row differ, also across the wrap, so the
-    coloring is proper.  No rotation keeps the 4s, whose gaps are unequal or
-    which are only one, and no reflection keeps the colors, because every 4
-    has a 3 before it and a 1 after it in walk order.
+    coloring is proper.  For L > 12 no rotation keeps the 4s, whose gaps
+    are unequal or which are only one, and no reflection keeps the colors,
+    because every 4 has a 3 before it and a 1 after it in walk order.
     """
     ends = [v for v in range(s.n) if s.degree(v) == 1]
     order = [min(ends) if ends else 0]
@@ -941,8 +947,7 @@ def avd_coloring_central_regular(g: Graph) -> ConstructionResult:
         raise NotApplicableError(
             "requires a connected regular graph of order at least 5"
         )
-    square_order = g.n + 1 if g.n % 2 == 0 else g.n + 2
-    cent, vc, ec = _square_total_central(g, square_order)
+    cent, vc, ec = _square_total_central(g, g.n + 2)
     coloring = TotalColoring(vc, ec)
     _final_check("5.1", cent.graph, coloring)
     bound = cent.graph.max_degree() + (2 if g.n % 2 == 0 else 3)
@@ -1029,6 +1034,21 @@ def _transfer_central_part(
     for (x, y), c in f.edge_colors.items():
         a, b = full[x], full[y]
         ec[(min(a, b), max(a, b))] = c
+
+
+def _central_part_coloring(part: Graph, palette: int) -> TotalColoring:
+    """5.5's coloring of a part's central graph: proper within n + 1
+    colors, for equal part orders, or AVD within n + 2, for unequal ones.
+
+    The square gives both on every part of orders 2-8 but K2 and K2 + K1,
+    whose central graphs P3 and C4 take 4.9's walk pattern: 1 2 3 along P3
+    and 1 2 3 4 twice around C4.  5.5's input checks verify the result.
+    """
+    if part.n <= 3 and part.edge_count() == 1:
+        vc, ec = _walk_pattern_total(central(part).graph)
+        return TotalColoring(tuple(vc), ec)
+    _, vc, ec = _square_total_central(part, palette)
+    return TotalColoring(vc, ec)
 
 
 def avd_coloring_central_join(

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symcol import cli, colorings, errors, oracles
+from symcol import cli, colorings, constructive, errors
 from symcol.cli import CHECKS, main, run_check
 from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
@@ -702,38 +702,39 @@ def test_central_vertex_check_asks_no_oracle(refuse_oracles):
         assert record["achieved"] <= record["promised_bound"], g
 
 
-def test_join_of_equal_parts_from_order_4_asks_no_oracle(capsys, refuse_oracles):
-    parts = [encode_graph6(g) for n in (4, 5) for g in all_graphs(n)]
-    parts += [encode_graph6(g) for g in (cycle_graph(7), star_graph(7), empty_graph(6))]
-    # Every part joined with itself, and pairs of different parts of one order.
-    pairs = [(a, a) for a in parts] + list(zip(parts[:10], parts[1:11]))
-    pairs += [(encode_graph6(star_graph(6)), encode_graph6(complete_graph(6)))]
+def test_join_of_parts_of_orders_2_to_5_asks_no_oracle(capsys, refuse_oracles):
+    parts = [g for n in range(2, 6) for g in all_graphs(n)]
+    # Every pair of parts of one order, and every pair of different orders
+    # in both places; equal orders take proper part colorings, unequal ones
+    # AVD colorings.  A failed input or final check raises.
+    pairs = [(a, b) for i, a in enumerate(parts) for j, b in enumerate(parts)
+             if a.n != b.n or i <= j]
+    assert len(pairs) == 1304 + 674
     for a, b in pairs:
-        code, out, _ = run_cli(capsys, "construct", "--theorem", "5.5", "--in", a, "--in2", b)
+        assert CHECKS["5.5"][1](a, b).tag == "5.5", (a, b)
+    cli_pairs = [(cycle_graph(7), star_graph(8)), (star_graph(6), complete_graph(6))]
+    cli_pairs += [(g, g) for g in (cycle_graph(7), star_graph(7), empty_graph(6))]
+    for a, b in cli_pairs:
+        code, out, _ = run_cli(capsys, "construct", "--theorem", "5.5",
+                               "--in", encode_graph6(a), "--in2", encode_graph6(b))
         assert code == 0 and json.loads(out)["verdict"] == "pass", (a, b)
 
 
-def test_join_colors_a_part_given_twice_once(capsys, monkeypatch):
+def test_join_colors_a_part_given_twice_once(capsys, monkeypatch, refuse_oracles):
     calls = []
-    real_square, real_solve = cli.total_coloring_central, oracles._solve
+    real_square = constructive._square_total_central
 
-    def square(g):
-        calls.append("total_coloring_central")
-        return real_square(g)
+    def square(g, *args):
+        calls.append(g)
+        return real_square(g, *args)
 
-    def solve(*args, **kwargs):
-        calls.append("_solve")
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "total_coloring_central", square)
-    monkeypatch.setattr(oracles, "_solve", solve)
-    for part, expected in ((complete_graph(12), "total_coloring_central"),
-                           (complete_graph(3), "_solve")):
+    monkeypatch.setattr(constructive, "_square_total_central", square)
+    for part in (complete_graph(12), complete_graph(3)):
         calls.clear()
         g6 = encode_graph6(part)
         code, out, _ = run_cli(capsys, "construct", "--theorem", "5.5", "--in", g6, "--in2", g6)
         assert code == 0 and json.loads(out)["verdict"] == "pass", part
-        assert calls == [expected], part
+        assert calls == [part], part
 
 
 def test_sweep_budget_verdicts_do_not_depend_on_workers(capsys, tmp_path):

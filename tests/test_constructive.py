@@ -447,8 +447,6 @@ def test_total_dist_central_regular_even_orders():
                     continue
                 assert r.palette_size <= g.n
     assert seen_gated == 0
-    with pytest.raises(NotApplicableError):
-        total_dist_coloring_central_regular(complete_graph(6))
     # K8 less a perfect matching, shown distinguishing with no automorphism
     # search: only the originals have degree 7 in C(G), and their colors
     # differ, so a color-keeping automorphism fixes each of them; each
@@ -478,6 +476,20 @@ def test_perfect_matching_agrees_with_brute_force():
             assert (mate is not None) == _matchable(g, frozenset(range(n))), g
             if mate is not None:
                 assert all(mate[mate[v]] == v and g.has_edge(v, mate[v]) for v in range(n)), g
+
+
+def test_total_dist_central_regular_complete_even(refuse_oracles):
+    # C(K_n) = S(K_n): only the originals have degree n - 1, and their
+    # colors differ, so a color-keeping automorphism fixes each of them, and
+    # each subdivision vertex is the only common neighbor of its two ends.
+    for n in (6, 8, 10, 12):
+        r = total_dist_coloring_central_regular(complete_graph(n))
+        c, vc = r.graph, r.coloring.vertex_colors
+        assert r.palette_size <= r.promised_bound == n, n
+        assert is_proper(c, r.coloring, "total"), n
+        assert len(set(vc[:n])) == n, n
+        assert [c.degree(v) for v in range(c.n)] == [n - 1] * n + [2] * (c.n - n), n
+        assert len({c.adj[w] for w in range(n, c.n)}) == c.n - n, n
 
 
 def test_total_dist_central_regular_needs_a_perfect_matching(refuse_oracles):
@@ -619,6 +631,15 @@ def _oracle_witness(g: Graph, kind: str, cap: int) -> TotalColoring:
     res = exact_parameter(g, kind, cap=cap)
     assert res.value is not None
     return res.witness
+
+
+def test_join_part_colorings_within_their_palettes(refuse_oracles):
+    # Every graph of orders 2-7 (1,251 graphs): AVD within n + 2 colors, for
+    # parts of unequal orders.  K2 and K2 + K1 take the walk pattern.
+    for n in range(2, 8):
+        for g in all_graphs(n):
+            f = constructive._central_part_coloring(g, n + 2)
+            assert is_avd_total(central(g).graph, f) and len(f.palette()) <= n + 2, g
 
 
 def test_avd_join_covers_bipartite_and_self_joins():

@@ -250,3 +250,26 @@ def test_constructive_imports_nothing_from_oracles():
         elif isinstance(node, ast.ImportFrom):
             imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
     assert [name for name in imported if "oracles" in name.split(".")] == []
+
+
+def test_cli_asks_an_oracle_only_in_the_oracle_command():
+    # `construct` and `sweep` build their colorings by rule; only `oracle`
+    # searches.
+    tree = ast.parse(next(p for p in SOURCES if p.stem == "cli").read_text())
+    imports = [stmt for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))]
+    from_oracles = [
+        alias.name
+        for stmt in imports
+        for alias in stmt.names
+        if "oracles" in (getattr(stmt, "module", None) or alias.name).split(".")
+    ]
+    assert sorted(from_oracles) == ["PARAM_KINDS", "exact_parameter"]
+    readers = {
+        getattr(stmt, "name", f"line {stmt.lineno}")
+        for stmt in tree.body
+        if stmt not in imports
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "exact_parameter"
+    }
+    assert readers == {"_cmd_oracle"}
+    assert "_oracle_witness" not in {getattr(stmt, "name", None) for stmt in tree.body}
