@@ -800,16 +800,14 @@ def total_coloring_central(g: Graph) -> ConstructionResult:
     """Proper total coloring of the central graph within two colors past its
     max degree, n + 1, from the square of order n or n + 1, whichever is odd.
 
-    Applies to every graph of order at least 4 and to the connected graphs of
-    order 3.  For n >= 4 a subdivision vertex sees at most 4 colors, so one of
-    the n + 1 is free for it.  The square refuses K2 + K1: its central graph
-    is the 4-cycle, whose three original vertices the diagonal colors apart,
+    Applies to every graph but K2 + K1.  For n >= 4 a subdivision vertex
+    sees at most 4 colors, so one of the n + 1 is free for it, and the
+    square also colors every smaller graph but K2 + K1: its central graph is
+    the 4-cycle, whose three original vertices the diagonal colors apart,
     and the subdivision vertex then sees all 4 colors.
     """
-    if g.n < 3 or (g.n == 3 and not g.is_connected()):
-        raise NotApplicableError(
-            "requires a graph of order at least 4, or a connected graph of order 3"
-        )
+    if g.n == 3 and g.edge_count() == 1:
+        raise NotApplicableError("K2 + K1 is not covered: its central graph is the 4-cycle")
     cent, vc, ec = _square_total_central(g, g.n + 1)
     coloring = TotalColoring(vc, ec)
     _final_check("tcc-central", cent.graph, coloring)

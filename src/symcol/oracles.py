@@ -13,12 +13,16 @@ count: the parallel search is the sequential one cut into slices, charged in
 the sequential order. ``nodes`` and the budget cover every search a call
 makes, the chromatic-number search behind the chitd lower bound included.
 The distinguishing kinds (D, Dp, Dpp, chi2D) track every element of the
-graph's automorphism group, lifted to the n + m vertices and edges: each
-transversal representative of the group's stabilizer chain is lifted once,
-and the lifted transversals are multiplied out.  The search that builds the
-group is held to the call's budget on its own (its nodes are not in
+graph's automorphism group, lifted to the n + m vertices and edges, as one
+bit of an integer: bit i stands for the i-th product that
+``autos._products`` forms from the lifted transversals of the group's
+stabilizer chain.  For each pair of colorable elements, a mask holds the
+group elements that map one onto the other.  The masks are built level by
+level from the transversals, with no product formed, and a node drops the
+elements its color breaks with a few ORs of them.  The search that builds
+the group is held to the call's budget on its own (its nodes are not in
 ``nodes``), and a group or lifted table of more than ``autos.ELEMENT_CAP``
-entries raises BudgetExceededError before anything is multiplied out.
+entries raises BudgetExceededError before any mask is built.
 
 The chitd search checks forward for total domination.  A vertex u is
 dead once every color used so far has a class member outside N(u), and no
@@ -52,12 +56,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import autos
-from .autos import (
-    _lift_through,
-    automorphisms,
-    invert,
-    vertex_orbits,
-)
+from .autos import _lift_through, automorphisms, vertex_orbits
 from .colorings import TDCPartition, TotalColoring, coloring_to_json
 from .errors import (
     DEFAULT_BUDGET, BudgetExceededError, NotApplicableError, _check_budget, _resolve_budget,
@@ -122,12 +121,48 @@ class OracleResult:
         }
 
 
+def _moved_masks(
+    transversals: list[list[tuple[int, ...]]], points: list[int]
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """The group elements that move some of ``points``, and for each pair
+    a < b of them the elements that map a to b or b to a, as bit masks.
+
+    Bit i stands for the i-th product t_0 t_1 ... t_k that
+    ``autos._products`` forms.  No product is formed: the masks of the
+    products of the last j transversals give those of the last j + 1, since
+    t p maps a to t(y) for every p that maps a to y, and t's products fill
+    one block of bits.  The group must map ``points`` onto themselves.
+    """
+    images = {a: {a: 1} for a in points}
+    size = 1
+    for reps in reversed(transversals):
+        blocks = list(zip(reps, range(0, len(reps) * size, size)))
+        for a, masks in images.items():
+            grown: dict[int, int] = {}
+            for y, mask in masks.items():
+                for t, shift in blocks:
+                    z = t[y]
+                    grown[z] = grown.get(z, 0) | mask << shift
+            images[a] = grown
+        size *= len(reps)
+    # What maps a to b maps b to a by its inverse, so both masks exist.
+    every = (1 << size) - 1
+    live = 0
+    moved: dict[tuple[int, int], int] = {}
+    for a, masks in images.items():
+        live |= every ^ masks[a]
+        for b, mask in masks.items():
+            if b > a:
+                moved[a, b] = mask | images[b][a]
+    return live, moved
+
+
 class _Search:
     """One (graph, kind) satisfiability problem, searched at the level ``run``
     is given.  Building it orders the elements and, for the distinguishing
-    kinds only, looks up the group and multiplies out its lifted
-    transversals; none of that depends on the level, so an oracle call
-    builds one per kind."""
+    kinds only, looks up the group and builds the masks of its lifted
+    elements; none of that depends on the level, so an oracle call builds
+    one per kind."""
 
     def __init__(self, g: Graph, kind: str):
         self.g = g
@@ -165,14 +200,20 @@ class _Search:
             self.incident = [tuple(incident[v]) for v in range(n)]
         self.conflicts = conflicts
 
-        self.perm_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        # ``live`` masks the group elements that move some colorable element
+        # (see ``_moved_masks``), and a node keeps those its colors have not
+        # broken; kinds that track no group start and stay at 0.
+        self.live = 0
+        moved: dict[tuple[int, int], int] = {}
         lifted_generators: list[tuple[int, ...]] = []
         if kind in _DISTINGUISHING:
             group = automorphisms(g)
-            # Multiplying the group out below raises past the element cap.
-            # The live-pair list holds every element lifted to all n + m
-            # elements, and that table is held to the same cap.
-            if group.order <= autos.ELEMENT_CAP < group.order * (n + m):
+            # Past the element cap neither the group nor its table lifted to
+            # all n + m elements is tracked: the masks hold a bit per element
+            # for each pair of elements that it maps onto each other.
+            if group.order > autos.ELEMENT_CAP:
+                raise BudgetExceededError(f"group order exceeds the cap of {autos.ELEMENT_CAP}")
+            if group.order * (n + m) > autos.ELEMENT_CAP:
                 raise BudgetExceededError(
                     f"{kind}: the lifted group table of {group.order} x {n + m} "
                     f"entries exceeds the cap of {autos.ELEMENT_CAP}"
@@ -184,16 +225,12 @@ class _Search:
             index = g.edge_index()
             lifted_generators = [_lift_through(phi, n, index) for phi in group.generators]
             lifted = [[_lift_through(t, n, index) for t in reps] for reps in group.transversals]
-            identity = tuple(range(n + m))
-            pairs = [(elem, invert(elem)) for elem in autos._products(lifted, identity)
-                     if elem != identity]
-            for elem, _ in pairs:
-                if all(elem[e] == e for e in universe):
-                    raise NotApplicableError(
-                        f"{kind}: a nontrivial symmetry fixes every colorable "
-                        "element, so no coloring can break it"
-                    )
-            self.perm_pairs = pairs
+            self.live, moved = _moved_masks(lifted, universe)
+            if self.live.bit_count() < group.order - 1:
+                raise NotApplicableError(
+                    f"{kind}: a nontrivial symmetry fixes every colorable "
+                    "element, so no coloring can break it"
+                )
 
         # For the unconstrained distinguishing kinds every color is always
         # legal, so a lowest-color-first descent walks an all-1s path that
@@ -214,8 +251,16 @@ class _Search:
         self.order = order
         self.N = len(order)
 
+        # kills[p] pairs each earlier position's element x with the mask of
+        # the elements that map x and order[p] onto each other.
+        pos = {e: p for p, e in enumerate(order)}
+        self.kills: list[list[tuple[int, int]]] = [[] for _ in order]
+        for (a, b), mask in moved.items():
+            if pos[a] < pos[b]:
+                a, b = b, a
+            self.kills[pos[a]].append((b, mask))
+
         if kind == "chi2a":
-            pos = {e: p for p, e in enumerate(order)}
             self.close_pos = [0] * n
             self.closing: list[list[int]] = [[] for _ in range(self.N)]
             for v in range(n):
@@ -298,9 +343,8 @@ class _Search:
             # free[u] counts the uncolored neighbors of u.
             self.poison = [0] * self.n
             self.free = [self.g.degree(u) for u in range(self.n)]
-        live = list(self.perm_pairs) if self.perm_pairs is not None else []
         try:
-            sat = self._dfs(0, live)
+            sat = self._dfs(0, self.live)
         except _BudgetHit:
             return (_BUDGET, None, self.nodes)
         if self.collected is not None:
@@ -314,12 +358,12 @@ class _Search:
         prefix = tuple(self.f[self.order[q]] for q in range(depth))
         self.collected.append((self.nodes, prefix))
 
-    def _dfs(self, p: int, live: list) -> bool:
+    def _dfs(self, p: int, live: int) -> bool:
         if p == self.stop_depth:
             self._collect(p)
             return False
         if p == self.N:
-            return self.perm_pairs is None or not live
+            return not live
         e = self.order[p]
         forced = self.prefix[p] if p < len(self.prefix) else 0
         limit = min(self.level, self.maxused + 1)
@@ -348,30 +392,28 @@ class _Search:
             elif self.kind == "chi2a":
                 ok = self._closure_ok(p)
             new_live = live
-            if ok and self.perm_pairs is not None:
-                new_live = []
-                for pair in live:
-                    cj = self.f[pair[0][e]]
-                    if cj and cj != c:
-                        continue
-                    ck = self.f[pair[1][e]]
-                    if ck and ck != c:
-                        continue
-                    new_live.append(pair)
-                if not new_live and self.kind in ("D", "Dp", "Dpp"):
-                    # No symmetry survives, so every completion succeeds and
-                    # the search stops here.  A collection pass ends with this
-                    # node as its last prefix.  Otherwise take the completion
-                    # the branch order reaches first: each remaining position
-                    # takes the newest color available.  A slice never gets
-                    # here inside its prefix, since collection stops first.
-                    if self.collected is not None:
-                        self._collect(p + 1)
-                        return True
-                    for q in range(p + 1, self.N):
-                        self.maxused = min(self.level, self.maxused + 1)
-                        self.f[self.order[q]] = self.maxused
+            if ok and live:
+                # An element dies when it maps e onto an element of another
+                # color, or one of another color onto e.
+                kill = 0
+                for x, mask in self.kills[p]:
+                    if self.f[x] != c:
+                        kill |= mask
+                new_live = live & ~kill
+            if ok and not new_live and self.newest_first:
+                # No symmetry survives, so every completion succeeds and
+                # the search stops here.  A collection pass ends with this
+                # node as its last prefix.  Otherwise take the completion
+                # the branch order reaches first: each remaining position
+                # takes the newest color available.  A slice never gets
+                # here inside its prefix, since collection stops first.
+                if self.collected is not None:
+                    self._collect(p + 1)
                     return True
+                for q in range(p + 1, self.N):
+                    self.maxused = min(self.level, self.maxused + 1)
+                    self.f[self.order[q]] = self.maxused
+                return True
             if ok and self._dfs(p + 1, new_live):
                 return True
             if self.kind == "chitd":
@@ -443,8 +485,8 @@ def _start_worker(budget: int) -> None:
 
 # A worker builds the search of its first slice and keeps it for every later
 # slice of the same (graph, kind), at any level: building one orders the
-# elements, and for the distinguishing kinds looks up the group and multiplies
-# out its lifted transversals, while ``run`` resets all of its mutable state.
+# elements, and for the distinguishing kinds looks up the group and builds the
+# masks of its lifted elements, while ``run`` resets all of its mutable state.
 @functools.lru_cache(maxsize=1)
 def _worker_search(n: int, adj: tuple[int, ...], kind: str) -> _Search:
     return _Search(Graph(n, adj), kind)

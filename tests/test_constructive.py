@@ -401,12 +401,14 @@ def test_total_coloring_central_within_two_past_max_degree():
                 # The square of 4.5 at odd order: the spare is never needed.
                 assert r.coloring == total_dist_coloring_central_regular(g).coloring, g
                 assert r.palette_size == n, g
-    # Orders 1-3: the square refuses K2 + K1, whose central graph is the
-    # 4-cycle, and 3K1 and the graphs of order at most 2 are not claimed.
-    for g in (empty_graph(1), empty_graph(2), path_graph(2), empty_graph(3),
-              Graph.from_edges(3, [(0, 1)])):
-        with pytest.raises(NotApplicableError):
-            total_coloring_central(g)
+    # Orders 1-3: the square colors K1, 2K1, K2 and 3K1 within n + 1, and
+    # refuses only K2 + K1, whose central graph is the 4-cycle.
+    for g in (empty_graph(1), empty_graph(2), path_graph(2), empty_graph(3)):
+        r = total_coloring_central(g)
+        assert is_proper(r.graph, r.coloring, "total"), g
+        assert r.palette_size <= g.n + 1 <= r.promised_bound, g
+    with pytest.raises(NotApplicableError):
+        total_coloring_central(Graph.from_edges(3, [(0, 1)]))
     for g in (path_graph(3), complete_graph(3)):
         r = total_coloring_central(g)
         assert r.palette_size == r.promised_bound == 4, g

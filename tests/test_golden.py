@@ -1,8 +1,10 @@
-"""Golden digests of the automorphism engine's outputs.
+"""Golden digests of the automorphism engine's and the oracles' outputs.
 
 Each digest is SHA-256 over a JSON line per case, so a change to the search
 that keeps every group but moves a generator, a transversal, a node count,
-a verifier's first automorphism or a family representative shows here.
+a verifier's first automorphism or a family representative shows here, and
+so does a change to a distinguishing oracle that keeps its values but moves
+a witness or a node count.
 """
 
 from __future__ import annotations
@@ -12,14 +14,18 @@ import json
 
 from symcol import autos, colorings
 from symcol.autos import automorphisms
+from symcol.colorings import coloring_to_json
 from symcol.constructive import dist_edge_coloring_central, dist_vertex_coloring_middle
+from symcol.errors import NotApplicableError
 from symcol.families import all_graphs, all_trees, connected_graphs
-from symcol.graphs import encode_graph6
+from symcol.graphs import cycle_graph, encode_graph6, petersen_graph, star_graph
+from symcol.oracles import exact_parameter
 from symcol.transforms import central, endline, line_graph, middle, subdivision
 
 CHAIN_DIGEST = "7064c795aed046efc165def3a70c3fa82650bc7a94ba237e0480998c35a96d31"
 VERIFIER_DIGEST = "9da4a36eab320ff3a8f0884a3e2012d9c1b27680c3a7eaa0eb3c24cf395f076e"
 FAMILIES_DIGEST = "99812f5dce38769955b7f363e1973f238dcd41bbbfd0cf395be29f92424bd3e2"
+ORACLES_DIGEST = "622419444ef83e16f4f48e24cef4116970a2e9fdd4d2acf856cd00785eeeaef3"
 
 
 def _digest(rows) -> str:
@@ -84,3 +90,24 @@ def test_family_representatives_are_pinned():
                                       ("all", all_graphs, 5))
             for n in range(1, top + 1)]
     assert _digest(rows) == FAMILIES_DIGEST
+
+
+def _oracle_rows():
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    graphs += [petersen_graph(), central(star_graph(7)).graph, central(cycle_graph(5)).graph]
+    for g in graphs:
+        for kind in ("D", "Dp", "Dpp", "chi2D"):
+            try:
+                r = exact_parameter(g, kind)
+            except NotApplicableError:
+                yield [encode_graph6(g), kind, "not-applicable"]
+                continue
+            yield [encode_graph6(g), kind, r.value, r.nodes, coloring_to_json(g, r.witness)]
+
+
+def test_distinguishing_oracles_are_pinned():
+    # D, Dp, Dpp and chi2D on every connected graph of orders 2-6, Petersen,
+    # C(K1,6) and C(C5): value (or not-applicable), nodes and witness.
+    rows = list(_oracle_rows())
+    assert len(rows) == 580
+    assert _digest(rows) == ORACLES_DIGEST

@@ -8,6 +8,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -266,24 +267,90 @@ def test_element_cap_bounds_the_lifted_group_table(monkeypatch):
         exact_parameter(complete_graph(8), "D")
 
 
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_live_pairs_are_the_lifted_nontrivial_elements():
-    # The search multiplies out the lifted transversals; that must give
-    # each nontrivial element, lifted to vertices and edges, exactly once.
+    # Bit i of the search's masks stands for the i-th product of the group's
+    # transversals.  The live mask must hold each nontrivial element, lifted
+    # to vertices and edges, exactly once, and each pair of colorable
+    # elements must be paired, once, with exactly the elements that map one
+    # onto the other.
     graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
     graphs += [petersen_graph(), central(star_graph(7)).graph]
     for g in graphs:
+        group = automorphisms(g)
         index = g.edge_index()
         identity = tuple(range(g.n))
-        lifted = [_lift_through(phi, g.n, index)
-                  for phi in automorphisms(g).elements if phi != identity]
-        expected = {(elem, invert(elem)) for elem in lifted}
+        products = autos._products(group.transversals, identity)
+        lifted = {phi: _lift_through(phi, g.n, index)
+                  for phi in group.elements if phi != identity}
         for kind in ("D", "Dp", "Dpp", "chi2D"):
             try:
-                pairs = oracles._Search(g, kind).perm_pairs
+                search = oracles._Search(g, kind)
             except NotApplicableError:
                 assert kind == "Dp", (g, kind)
                 continue
-            assert len(pairs) == len(set(pairs)) and set(pairs) == expected, (g, kind)
+            members = [products[i] for i in _bits(search.live)]
+            assert len(members) == len(lifted) and set(members) == set(lifted), (g, kind)
+            expected: dict[frozenset, set] = {}
+            for phi, elem in lifted.items():
+                for e in search.universe:
+                    if elem[e] != e:
+                        expected.setdefault(frozenset((e, elem[e])), set()).add(phi)
+            found = {}
+            for p, e in enumerate(search.order):
+                for x, mask in search.kills[p]:
+                    assert x in search.order[:p] and frozenset((x, e)) not in found, (g, kind)
+                    found[frozenset((x, e))] = {products[i] for i in _bits(mask)}
+            assert found == expected, (g, kind)
+
+
+def test_live_mask_matches_a_list_filter():
+    # Force the search down seeded random partial colorings and, at every
+    # node on the way, compare its live mask with the list filter it
+    # replaced: an (element, inverse) pair dies when either maps the newly
+    # colored e onto an element of another color.
+    rng = random.Random(29)
+    for g in (central(star_graph(7)).graph, petersen_graph()):
+        group = automorphisms(g)
+        index = g.edge_index()
+        identity = tuple(range(g.n))
+        elems = [_lift_through(phi, g.n, index)
+                 for phi in autos._products(group.transversals, identity)]
+        pairs = [(i, elem, invert(elem)) for i, elem in enumerate(elems)
+                 if elem != tuple(range(len(elem)))]
+        for kind in ("D", "Dp", "Dpp", "chi2D"):
+            search = oracles._Search(g, kind)
+            level = g.max_degree() + 2 if kind == "chi2D" else 3
+            seen = []
+            dfs = search._dfs
+
+            def recorded(p, live, seen=seen, dfs=dfs):
+                seen.append((p, live))
+                return dfs(p, live)
+
+            search._dfs = recorded
+            depths = []
+            for _ in range(15):
+                prefix, top = [], 0
+                for _ in range(rng.randrange(1, search.N + 1)):
+                    c = 1 if rng.random() < 0.6 else rng.randint(1, min(level, top + 1))
+                    prefix.append(c)
+                    top = max(top, c)
+                seen.clear()
+                search.run(level, 10**6, prefix=tuple(prefix), stop_depth=len(prefix))
+                live, colors = pairs, [0] * (g.n + g.edge_count())
+                for p, mask in seen:
+                    assert _bits(mask) == [i for i, _, _ in live], (kind, prefix, p)
+                    if p < len(prefix):
+                        e = search.order[p]
+                        c = colors[e] = prefix[p]
+                        live = [(i, s, t) for i, s, t in live
+                                if colors[s[e]] in (0, c) and colors[t[e]] in (0, c)]
+                depths.append(seen[-1][0])
+            assert max(depths) >= 4, (kind, depths)
 
 
 def test_bad_kind():
