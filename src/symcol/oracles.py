@@ -24,12 +24,21 @@ the group is held to the call's budget on its own (its nodes are not in
 ``nodes``), and a group or lifted table of more than ``autos.ELEMENT_CAP``
 entries raises BudgetExceededError before any mask is built.
 
+A distinguishing search also prunes.  A live group element that fixes every
+uncolored element maps no uncolored element anywhere, so no later color can
+break it, and the subtree below holds no distinguishing coloring.  For each
+element a mask holds the group elements that fix it; ``settled[p]`` ANDs
+those of the elements at positions p and later, and a color at position p
+is dropped, once counted as a node, when a live element is in
+``settled[p + 1]``.  Only subtrees without a solution go, so values and
+witnesses are unchanged and ``nodes`` only drops.
+
 The chitd search checks forward for total domination.  A vertex u is
 dead once every color used so far has a class member outside N(u), and no
 new color can still dominate it: either all ``level`` colors are used, or u
 has no uncolored neighbor (a new color's class holds only vertices uncolored
 now).  Colors only ever gain such members, so a dead vertex stays dead and
-the node is pruned; this removes only subtrees that hold no solution, and
+the node is pruned; this too removes only subtrees that hold no solution, and
 values and witnesses are again unchanged.  At a leaf no vertex has an
 uncolored neighbor, so the check at the last placement is the leaf's
 domination test.
@@ -123,9 +132,10 @@ class OracleResult:
 
 def _moved_masks(
     transversals: list[list[tuple[int, ...]]], points: list[int]
-) -> tuple[int, dict[tuple[int, int], int]]:
-    """The group elements that move some of ``points``, and for each pair
-    a < b of them the elements that map a to b or b to a, as bit masks.
+) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
+    """The group elements that move some of ``points``, for each pair a < b
+    of them the elements that map a to b or b to a, and for each a the
+    elements that fix a, as bit masks.
 
     Bit i stands for the i-th product t_0 t_1 ... t_k that
     ``autos._products`` forms.  No product is formed: the masks of the
@@ -149,12 +159,13 @@ def _moved_masks(
     every = (1 << size) - 1
     live = 0
     moved: dict[tuple[int, int], int] = {}
+    fixed = {a: masks[a] for a, masks in images.items()}
     for a, masks in images.items():
-        live |= every ^ masks[a]
+        live |= every ^ fixed[a]
         for b, mask in masks.items():
             if b > a:
                 moved[a, b] = mask | images[b][a]
-    return live, moved
+    return live, moved, fixed
 
 
 class _Search:
@@ -205,6 +216,7 @@ class _Search:
         # broken; kinds that track no group start and stay at 0.
         self.live = 0
         moved: dict[tuple[int, int], int] = {}
+        fixed: dict[int, int] = {}
         lifted_generators: list[tuple[int, ...]] = []
         if kind in _DISTINGUISHING:
             group = automorphisms(g)
@@ -225,7 +237,7 @@ class _Search:
             index = g.edge_index()
             lifted_generators = [_lift_through(phi, n, index) for phi in group.generators]
             lifted = [[_lift_through(t, n, index) for t in reps] for reps in group.transversals]
-            self.live, moved = _moved_masks(lifted, universe)
+            self.live, moved, fixed = _moved_masks(lifted, universe)
             if self.live.bit_count() < group.order - 1:
                 raise NotApplicableError(
                     f"{kind}: a nontrivial symmetry fixes every colorable "
@@ -259,6 +271,14 @@ class _Search:
             if pos[a] < pos[b]:
                 a, b = b, a
             self.kills[pos[a]].append((b, mask))
+
+        # settled[p] masks the group elements that fix every element at
+        # position p or later, and settled[N], -1, all of them.  One that the
+        # colors of the earlier positions have not broken can never be
+        # broken, so the search drops a node that keeps one live.
+        self.settled = [-1] * (self.N + 1)
+        for p in range(self.N - 1, -1, -1):
+            self.settled[p] = self.settled[p + 1] & fixed.get(order[p], 0)
 
         if kind == "chi2a":
             self.close_pos = [0] * n
@@ -400,6 +420,7 @@ class _Search:
                     if self.f[x] != c:
                         kill |= mask
                 new_live = live & ~kill
+                ok = not new_live & self.settled[p + 1]
             if ok and not new_live and self.newest_first:
                 # No symmetry survives, so every completion succeeds and
                 # the search stops here.  A collection pass ends with this

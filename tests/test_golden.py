@@ -9,6 +9,7 @@ a witness or a node count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -25,7 +26,8 @@ from symcol.transforms import central, endline, line_graph, middle, subdivision
 CHAIN_DIGEST = "7064c795aed046efc165def3a70c3fa82650bc7a94ba237e0480998c35a96d31"
 VERIFIER_DIGEST = "9da4a36eab320ff3a8f0884a3e2012d9c1b27680c3a7eaa0eb3c24cf395f076e"
 FAMILIES_DIGEST = "99812f5dce38769955b7f363e1973f238dcd41bbbfd0cf395be29f92424bd3e2"
-ORACLES_DIGEST = "622419444ef83e16f4f48e24cef4116970a2e9fdd4d2acf856cd00785eeeaef3"
+ORACLES_DIGEST = "0dc66a881ecebfd141dda7ad41a2f3e680721720ccc48fba86bc360501c7056c"
+ORACLE_NODES_DIGEST = "0fbbef68f59a8777f4c18e3f25d9296afd843785dc41c8b79381f38a931df49c"
 
 
 def _digest(rows) -> str:
@@ -92,22 +94,32 @@ def test_family_representatives_are_pinned():
     assert _digest(rows) == FAMILIES_DIGEST
 
 
+@functools.cache
 def _oracle_rows():
     graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
     graphs += [petersen_graph(), central(star_graph(7)).graph, central(cycle_graph(5)).graph]
+    rows = []
     for g in graphs:
         for kind in ("D", "Dp", "Dpp", "chi2D"):
             try:
                 r = exact_parameter(g, kind)
             except NotApplicableError:
-                yield [encode_graph6(g), kind, "not-applicable"]
+                rows.append(([encode_graph6(g), kind, "not-applicable"], None))
                 continue
-            yield [encode_graph6(g), kind, r.value, r.nodes, coloring_to_json(g, r.witness)]
+            rows.append(([encode_graph6(g), kind, r.value, coloring_to_json(g, r.witness)], r.nodes))
+    return rows
 
 
 def test_distinguishing_oracles_are_pinned():
     # D, Dp, Dpp and chi2D on every connected graph of orders 2-6, Petersen,
-    # C(K1,6) and C(C5): value (or not-applicable), nodes and witness.
-    rows = list(_oracle_rows())
+    # C(K1,6) and C(C5): value (or not-applicable) and witness.  Pruning the
+    # search may cut nodes but must keep this digest.
+    rows = _oracle_rows()
     assert len(rows) == 580
-    assert _digest(rows) == ORACLES_DIGEST
+    assert _digest(row for row, _ in rows) == ORACLES_DIGEST
+
+
+def test_distinguishing_oracle_nodes_are_pinned():
+    # The nodes each of those searches took.
+    rows = _oracle_rows()
+    assert _digest([*row[:2], nodes] for row, nodes in rows) == ORACLE_NODES_DIGEST

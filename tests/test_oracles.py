@@ -353,6 +353,45 @@ def test_live_mask_matches_a_list_filter():
             assert max(depths) >= 4, (kind, depths)
 
 
+def test_pruning_by_settled_elements_keeps_every_level():
+    # A node is dropped when a live group element fixes every uncolored
+    # element.  The same search with its settled masks zeroed drops none:
+    # at every level up to the value the two must agree on status and
+    # assignment, and the pruned one may only take fewer nodes.
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    graphs += [petersen_graph(), central(star_graph(7)).graph, central(cycle_graph(5)).graph]
+    saved = 0
+    for g in graphs:
+        for kind in ("D", "Dp", "Dpp", "chi2D"):
+            try:
+                pruned = oracles._Search(g, kind)
+            except NotApplicableError:
+                continue
+            unpruned = oracles._Search(g, kind)
+            unpruned.settled = [0] * len(pruned.settled)
+            level = g.max_degree() + 1 if kind == "chi2D" else 1
+            while True:
+                status, data, nodes = pruned.run(level, 10**7)
+                base_status, base_data, base_nodes = unpruned.run(level, 10**7)
+                assert (status, data) == (base_status, base_data), (g, kind, level)
+                assert nodes <= base_nodes, (g, kind, level)
+                saved += base_nodes - nodes
+                if status == "sat":
+                    break
+                level += 1
+    assert saved > 0
+
+
+def test_distinguishing_number_of_central_stars_is_ceil_sqrt():
+    # D(C(K1,k)) = ceil(sqrt(k)): the central graphs of stars are the
+    # sharpness examples of the ceil(sqrt(max degree)) bound.
+    for k in range(3, 9):
+        g = central(star_graph(k + 1)).graph
+        res = exact_parameter(g, "D")
+        assert res.value == 1 + math.isqrt(k - 1), k
+        assert is_distinguishing(g, res.witness, "vertex"), k
+
+
 def test_bad_kind():
     with pytest.raises(ValueError):
         exact_parameter(path_graph(3), "chromatic")
@@ -378,11 +417,14 @@ DETERMINISM_CASES = [
 
 
 def test_worker_determinism():
-    for g, kind in DETERMINISM_CASES:
+    # C(K1,7) and K8 add distinguishing searches that prune settled
+    # symmetries in the collection pass and in the slices alike.
+    pruned = [(central(star_graph(8)).graph, "D"), (central(star_graph(8)).graph, "Dp"),
+              (complete_graph(8), "D")]
+    for g, kind in DETERMINISM_CASES + pruned:
         seq = exact_parameter(g, kind, workers=1)
         par = exact_parameter(g, kind, workers=2)
-        assert seq.value == par.value, (kind, g)
-        assert seq.witness == par.witness, (kind, g)
+        assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes), (kind, g)
 
 
 def test_workers_take_the_budget_of_the_call(monkeypatch):
