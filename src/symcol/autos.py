@@ -30,8 +30,8 @@ decides.
 first path: generators, plus one transversal per base point.  Its order is
 the product of the transversal lengths; its elements, deterministically
 sorted, are multiplied out of the transversals only on demand, for
-``symcol aut``.  The distinguishing oracles multiply out the transversals
-lifted to vertices and edges with the same product loop.  The chain check
+``symcol aut``.  The distinguishing oracles number the elements in the
+same product order, without forming them.  The chain check
 and the vertex orbits use the generators alone.  No group is kept between
 calls.  The distinguishing verifier builds no group: one search on the
 colored graph stops at the first automorphism other than the identity.

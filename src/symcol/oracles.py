@@ -10,19 +10,18 @@ Searches accept a node budget and an optional worker count; one given no
 budget takes that of the running check, then SYMCOL_BUDGET. None of the
 value, the witness, ``nodes`` and the budget verdict depends on the worker
 count: the parallel search is the sequential one cut into slices, charged in
-the sequential order. ``nodes`` and the budget cover every search a call
-makes, the chromatic-number search behind the chitd lower bound included.
-The distinguishing kinds (D, Dp, Dpp, chi2D) track every element of the
-graph's automorphism group, lifted to the n + m vertices and edges, as one
-bit of an integer: bit i stands for the i-th product that
-``autos._products`` forms from the lifted transversals of the group's
-stabilizer chain.  For each pair of colorable elements, a mask holds the
-group elements that map one onto the other.  The masks are built level by
-level from the transversals, with no product formed, and a node drops the
-elements its color breaks with a few ORs of them.  The search that builds
-the group is held to the call's budget on its own (its nodes are not in
-``nodes``), and a group or lifted table of more than ``autos.ELEMENT_CAP``
-entries raises BudgetExceededError before any mask is built.
+the sequential order. ``nodes`` and the budget cover every level a call
+searches.  The distinguishing kinds (D, Dp, Dpp, chi2D) track every element
+of the graph's automorphism group as one bit of an integer: bit i stands for
+the i-th product that ``autos._products`` forms from the transversals of the
+group's stabilizer chain.  For each pair of colorable elements, a mask holds
+the group elements that map one onto the other.  The masks are built level
+by level from the transversals' action on the vertices, with no product
+formed, and a node drops the elements its color breaks with a few ORs of
+them.  The search that builds the group is held to the call's budget on its
+own (its nodes are not in ``nodes``), and a search whose masks could take
+more than ``autos.ELEMENT_CAP`` words of 64 bits raises BudgetExceededError
+before any mask is built.
 
 A distinguishing search also prunes.  A live group element that fixes every
 uncolored element maps no uncolored element anywhere, so no later color can
@@ -61,11 +60,12 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from . import autos
-from .autos import _lift_through, automorphisms, vertex_orbits
+from .autos import automorphisms
 from .colorings import TDCPartition, TotalColoring, coloring_to_json
 from .errors import (
     DEFAULT_BUDGET, BudgetExceededError, NotApplicableError, _check_budget, _resolve_budget,
@@ -131,19 +131,22 @@ class OracleResult:
 
 
 def _moved_masks(
-    transversals: list[list[tuple[int, ...]]], points: list[int]
+    transversals: Sequence[Sequence[tuple[int, ...]]], g: Graph, universe: list[int]
 ) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
-    """The group elements that move some of ``points``, for each pair a < b
-    of them the elements that map a to b or b to a, and for each a the
-    elements that fix a, as bit masks.
+    """The group elements that move some element of ``universe``, for each
+    pair a < b of them the elements that map a to b or b to a, and for each
+    a the elements that fix a, as bit masks.  Vertex v is element v and edge
+    k, ``g.edges()[k]``, element n + k.
 
     Bit i stands for the i-th product t_0 t_1 ... t_k that
     ``autos._products`` forms.  No product is formed: the masks of the
     products of the last j transversals give those of the last j + 1, since
     t p maps a to t(y) for every p that maps a to y, and t's products fill
-    one block of bits.  The group must map ``points`` onto themselves.
+    one block of bits.  That gives up to n masks per vertex; an element maps
+    the edge uv onto xy iff it maps u to x and v to y, or u to y and v to x.
     """
-    images = {a: {a: 1} for a in points}
+    n, edges, index = g.n, g.edges(), g.edge_index()
+    images = {a: {a: 1} for a in range(n)}
     size = 1
     for reps in reversed(transversals):
         blocks = list(zip(reps, range(0, len(reps) * size, size)))
@@ -155,25 +158,39 @@ def _moved_masks(
                     grown[z] = grown.get(z, 0) | mask << shift
             images[a] = grown
         size *= len(reps)
-    # What maps a to b maps b to a by its inverse, so both masks exist.
+
+    def onto(a: int, b: int) -> int:
+        if a < n:
+            return images[a].get(b, 0)
+        (u, v), (x, y) = edges[a - n], edges[b - n]
+        iu, iv = images[u], images[v]
+        return iu.get(x, 0) & iv.get(y, 0) | iu.get(y, 0) & iv.get(x, 0)
+
     every = (1 << size) - 1
     live = 0
     moved: dict[tuple[int, int], int] = {}
-    fixed = {a: masks[a] for a, masks in images.items()}
-    for a, masks in images.items():
+    fixed = {a: onto(a, a) for a in universe}
+    for a in universe:
         live |= every ^ fixed[a]
-        for b, mask in masks.items():
-            if b > a:
-                moved[a, b] = mask | images[b][a]
+        if a < n:
+            targets = set(images[a])
+        else:
+            u, v = edges[a - n]
+            ends = ((x, y) if x < y else (y, x) for x in images[u] for y in images[v])
+            targets = {n + index[e] for e in ends if e in index}
+        for b in targets:
+            # What maps a to b maps b to a by its inverse.
+            if b > a and (mask := onto(a, b)):
+                moved[a, b] = mask | onto(b, a)
     return live, moved, fixed
 
 
 class _Search:
     """One (graph, kind) satisfiability problem, searched at the level ``run``
     is given.  Building it orders the elements and, for the distinguishing
-    kinds only, looks up the group and builds the masks of its lifted
-    elements; none of that depends on the level, so an oracle call builds
-    one per kind."""
+    kinds only, looks up the group and builds its masks from the group's
+    action on the vertices; none of that depends on the level, so an oracle
+    call builds one."""
 
     def __init__(self, g: Graph, kind: str):
         self.g = g
@@ -184,7 +201,7 @@ class _Search:
         self.n, self.m = n, m
         self.edges_list = edges
 
-        if kind in ("D", "chitd", "chi"):
+        if kind in ("D", "chitd"):
             universe = list(range(n))
         elif kind == "Dp":
             universe = list(range(n, n + m))
@@ -195,7 +212,7 @@ class _Search:
         # Conflict lists over global element ids (vertex v is id v, edge k
         # is id n+k); only proper kinds consult them.
         conflicts: list[tuple[int, ...]] = [()] * (n + m)
-        if kind in ("chi", "chitd"):
+        if kind == "chitd":
             for v in range(n):
                 conflicts[v] = tuple(g.neighbors(v))
         elif kind in ("chi2", "chi2D", "chi2a"):
@@ -217,27 +234,18 @@ class _Search:
         self.live = 0
         moved: dict[tuple[int, int], int] = {}
         fixed: dict[int, int] = {}
-        lifted_generators: list[tuple[int, ...]] = []
         if kind in _DISTINGUISHING:
             group = automorphisms(g)
-            # Past the element cap neither the group nor its table lifted to
-            # all n + m elements is tracked: the masks hold a bit per element
-            # for each pair of elements that it maps onto each other.
-            if group.order > autos.ELEMENT_CAP:
-                raise BudgetExceededError(f"group order exceeds the cap of {autos.ELEMENT_CAP}")
-            if group.order * (n + m) > autos.ELEMENT_CAP:
+            # Masks held: up to n per vertex while building, then the live
+            # one and one per colorable element and pair; a bit per element.
+            words = -(-group.order // 64)
+            count = n * n + len(universe) * (len(universe) + 1) // 2 + 1
+            if words * count > autos.ELEMENT_CAP:
                 raise BudgetExceededError(
-                    f"{kind}: the lifted group table of {group.order} x {n + m} "
-                    f"entries exceeds the cap of {autos.ELEMENT_CAP}"
+                    f"{kind}: the search masks ({words} words x {count}) exceed "
+                    f"the cap of {autos.ELEMENT_CAP} words"
                 )
-            # Edge k is element n + k, where the central graph puts the
-            # vertex subdividing it, so the lift is the action on elements.
-            # The lift is a homomorphism, so the products of the lifted
-            # transversals are the lifted elements.
-            index = g.edge_index()
-            lifted_generators = [_lift_through(phi, n, index) for phi in group.generators]
-            lifted = [[_lift_through(t, n, index) for t in reps] for reps in group.transversals]
-            self.live, moved, fixed = _moved_masks(lifted, universe)
+            self.live, moved, fixed = _moved_masks(group.transversals, g, universe)
             if self.live.bit_count() < group.order - 1:
                 raise NotApplicableError(
                     f"{kind}: a nontrivial symmetry fixes every colorable "
@@ -253,7 +261,10 @@ class _Search:
         self.newest_first = kind in ("D", "Dp", "Dpp")
 
         if kind in ("D", "Dp", "Dpp"):
-            order = self._orbit_order(lifted_generators)
+            # Largest orbits first: an element's orbit is itself and the
+            # elements it is paired with.
+            orbit = Counter(e for pair in moved for e in pair)
+            order = sorted(universe, key=lambda e: (-orbit[e], e))
         elif kind == "chi2a":
             order = self._avd_order()
         elif kind in ("chi2", "chi2D"):
@@ -299,15 +310,6 @@ class _Search:
             self.non_nbrs = [
                 tuple(u for u in range(n) if not g.has_edge(v, u)) for v in range(n)
             ]
-
-    def _orbit_order(self, generators: list[tuple[int, ...]]) -> list[int]:
-        # The lifts keep vertices and edges apart, so each orbit lies inside
-        # or outside the universe as a whole.
-        orbit = vertex_orbits(generators, self.n + self.m)
-        counts: dict[int, int] = {}
-        for e in self.universe:
-            counts[orbit[e]] = counts.get(orbit[e], 0) + 1
-        return sorted(self.universe, key=lambda e: (-counts[orbit[e]], e))
 
     def _conflict_order(self) -> list[int]:
         return sorted(self.universe, key=lambda e: (-len(self.conflicts[e]), e))
@@ -506,8 +508,8 @@ def _start_worker(budget: int) -> None:
 
 # A worker builds the search of its first slice and keeps it for every later
 # slice of the same (graph, kind), at any level: building one orders the
-# elements, and for the distinguishing kinds looks up the group and builds the
-# masks of its lifted elements, while ``run`` resets all of its mutable state.
+# elements, and for the distinguishing kinds looks up the group and builds its
+# masks, while ``run`` resets all of its mutable state.
 @functools.lru_cache(maxsize=1)
 def _worker_search(n: int, adj: tuple[int, ...], kind: str) -> _Search:
     return _Search(Graph(n, adj), kind)
@@ -582,12 +584,11 @@ def _solve(
 ):
     """Search ``kind`` at levels lo..hi in order up to the first satisfiable one.
 
-    Levels below 1 are skipped.  ``lo`` None starts at a sound lower bound;
-    for chitd that is the chromatic number, searched first on the same
-    budget, pool and node count.  Returns (level, witness, nodes), with level
-    and witness None when every level is refuted.  Raises
-    BudgetExceededError, with ``message`` filled in for the level it stopped
-    at, when the node budget, which also bounds each group lookup, runs out.
+    Levels below 1 are skipped.  ``lo`` None starts at a sound lower bound.
+    Returns (level, witness, nodes), with level and witness None when every
+    level is refuted.  Raises BudgetExceededError, with ``message`` filled in
+    for the level it stopped at, when the node budget, which also bounds each
+    group lookup, runs out.
     """
     if kind not in PARAM_KINDS:
         raise ValueError(f"unknown parameter kind {kind!r}")
@@ -600,31 +601,28 @@ def _solve(
 
         pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(budget,))
 
-    def first_sat(kind: str, levels: range, message: str):
-        nonlocal nodes
+    if lo is None and kind == "chitd":
+        # No class of a total dominator coloring dominates its own members.
+        lo = 2
+    elif lo is None:
+        lo = g.max_degree() + 1 if kind in ("chi2", "chi2D", "chi2a") else 1
+    levels = range(max(lo, 1), hi + 1)
+    data = None
+    token = _check_budget.set(budget)
+    try:
         search = _Search(g, kind) if levels else None
         for level in levels:
             status, data, used = _run_level(search, level, budget - nodes, pool)
             nodes += used
             if status == _SAT:
-                return level, data
+                break
             if status == _BUDGET:
                 raise BudgetExceededError(
                     "node budget exhausted " + message.format(kind=kind, level=level),
                     nodes=nodes,
                 )
-        return None, None
-
-    token = _check_budget.set(budget)
-    try:
-        if lo is None and kind == "chitd":
-            chi, _ = first_sat(
-                "chi", range(1, g.n + 1), "computing the chromatic number at {level} colors"
-            )
-            lo = max(2, chi or 0)
-        elif lo is None:
-            lo = g.max_degree() + 1 if kind in ("chi2", "chi2D", "chi2a") else 1
-        level, data = first_sat(kind, range(max(lo, 1), hi + 1), message)
+        else:
+            level = None
     finally:
         _check_budget.reset(token)
         if pool is not None:

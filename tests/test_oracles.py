@@ -257,14 +257,26 @@ def _no_products(transversals, identity):
     raise AssertionError("a product of the group was formed")
 
 
-def test_element_cap_bounds_the_lifted_group_table(monkeypatch):
-    # Aut(K8) has 8! = 40320 elements, under the lowered cap, but the D
-    # search lifts each to the 8 + 28 vertices and edges: 1,451,520 entries.
-    # The search stops before it forms any product.
-    monkeypatch.setattr(autos, "ELEMENT_CAP", 10**5)
+def _no_masks(*args):
+    raise AssertionError("a mask of the group was built")
+
+
+def test_element_cap_bounds_the_search_masks(monkeypatch):
+    # A search may hold n masks per vertex while it builds the pair masks,
+    # then the live mask, one per colorable element and one per pair of
+    # them, each of a word per 64 group elements.  D on K9: 81 + 46 masks
+    # of 5,670 words, under the cap.  Dp on K10: 100 + 1,036 masks of
+    # 56,700 words, past it.  Dp on K2 + 11K1: only 2 masks for its one
+    # edge, but 169 of its 13 vertices' images, of 1,247,400 words, past it.
     monkeypatch.setattr(autos, "_products", _no_products)
-    with pytest.raises(BudgetExceededError, match="cap"):
-        exact_parameter(complete_graph(8), "D")
+    k9 = complete_graph(9)
+    res = exact_parameter(k9, "D")
+    assert res.value == 9 and is_distinguishing(k9, res.witness, "vertex")
+    monkeypatch.setattr(oracles, "_moved_masks", _no_masks)
+    k2_11k1 = Graph.from_edges(13, [(0, 1)])
+    for g in (complete_graph(10), k2_11k1):
+        with pytest.raises(BudgetExceededError, match="exceed the cap of 10000000 words"):
+            exact_parameter(g, "Dp")
 
 
 def _bits(mask: int) -> list[int]:
@@ -399,10 +411,11 @@ def test_bad_kind():
         lower_bound_certificate(path_graph(3), "X", 2)
 
 
-def test_chitd_budget_covers_the_chromatic_number_search():
-    # chi(K4) = 4 costs 1 + 2 + 3 + 4 nodes before chitd's own level 4.
-    assert exact_parameter(complete_graph(4), "chitd").nodes == 14
-    with pytest.raises(BudgetExceededError, match="chromatic number") as info:
+def test_chitd_budget_covers_its_own_levels():
+    # chitd starts at 2 colors: K4 refutes 2 and 3 in 2 + 3 nodes, and level
+    # 4 takes 4 more.  A budget of 5 stops at the first node of level 4.
+    assert exact_parameter(complete_graph(4), "chitd").nodes == 9
+    with pytest.raises(BudgetExceededError, match="searching chitd at 4 colors") as info:
         exact_parameter(complete_graph(4), "chitd", budget=5)
     assert info.value.nodes == 6
 
@@ -492,7 +505,7 @@ def test_one_search_per_call_and_kind(monkeypatch):
     assert built == ["D"]
     built.clear()
     assert exact_parameter(complete_graph(4), "chitd").value == 4
-    assert built == ["chi", "chitd"]
+    assert built == ["chitd"]
     built.clear()
     # An empty level range builds nothing.
     assert lower_bound_certificate(complete_graph(4), "D", 1)
@@ -536,19 +549,21 @@ def test_tight_budgets_do_not_depend_on_workers(g, kind):
         assert (outcomes[0][0] == "budget-exceeded") == (budget < n)
 
 
-# --- the chi and chitd searches, which use no symmetry ---------------------
+# --- the chitd search, which uses no symmetry --------------------------------
 
 
-def _chromatic_levels(g):
-    """(status, data, nodes) of each level of the chromatic-number search,
-    up to the first satisfiable one."""
-    search = oracles._Search(g, "chi")
-    runs = []
-    for level in range(1, g.n + 1):
-        runs.append(search.run(level, 10**9))
-        if runs[-1][0] == "sat":
-            break
-    return runs
+def _chromatic_number(g):
+    """The least k for which some assignment of k colors, tried vertex by
+    vertex, is a proper vertex coloring."""
+
+    def colorable(k, colors):
+        v = len(colors)
+        return v == g.n or any(
+            colorable(k, colors + [c]) for c in range(k)
+            if all(colors[u] != c for u in g.neighbors(v) if u < v)
+        )
+
+    return next(k for k in range(1, g.n + 1) if colorable(k, []))
 
 
 def _chitd_outcome(g):
@@ -558,20 +573,29 @@ def _chitd_outcome(g):
         return None
 
 
-def test_chi_and_chitd_searches_look_up_no_group(monkeypatch):
+def test_chitd_search_looks_up_no_group(monkeypatch):
     def refuse(g):
-        raise AssertionError("the chi and chitd searches need no automorphism group")
+        raise AssertionError("the chitd search needs no automorphism group")
 
     monkeypatch.setattr(oracles, "automorphisms", refuse)
     graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
     # Groups of order 25!, and a star of 66 vertices.
     graphs += [complete_graph(25), star_graph(26), star_graph(66)]
     for g in graphs:
-        assert _chromatic_levels(g)[-1][0] == "sat", g
         _chitd_outcome(g)
-    assert exact_parameter(petersen_graph(), "chitd").nodes == 496
-    assert exact_parameter(central(cycle_graph(8)).graph, "chitd").nodes == 330
-    assert exact_parameter(central(_sharp6()).graph, "chitd", cap=6).nodes == 192
+    assert exact_parameter(petersen_graph(), "chitd").nodes == 483
+    assert exact_parameter(central(cycle_graph(8)).graph, "chitd").nodes == 305
+    assert exact_parameter(central(_sharp6()).graph, "chitd", cap=6).nodes == 171
+
+
+def test_chitd_is_at_least_the_chromatic_number():
+    # chitd starts at 2 colors, not at the chromatic number: the levels
+    # below it must be refuted by the search itself.
+    for n in range(2, 7):
+        for g in connected_graphs(n):
+            res = exact_parameter(g, "chitd")
+            assert res.value >= _chromatic_number(g), g
+            assert is_tdc(g, res.witness), g
 
 
 # --- forward checking of total domination ------------------------------------
@@ -654,7 +678,6 @@ def test_parameter_relations_on_drawn_graphs():
                 assert v["Dpp"] <= v[other], (g, other)
         assert v["chi2"] <= v["chi2D"] and v["chi2"] <= v["chi2a"], g
         if v["chitd"] is not None:
-            chi = len(_chromatic_levels(g))
-            assert chi <= v["chitd"], g
+            assert _chromatic_number(g) <= v["chitd"], g
 
     check()
