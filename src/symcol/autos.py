@@ -15,14 +15,16 @@ queued queues all its fragments but its first largest (Hopcroft's rule), and
 the partition is stable, the coarsest equitable one, when the queue is empty
 (a discrete partition empties it at once).  A smallest non-singleton cell is
 then split by trying every target vertex: it goes to the cell's last offset,
-and only its singleton cell is queued.  On the first graph a search always
-individualizes the first vertex of the target cell, so that side of every
-node lies on one path, the search's first path.  It is refined once, lazily,
-also when the path is kept for many searches, as the family enumeration keeps
-one per graph of its exact pool.  The second graph is refined alone, and each
-of its steps is checked against the path's step through the step's trace,
-the cell ids, counts and fragment sizes of its splits, which stops the node
-at the first difference and otherwise gives both sides the same layout.
+and only its singleton cell is queued.  On the first graph a search
+individualizes one vertex per depth, the path's point: the first vertex of
+the target cell, or a preferred base point that the caller names, whose own
+cell is then the target.  So that side of every node lies on one path, the
+search's first path.  It is refined once, lazily, also when the path is kept
+for many searches, as the family enumeration keeps one per graph of its
+exact pool.  The second graph is refined alone, and each of its steps is
+checked against the path's step through the step's trace, the cell ids,
+counts and fragment sizes of its splits, which stops the node at the first
+difference and otherwise gives both sides the same layout.
 Every complete leaf is edge-checked, so refinement only prunes, it never
 decides.
 
@@ -31,10 +33,12 @@ first path: generators, plus one transversal per base point.  Its order is
 the product of the transversal lengths; its elements, deterministically
 sorted, are multiplied out of the transversals only on demand, for
 ``symcol aut``.  The distinguishing oracles number the elements in the
-same product order, without forming them.  The chain check
-and the vertex orbits use the generators alone.  No group is kept between
-calls.  The distinguishing verifier builds no group: one search on the
-colored graph stops at the first automorphism other than the identity.
+same product order, without forming them.  The vertex orbits use the
+generators alone.  The chain check lifts Aut(G)'s generators to each
+transform and seeds that transform's chain with them, so its search looks
+only for what the lifts miss.  No group is kept between calls.  The
+distinguishing verifier builds no group: one search on the colored graph
+stops at the first automorphism other than the identity.
 
 A search may also carry edge labels 0..L-1 and then finds only the maps that
 keep them.  It keeps one neighbor mask per vertex and label; a neighbor over
@@ -88,13 +92,16 @@ class AutGroup:
     ``transversals[i]`` holds one element per point of the i-th basic orbit,
     mapping the i-th base point there and fixing the base points before it,
     so every element is one product t_0 t_1 ... t_k (t_k applied first) of
-    one representative per level.  ``nodes`` counts its search's nodes.
+    one representative per level.  ``nodes`` counts its search's nodes, and
+    ``base`` holds the base points, the vertices its first path
+    individualized.
     """
 
     n: int
     generators: tuple[Permutation, ...]
     transversals: tuple[tuple[Permutation, ...], ...]
     nodes: int = field(compare=False)
+    base: tuple[int, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -290,11 +297,13 @@ def _individualize(ids: list[int], cells: list[int], wide: set[int], u: int) -> 
 class _Path:
     """The first graph's side of a search.
 
-    At every node that side individualizes the first vertex of the target
-    cell, so all its nodes lie on one path, one per depth.  Each is refined
-    only as far as some node of the second graph at that depth has matched
-    it, and never twice, so a path kept for many searches against one graph
-    refines that graph once.
+    At every depth that side individualizes one vertex, recorded in
+    ``points``: the first of the preferred ``base`` points whose cell is
+    still wide, and that cell is the target; else the first vertex of the
+    first smallest wide cell.  So all its nodes lie on one path, one per
+    depth.  Each is refined only as far as some node of the second graph at
+    that depth has matched it, and never twice, so a path kept for many
+    searches against one graph refines that graph once.
 
     ``labels``, aligned with ``g.edges()``, label the edges 0..L-1, and
     every isomorphism found keeps them: ``layers`` holds, per label l, the
@@ -306,11 +315,11 @@ class _Path:
     """
 
     __slots__ = ("graph", "layers", "parts", "queue", "traces", "ends", "targets",
-                 "nodes", "budget")
+                 "points", "base", "nodes", "budget")
 
     def __init__(self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None,
-                 budget: float = math.inf) -> None:
-        self.graph, self.nodes, self.budget, self.layers = g, 0, budget, None
+                 budget: float = math.inf, base: Sequence[int] = ()) -> None:
+        self.graph, self.nodes, self.budget, self.layers, self.base = g, 0, budget, None, base
         if any(labels or ()):
             rows = [[0] * g.n for _ in range(max(labels) + 1)]
             for (u, v), label in zip(g.edges(), labels):
@@ -321,12 +330,14 @@ class _Path:
         # steps made so far, the deepest depth's queue, and the traces of all
         # steps, depth after depth.  A depth is stable once it has a target
         # cell (None at the leaf) and its steps' end in ``traces``; the next
-        # depth starts with the cell's first vertex individualized.
+        # depth starts with the depth's point, a vertex of that cell,
+        # individualized.
         *part, self.queue = _partition([0] * g.n if colors is None else colors)
         self.parts = [tuple(part)]
         self.traces: list = []
         self.ends: list[int] = []
         self.targets: list[int | None] = []
+        self.points: list[int] = []
 
     def _advance(self, whole: bool) -> None:
         """One more step at the deepest depth, which is not yet stable, or
@@ -338,12 +349,21 @@ class _Path:
             if not whole:
                 break
         if not queue:
-            # The first smallest cell with more than one vertex, if any.
-            c = min(wide, key=lambda c: (cells[c].bit_count(), c), default=None)
+            # The first base point whose cell has more than one vertex, or
+            # else the first vertex of the first smallest such cell, if any.
+            for u in self.base:
+                if ids[u] in wide:
+                    c = ids[u]
+                    break
+            else:
+                c = min(wide, key=lambda c: (cells[c].bit_count(), c), default=None)
+                if c is not None:
+                    u = next(iter_bits(cells[c]))
             self.targets.append(c)
             self.ends.append(len(self.traces))
             if c is not None:
-                *part, self.queue = _individualize(ids, cells, wide, next(iter_bits(cells[c])))
+                self.points.append(u)
+                *part, self.queue = _individualize(ids, cells, wide, u)
                 self.parts.append(tuple(part))
 
     def target(self, depth: int) -> int | None:
@@ -397,9 +417,8 @@ def _walk(path: _Path, depth: int, adj_h: Sequence[int], part: tuple | None,
         if all(_maps_edges(row, row_h, phi) for row, row_h in pairs):
             yield tuple(phi)
         return
-    cell = cells[c]
-    v = next(iter_bits(cell)) if same else None
-    for u in iter_bits(cell):
+    v = path.points[depth] if same else None
+    for u in iter_bits(cells[c]):
         yield from _walk(path, depth + 1, adj_h, _individualize(ids, cells, wide, u), same and u == v)
 
 
@@ -427,33 +446,46 @@ def _orbit(v: int, generators: list[Permutation], identity: Permutation) -> dict
     return reps
 
 
-def _stabilizer_chain(g: Graph, budget: float = math.inf) -> AutGroup:
+def _stabilizer_chain(g: Graph, budget: float = math.inf, base: Sequence[int] = (),
+                      known: Sequence[Permutation] = ()) -> AutGroup:
     """Aut(g) as the pointwise stabilizer chain of the search's first path.
 
-    The first path individualizes base points v_0, v_1, ... and ends in the
-    identity.  Going up from its deepest node, each point u of the target
-    cell at level i that the generators found so far do not already reach
-    from v_i gets one search: the first leaf of the branch that
+    The first path individualizes points v_0, v_1, ... (the first of
+    ``base`` whose cell is still wide, else the first vertex of a smallest
+    wide cell) and ends in the identity.  Going up from its deepest node,
+    level i starts its orbit of v_i from the generators found so far and the
+    ``known`` elements, automorphisms the caller has checked, that fix
+    v_0..v_{i-1}.  Each point u of the target cell at level i that the
+    orbit misses gets one search: the first leaf of the branch that
     individualizes u against v_i, if any, is an automorphism fixing
-    v_0..v_{i-1} and mapping v_i to u, and a new generator.  The generators
-    found at levels i and below thus generate the stabilizer of
-    v_0..v_{i-1}, with no Schreier-Sims step (McKay & Piperno, "Practical
-    graph isomorphism, II", J. Symb. Comput. 60, 2014).
+    v_0..v_{i-1} and mapping v_i to u, and a new generator.  Every element
+    used at level i lies in the stabilizer of v_0..v_{i-1}, and each point
+    of that stabilizer's orbit of v_i is either reached or searched, so the
+    generators used at levels i and below generate that stabilizer whatever
+    ``known`` holds, with no Schreier-Sims step (McKay & Piperno, "Practical
+    graph isomorphism, II", J. Symb. Comput. 60, 2014).  The returned
+    generators include the known elements used.
     """
     n = g.n
-    path = _Path(g, budget=budget)
+    path = _Path(g, budget=budget, base=base)
     identity = tuple(range(n))
     levels = 0
     while path.target(levels) is not None:
         levels += 1
+    points = path.points
+    # The level of each known element: the first base point it moves.  One
+    # that moves none fixes the discrete leaf, so it is the identity.
+    firsts = [next((i for i, v in enumerate(points) if s[v] != v), levels) for s in known]
     generators: list[Permutation] = []
     transversals = []
     for depth in reversed(range(levels)):
         ids, cells, wide = path.parts[depth]
-        target = cells[path.targets[depth]]
-        v = next(iter_bits(target))
-        reps = {v: identity}
-        for u in iter_bits(target):
+        v = points[depth]
+        seeds = [s for s, first in zip(known, firsts) if first == depth]
+        generators += seeds
+        # The generators from the levels below fix v.
+        reps = _orbit(v, generators, identity) if seeds else {v: identity}
+        for u in iter_bits(cells[path.targets[depth]]):
             if u in reps:
                 continue
             branch = _walk(path, depth + 1, g.adj, _individualize(ids, cells, wide, u), False)
@@ -462,7 +494,7 @@ def _stabilizer_chain(g: Graph, budget: float = math.inf) -> AutGroup:
                 generators.append(leaf)
                 reps = _orbit(v, generators, identity)
         transversals.append(tuple(reps[u] for u in sorted(reps)))
-    return AutGroup(n, tuple(generators), tuple(reversed(transversals)), path.nodes)
+    return AutGroup(n, tuple(generators), tuple(reversed(transversals)), path.nodes, tuple(points))
 
 
 def _nontrivial_automorphism(g: Graph, colors: list[int], labels: list[int] | None) -> Permutation | None:
@@ -593,30 +625,34 @@ def check_aut_chain(g: Graph) -> AutChainReport:
     if g.is_cycle():
         return AutChainReport(g6, False, "cycles are excluded")
 
-    base = automorphisms(g)
+    # Each transform's chain is seeded with the lifts of Aut(G)'s generators
+    # that pass the edge check.  C, S and M share one vertex layout; L(G)'s
+    # vertex k is their n + k, and G+'s pendant n + v follows v.  G's
+    # vertices keep their labels in all but L(G), so there the path
+    # individualizes G's base points first, and each lift fixes the base
+    # points its generator fixes in G.
+    group = automorphisms(g)
+    n, index = g.n, g.edge_index()
+    lifts = [_lift_through(a, n, index) for a in group.generators]
     line, _ = line_graph(g)
-    cent = central(g)
-    plus = endline(g)
-    report = AutChainReport(
-        g6,
-        True,
-        None,
-        base_order=base.order,
-        line_order=automorphisms(line).order,
-        subdivision_order=automorphisms(subdivision(g).graph).order,
-        central_order=automorphisms(cent.graph).order,
-        middle_order=automorphisms(middle(g).graph).order,
-        endline_order=automorphisms(plus.graph).order,
+    seeded = (
+        (line, [tuple(x - n for x in p[n:]) for p in lifts], ()),
+        (subdivision(g).graph, lifts, group.base),
+        (central(g).graph, lifts, group.base),
+        (middle(g).graph, lifts, group.base),
+        (endline(g).graph, [a + tuple(n + x for x in a) for a in group.generators], group.base),
     )
-    orders = {report.line_order, report.subdivision_order, report.central_order,
-              report.middle_order, report.endline_order}
-    report.all_equal = orders == {report.base_order}
-
+    budget = _resolve_budget(None)
+    orders, verdicts = [], []
+    for h, known, points in seeded:
+        checked = [is_automorphism(h, p) for p in known]
+        verdicts.append(all(checked))
+        known = [p for p, ok in zip(known, checked) if ok]
+        orders.append(_stabilizer_chain(h, budget, points, known).order)
+    report = AutChainReport(g6, True, None, group.order, *orders)
+    report.all_equal = set(orders) == {group.order}
     # A lift is an injective homomorphism, so when the orders agree the
     # lifted generators generate the whole group they land in.
-    report.lifts_exhaust = (
-        all(is_automorphism(cent.graph, lift_to_central(a, g)) for a in base.generators)
-        and all(is_automorphism(plus.graph, lift_to_endline(a, g)) for a in base.generators)
-        and base.order == report.central_order == report.endline_order
-    )
+    report.lifts_exhaust = (verdicts[2] and verdicts[4]
+                            and group.order == report.central_order == report.endline_order)
     return report

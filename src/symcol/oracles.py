@@ -21,7 +21,9 @@ formed, and a node drops the elements its color breaks with a few ORs of
 them.  The search that builds the group is held to the call's budget on its
 own (its nodes are not in ``nodes``), and a search whose masks could take
 more than ``autos.ELEMENT_CAP`` words of 64 bits raises BudgetExceededError
-before any mask is built.
+before any mask is built.  So does Dp's NotApplicableError, read off the
+graph: two isolated vertices or a K2 component give a symmetry that fixes
+every edge.
 
 A distinguishing search also prunes.  A live group element that fixes every
 uncolored element maps no uncolored element anywhere, so no later color can
@@ -245,12 +247,18 @@ class _Search:
                     f"{kind}: the search masks ({words} words x {count}) exceed "
                     f"the cap of {autos.ELEMENT_CAP} words"
                 )
-            self.live, moved, fixed = _moved_masks(group.transversals, g, universe)
-            if self.live.bit_count() < group.order - 1:
+            # A nontrivial symmetry fixes every edge iff some two isolated
+            # vertices or the ends of a K2 component exist for it to swap: a
+            # vertex of degree 2 or more is the one common end of two of its
+            # edges, and a leaf hangs off such a vertex or off another leaf.
+            # The other kinds color every vertex, which no such symmetry fixes.
+            if kind == "Dp" and (sum(not row for row in g.adj) >= 2 or any(
+                    g.adj[u] == 1 << v and g.adj[v] == 1 << u for u, v in edges)):
                 raise NotApplicableError(
                     f"{kind}: a nontrivial symmetry fixes every colorable "
                     "element, so no coloring can break it"
                 )
+            self.live, moved, fixed = _moved_masks(group.transversals, g, universe)
 
         # For the unconstrained distinguishing kinds every color is always
         # legal, so a lowest-color-first descent walks an all-1s path that

@@ -527,6 +527,85 @@ def test_check_aut_chain():
     assert doc["passed"] is True and doc["orders"]["base"] == 24
 
 
+def _lifted_transforms(g, group):
+    """(graph, lifted generators of Aut(g), preferred base) for g itself and
+    each transform check 2.11 compares, lifted by the public lift maps."""
+    cent = [lift_to_central(a, g) for a in group.generators]
+    return [
+        (g, list(group.generators), group.base),
+        (line_graph(g)[0], [tuple(x - g.n for x in p[g.n:]) for p in cent], ()),
+        (subdivision(g).graph, cent, group.base),
+        (central(g).graph, cent, group.base),
+        (middle(g).graph, cent, group.base),
+        (endline(g).graph, [lift_to_endline(a, g) for a in group.generators], group.base),
+    ]
+
+
+def test_seeded_chains_find_the_whole_group():
+    # Seeds change which branches a chain searches, never its group: on every
+    # connected graph of orders 1-7, cycles and small orders included, each
+    # seeded order is the unseeded one, the generators (every seed but the
+    # identity among them) are automorphisms, and each level's transversal
+    # fixes the base points before it and maps that level's point to
+    # distinct points.
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for h, known, points in _lifted_transforms(g, automorphisms(g)):
+                seeded = autos._stabilizer_chain(h, math.inf, points, known)
+                assert seeded.order == automorphisms(h).order, (g, h)
+                assert set(known) - {tuple(range(h.n))} <= set(seeded.generators), (g, h)
+                assert all(is_automorphism(h, p) for p in seeded.generators), (g, h)
+                for i, reps in enumerate(seeded.transversals):
+                    assert all(t[b] == b for t in reps for b in seeded.base[:i]), (g, h)
+                    assert len({t[seeded.base[i]] for t in reps}) == len(reps), (g, h)
+
+
+def test_seeded_chains_search_past_a_proper_subgroup():
+    # S(C_n) is C_2n, of order 4n, where the lifts of Aut(C_n) give 2n;
+    # L(K4) is the octahedron, of order 48, where those of Aut(K4) give 24.
+    for n in range(5, 9):
+        g = cycle_graph(n)
+        group = automorphisms(g)
+        h, known, points = _lifted_transforms(g, group)[2]
+        assert group.order == 2 * n
+        assert autos._stabilizer_chain(h, math.inf, points, known).order == 4 * n
+    g = complete_graph(4)
+    group = automorphisms(g)
+    h, known, points = _lifted_transforms(g, group)[1]
+    assert group.order == 24
+    assert autos._stabilizer_chain(h, math.inf, points, known).order == 48
+
+
+def test_seeded_central_chain_searches_no_branch():
+    # Aut(C(K6)) is the lift of Aut(K6): seeded with the lifted generators
+    # and K6's base, every orbit is reached before any search.
+    g = complete_graph(6)
+    h, known, points = _lifted_transforms(g, automorphisms(g))[3]
+    assert automorphisms(h).nodes == 15
+    seeded = autos._stabilizer_chain(h, math.inf, points, known)
+    assert seeded.nodes == 0 and seeded.order == math.factorial(6)
+
+
+def test_seeded_chain_takes_any_known_elements():
+    # Known elements need not fix any base point, and the preferred base
+    # need not be a base of the seeds: random group elements (the identity
+    # too) and random base points still give the group, element for element.
+    rng = random.Random(32)
+    for g in (petersen_graph(), central(star_graph(5)).graph, complete_bipartite(3, 4)):
+        group = automorphisms(g)
+        for k in (1, 2, 5):
+            known = rng.sample(group.elements, k) + [tuple(range(g.n))]
+            for points in ((), tuple(rng.sample(range(g.n), 3))):
+                seeded = autos._stabilizer_chain(g, math.inf, points, known)
+                assert seeded.elements == group.elements, (g, known, points)
+        # A path with a preferred base, searched against its own graph,
+        # finds every automorphism once.
+        path = autos._Path(g, base=(g.n - 1,))
+        assert sorted(autos._search(path, g, [0] * g.n)) == list(group.elements), g
+    # Petersen is vertex-transitive, so a preferred point is the first base point.
+    assert autos._stabilizer_chain(petersen_graph(), math.inf, (7, 3)).base[0] == 7
+
+
 def test_check_aut_chain_past_order_seven():
     # Acceptance gate 1 runs the chain over every graph up to order 7.  Dense
     # random graphs are mostly rigid, so every other sample is a random tree.

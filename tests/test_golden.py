@@ -14,7 +14,7 @@ import hashlib
 import json
 
 from symcol import autos, colorings
-from symcol.autos import automorphisms
+from symcol.autos import automorphisms, check_aut_chain
 from symcol.colorings import coloring_to_json
 from symcol.constructive import dist_edge_coloring_central, dist_vertex_coloring_middle
 from symcol.errors import NotApplicableError
@@ -24,6 +24,7 @@ from symcol.oracles import exact_parameter
 from symcol.transforms import central, endline, line_graph, middle, subdivision
 
 CHAIN_DIGEST = "7064c795aed046efc165def3a70c3fa82650bc7a94ba237e0480998c35a96d31"
+CHAIN_REPORTS_DIGEST = "2587211fd245531cdb3ac2fb04cd904bb06379cd0d75393645a5c72198f45402"
 VERIFIER_DIGEST = "9da4a36eab320ff3a8f0884a3e2012d9c1b27680c3a7eaa0eb3c24cf395f076e"
 FAMILIES_DIGEST = "99812f5dce38769955b7f363e1973f238dcd41bbbfd0cf395be29f92424bd3e2"
 ORACLES_DIGEST = "0dc66a881ecebfd141dda7ad41a2f3e680721720ccc48fba86bc360501c7056c"
@@ -51,6 +52,13 @@ def test_automorphism_groups_of_the_chain_are_pinned():
     # The six groups check 2.11 compares, on every connected graph of
     # orders 1-7: generators, transversals and search nodes.
     assert _digest(_chain_rows()) == CHAIN_DIGEST
+
+
+def test_chain_reports_are_pinned():
+    # check_aut_chain's reports on every connected graph of orders 1-7: the
+    # seeded transform searches keep every order and verdict.
+    rows = (check_aut_chain(g).to_json() for n in range(1, 8) for g in connected_graphs(n))
+    assert _digest(rows) == CHAIN_REPORTS_DIGEST
 
 
 def _verifier_rows(monkeypatch):

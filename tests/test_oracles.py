@@ -27,7 +27,7 @@ from symcol.colorings import (
     is_tdc,
 )
 from symcol.errors import BudgetExceededError, NotApplicableError
-from symcol.families import connected_graphs
+from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
     Graph,
     complete_graph,
@@ -276,6 +276,27 @@ def test_element_cap_bounds_the_search_masks(monkeypatch):
     k2_11k1 = Graph.from_edges(13, [(0, 1)])
     for g in (complete_graph(10), k2_11k1):
         with pytest.raises(BudgetExceededError, match="exceed the cap of 10000000 words"):
+            exact_parameter(g, "Dp")
+
+
+def test_dp_not_applicable_is_read_off_the_graph(monkeypatch):
+    # A nontrivial symmetry fixes every edge iff the graph has two isolated
+    # vertices or a K2 component, so Dp is refused before any mask is built:
+    # K2 + 9K1 has 2 * 9! symmetries.  On every graph of orders 1-6 the rule
+    # agrees with the masks on whether some nontrivial element moves no edge.
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            group = automorphisms(g)
+            live, _, _ = oracles._moved_masks(group.transversals, g, list(range(n, n + g.edge_count())))
+            try:
+                oracles._Search(g, "Dp")
+                refused = False
+            except NotApplicableError:
+                refused = True
+            assert refused == (live.bit_count() < group.order - 1), g
+    monkeypatch.setattr(oracles, "_moved_masks", _no_masks)
+    for g in (Graph.from_edges(11, [(0, 1)]), Graph.from_edges(3, [(0, 1)]), empty_graph(2)):
+        with pytest.raises(NotApplicableError, match="fixes every colorable element"):
             exact_parameter(g, "Dp")
 
 
