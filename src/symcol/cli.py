@@ -77,28 +77,27 @@ def _parse_graph(text: str) -> Graph:
 # --- one-shot subcommands -----------------------------------------------------
 
 
+def _line_doc(g: Graph) -> dict:
+    if g.edge_count() == 0:
+        raise _UsageError("the line graph of a graph with no edges has no vertices, "
+                          "and graph6 has no order-0 form")
+    lg, labels = line_graph(g)
+    return {"graph6": encode_graph6(lg), "labels": [list(e) for e in labels]}
+
+
+# Every transform by --kind, in listing order: a function of the graph
+# returning its document.
+_TRANSFORMS = {
+    "subdivision": lambda g: subdivision(g).to_json(),
+    "central": lambda g: central(g).to_json(),
+    "middle": lambda g: middle(g).to_json(),
+    "endline": lambda g: endline(g).to_json(),
+    "line": _line_doc,
+}
+
+
 def _cmd_transform(args: argparse.Namespace) -> int:
-    g = _parse_graph(args.graph)
-    if args.kind == "line":
-        if g.edge_count() == 0:
-            raise _UsageError("the line graph of a graph with no edges has no vertices, "
-                              "and graph6 has no order-0 form")
-        lg, labels = line_graph(g)
-        _print_json(
-            {
-                "kind": "line",
-                "graph6": encode_graph6(lg),
-                "labels": [list(e) for e in labels],
-            }
-        )
-        return 0
-    builder = {
-        "subdivision": subdivision,
-        "central": central,
-        "middle": middle,
-        "endline": endline,
-    }[args.kind]
-    doc = builder(g).to_json()
+    doc = _TRANSFORMS[args.kind](_parse_graph(args.graph))
     doc["kind"] = args.kind
     _print_json(doc)
     return 0
@@ -309,6 +308,15 @@ def run_check(graph6: str, check: str, budget: int | None = None) -> dict:
     return record
 
 
+# Every built-in family by --family, in listing order: a function of the
+# order and --degree returning its graphs.
+_FAMILIES = {
+    "all-connected": lambda n, degree: connected_graphs(n),
+    "all-trees": lambda n, degree: all_trees(n),
+    "regular": lambda n, degree: regular_graphs(degree, n),
+}
+
+
 def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
     if args.file:
         try:
@@ -330,20 +338,11 @@ def _family_graphs(args: argparse.Namespace) -> Iterable[str]:
     lo = 1 if args.min_order is None else args.min_order
     if lo < 1:
         raise _UsageError("--min-order must be at least 1")
-    if args.family == "all-connected":
-        for n in range(lo, args.max_order + 1):
-            for g in connected_graphs(n):
-                yield encode_graph6(g)
-    elif args.family == "all-trees":
-        for n in range(lo, args.max_order + 1):
-            for t in all_trees(n):
-                yield encode_graph6(t)
-    else:
-        if args.degree is None or args.degree < 0:
-            raise _UsageError("--family regular needs a --degree of at least 0")
-        for n in range(lo, args.max_order + 1):
-            for g in regular_graphs(args.degree, n):
-                yield encode_graph6(g)
+    if args.family == "regular" and (args.degree is None or args.degree < 0):
+        raise _UsageError("--family regular needs a --degree of at least 0")
+    for n in range(lo, args.max_order + 1):
+        for g in _FAMILIES[args.family](n, args.degree):
+            yield encode_graph6(g)
 
 
 @functools.cache
@@ -372,14 +371,19 @@ def _prune_cache(cache_dir: Path) -> None:
             path.unlink(missing_ok=True)
 
 
+# Every verdict a record can carry; a sweep's summary counts each.
+_VERDICTS = ("pass", "fail", "not-applicable", "budget-exceeded")
+
+
 def _read_journal(name: str, data: bytes, check: str) -> dict[str, dict]:
     """The first valid record of each graph in a journal's bytes; every
-    other line, a torn last one included, is reported and skipped."""
+    other line, a torn last one or one with an unknown verdict included, is
+    reported and skipped."""
     records: dict[str, dict] = {}
     for number, line in enumerate(data.splitlines(), 1):
         try:
             record = json.loads(line)
-            if not (isinstance(record, dict) and "verdict" in record
+            if not (isinstance(record, dict) and record.get("verdict") in _VERDICTS
                     and isinstance(record.get("graph6"), str) and record.get("check") == check):
                 raise ValueError("not a record")
         except ValueError as exc:
@@ -438,24 +442,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # Records land in the report in enumeration order so that a resumed run
     # reproduces the file byte for byte.
-    counts = {"pass": 0, "fail": 0, "not-applicable": 0, "budget-exceeded": 0}
+    counts = dict.fromkeys(_VERDICTS, 0)
     lines = []
     for graph6 in graphs:
         counts[records[graph6]["verdict"]] += 1
         lines.append(json.dumps(records[graph6], sort_keys=True) + "\n")
     _write_atomic(report_path, "".join(lines))
-    fails = counts["fail"]
     summary = {
         "check": args.check,
         "total": len(graphs),
-        "pass": counts["pass"],
-        "fail": fails,
-        "not_applicable": counts["not-applicable"],
-        "budget_exceeded": counts["budget-exceeded"],
+        **{verdict.replace("-", "_"): count for verdict, count in counts.items()},
         "report": str(report_path),
     }
     _print_json(summary)
-    return 1 if fails else 0
+    return 1 if counts["fail"] else 0
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -470,16 +470,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="apply a graph transformation")
-    p.add_argument("--kind", required=True,
-                   choices=["subdivision", "central", "middle", "endline", "line"])
+    p.set_defaults(handler=_cmd_transform)
+    p.add_argument("--kind", required=True, choices=list(_TRANSFORMS))
     p.add_argument("--in", dest="graph", required=True, metavar="GRAPH6")
 
     p = sub.add_parser("aut", help="automorphism group or transform-chain report")
+    p.set_defaults(handler=_cmd_aut)
     p.add_argument("--in", dest="graph", required=True, metavar="GRAPH6")
     p.add_argument("--chain", action="store_true",
                    help="compare group orders across the transformed graphs")
 
     p = sub.add_parser("construct", help="run a coloring construction")
+    p.set_defaults(handler=_cmd_construct)
     p.add_argument("--theorem", required=True, choices=_tags("construct"))
     p.add_argument("--in", dest="graph", required=True, metavar="GRAPH6")
     p.add_argument("--in2", dest="graph2", metavar="GRAPH6",
@@ -487,12 +489,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the result JSON to this file")
 
     p = sub.add_parser("verify", help="check a stored coloring or partition")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--property", required=True, choices=list(PROPERTIES))
     p.add_argument("--coloring", required=True, metavar="FILE")
     p.add_argument("--in", dest="graph", metavar="GRAPH6",
                    help="graph (required for tdc, optional cross-check otherwise)")
 
     p = sub.add_parser("oracle", help="exact parameter search")
+    p.set_defaults(handler=_cmd_oracle)
     p.add_argument("--param", required=True, choices=list(PARAM_KINDS))
     p.add_argument("--in", dest="graph", required=True, metavar="GRAPH6")
     p.add_argument("--cap", type=int, default=None)
@@ -500,13 +504,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("latin", help="print an idempotent commutative square as CSV")
+    p.set_defaults(handler=_cmd_latin)
     p.add_argument("--k", type=int, required=True,
                    help="parameter k; the square has order 2k-1")
 
     p = sub.add_parser("sweep", help="run one check across a graph family")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--check", required=True, choices=_tags("sweep"))
-    p.add_argument("--family", default="all-connected",
-                   choices=["all-connected", "all-trees", "regular"])
+    p.add_argument("--family", default="all-connected", choices=list(_FAMILIES))
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--min-order", type=int, default=None)
     p.add_argument("--degree", type=int, default=None,
@@ -522,22 +527,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {
-        "transform": _cmd_transform,
-        "aut": _cmd_aut,
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "oracle": _cmd_oracle,
-        "latin": _cmd_latin,
-        "sweep": _cmd_sweep,
-    }[args.command]
     try:
         _resolve_budget(None)
     except ValueError as exc:  # a malformed SYMCOL_BUDGET stops every command up front
         print(f"symcol: {exc}", file=sys.stderr)
         return 2
     try:
-        return handler(args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"symcol: {exc}", file=sys.stderr)
         return 2

@@ -1065,40 +1065,28 @@ def avd_coloring_central_join(
     joined = join(g1, g2)
     cent = central(joined)
     budget = n1 + n2 + 2
-    cent1, cent2 = central(g1).graph, central(g2).graph
-    if n1 == n2:
-        n = n1
-        for label, part, f in (("first", cent1, c1), ("second", cent2, c2)):
-            if not is_proper(part, f, "total"):
-                raise ValueError(f"{label} input is not a proper total coloring")
-            if len(f.palette()) > n + 1:
-                raise ValueError(
-                    f"{label} input exceeds its palette budget of {n + 1} colors"
-                )
-        f1 = _canonical_palette(c2)
-        f2 = _canonical_palette(c1, shift=n + 1)
-    else:
-        for label, part, f, cap in (
-            ("first", cent1, c1, n1 + 2),
-            ("second", cent2, c2, n2 + 2),
-        ):
-            if not is_avd_total(part, f):
-                raise ValueError(f"{label} input is not an AVD total coloring")
-            if len(f.palette()) > cap:
-                raise ValueError(
-                    f"{label} input exceeds its palette budget of {cap} colors"
-                )
-        f1 = _canonical_palette(c2)
-        f2 = _canonical_palette(c1, shift=n2)
+    equal = n1 == n2
+    for label, part, f in (("first", g1, c1), ("second", g2, c2)):
+        cap = part.n + 1 if equal else part.n + 2
+        if equal and not is_proper(central(part).graph, f, "total"):
+            raise ValueError(f"{label} input is not a proper total coloring")
+        if not equal and not is_avd_total(central(part).graph, f):
+            raise ValueError(f"{label} input is not an AVD total coloring")
+        if len(f.palette()) > cap:
+            raise ValueError(f"{label} input exceeds its palette budget of {cap} colors")
+    f1 = _canonical_palette(c2)
+    f2 = _canonical_palette(c1, shift=n1 + 1 if equal else n2)
     vc = [0] * cent.graph.n
     ec: dict[tuple[int, int], int] = {}
     _transfer_central_part(g2, f1, [n1 + j for j in range(n2)], cent, vc, ec)
     _transfer_central_part(g1, f2, list(range(n1)), cent, vc, ec)
+    # At unequal orders every second-part vertex sees colors n2+3..n2+n1+2
+    # on its cross edges, and every first-part vertex 1..n2.
     for q in range(n1):
         for i in range(n2):
             u = n1 + i
             w = cent.subdivided(q, u)
-            if n1 == n2:
+            if equal:
                 u_color = 2 * n1 + 2 if q == i else n1 + 1 + (q + 1)
                 v_color = n1 + 1 if q == i else i + 1
             else:
@@ -1109,25 +1097,6 @@ def avd_coloring_central_join(
     cross = (cent.subdivided(q, n1 + i) for q in range(n1) for i in range(n2))
     _color_subdivision_vertices(cent, cross, vc, ec, budget)
     coloring = TotalColoring(tuple(vc), ec)
-    if n1 != n2:
-        u_sets = {
-            frozenset(
-                ec[(min(n1 + i, cent.subdivided(q, n1 + i)), max(n1 + i, cent.subdivided(q, n1 + i)))]
-                for q in range(n1)
-            )
-            for i in range(n2)
-        }
-        v_sets = {
-            frozenset(
-                ec[(min(q, cent.subdivided(q, n1 + i)), max(q, cent.subdivided(q, n1 + i)))]
-                for i in range(n2)
-            )
-            for q in range(n1)
-        }
-        if len(u_sets) != 1 or len(v_sets) != 1:
-            raise ConstructionDefectError(
-                "cross-edge color sets differ between same-part vertices"
-            )
     _final_check("5.5", cent.graph, coloring)
     return ConstructionResult(
         cent.graph, coloring, len(coloring.palette()), budget, "5.5",

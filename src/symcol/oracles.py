@@ -43,19 +43,6 @@ the node is pruned; this too removes only subtrees that hold no solution, and
 values and witnesses are again unchanged.  At a leaf no vertex has an
 uncolored neighbor, so the check at the last placement is the leaf's
 domination test.
-
-Parameter kinds:
-
-====== ==========================================================
-D      distinguishing number (vertex colorings, not proper)
-Dp     distinguishing index (edge colorings, not proper)
-Dpp    total distinguishing number (total colorings, not proper)
-chi2   total chromatic number
-chi2D  total distinguishing chromatic number (proper + distinguishing)
-chi2a  adjacent-vertex-distinguishing total chromatic number
-chitd  total dominator chromatic number (proper vertex coloring where
-       every vertex is adjacent to all of some color class)
-====== ==========================================================
 """
 
 from __future__ import annotations
@@ -64,7 +51,7 @@ import functools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import autos
 from .autos import automorphisms
@@ -86,11 +73,39 @@ __all__ = [
     "upper_bound_witness",
 ]
 
-PARAM_KINDS = ("D", "Dp", "Dpp", "chi2", "chi2D", "chi2a", "chitd")
+
+class _Kind(NamedTuple):
+    """What a parameter kind colors, and the rules its colorings keep."""
+
+    vertices: bool
+    edges: bool
+    proper: bool = False  # elements that meet get distinct colors
+    distinguishing: bool = False  # no nontrivial automorphism keeps every color
+    avd: bool = False  # adjacent vertices of one degree see distinct color sets
+    dominating: bool = False  # every vertex is adjacent to all of some color class
+
+
+# The parameter kinds, in the CLI's --param order:
+#   D      distinguishing number
+#   Dp     distinguishing index
+#   Dpp    total distinguishing number
+#   chi2   total chromatic number
+#   chi2D  total distinguishing chromatic number
+#   chi2a  adjacent-vertex-distinguishing (AVD) total chromatic number
+#   chitd  total dominator chromatic number
+_KINDS = {
+    "D": _Kind(vertices=True, edges=False, distinguishing=True),
+    "Dp": _Kind(vertices=False, edges=True, distinguishing=True),
+    "Dpp": _Kind(vertices=True, edges=True, distinguishing=True),
+    "chi2": _Kind(vertices=True, edges=True, proper=True),
+    "chi2D": _Kind(vertices=True, edges=True, proper=True, distinguishing=True),
+    "chi2a": _Kind(vertices=True, edges=True, proper=True, avd=True),
+    "chitd": _Kind(vertices=True, edges=False, proper=True, dominating=True),
+}
+PARAM_KINDS = tuple(_KINDS)
 _PREFIX_TARGET = 256
 _MAX_PREFIX_DEPTH = 12
 
-_DISTINGUISHING = frozenset({"D", "Dp", "Dpp", "chi2D"})
 _SAT = "sat"
 _UNSAT = "unsat"
 _BUDGET = "budget"
@@ -192,42 +207,36 @@ class _Search:
     is given.  Building it orders the elements and, for the distinguishing
     kinds only, looks up the group and builds its masks from the group's
     action on the vertices; none of that depends on the level, so an oracle
-    call builds one."""
+    call builds one.  The kind's rules are read off ``_KINDS`` once, here."""
 
     def __init__(self, g: Graph, kind: str):
+        spec = _KINDS[kind]
         self.g = g
         self.kind = kind
         n = g.n
         edges = g.edges()
         m = len(edges)
         self.n, self.m = n, m
-        self.edges_list = edges
+        self.avd, self.dominating = spec.avd, spec.dominating
 
-        if kind in ("D", "chitd"):
-            universe = list(range(n))
-        elif kind == "Dp":
-            universe = list(range(n, n + m))
-        else:
-            universe = list(range(n + m))
+        universe = [e for e in range(n + m) if (spec.vertices if e < n else spec.edges)]
         self.universe = universe
 
         # Conflict lists over global element ids (vertex v is id v, edge k
-        # is id n+k); only proper kinds consult them.
+        # is id n+k): for a proper kind, the colored elements that meet each.
+        incident: list[list[int]] = [[] for _ in range(n)]
+        for k, (u, v) in enumerate(edges):
+            incident[u].append(n + k)
+            incident[v].append(n + k)
+        self.incident = incident
         conflicts: list[tuple[int, ...]] = [()] * (n + m)
-        if kind == "chitd":
-            for v in range(n):
-                conflicts[v] = tuple(g.neighbors(v))
-        elif kind in ("chi2", "chi2D", "chi2a"):
-            incident: list[list[int]] = [[] for _ in range(n)]
-            for k, (u, v) in enumerate(edges):
-                incident[u].append(n + k)
-                incident[v].append(n + k)
-            for v in range(n):
-                conflicts[v] = tuple(g.neighbors(v)) + tuple(incident[v])
-            for k, (u, v) in enumerate(edges):
-                around = [e for e in incident[u] + incident[v] if e != n + k]
-                conflicts[n + k] = (u, v) + tuple(around)
-            self.incident = [tuple(incident[v]) for v in range(n)]
+        if spec.proper:
+            for e in universe:
+                if e < n:
+                    conflicts[e] = tuple(g.neighbors(e)) + tuple(incident[e] if spec.edges else ())
+                else:
+                    u, v = edges[e - n]
+                    conflicts[e] = (u, v) + tuple(x for x in incident[u] + incident[v] if x != e)
         self.conflicts = conflicts
 
         # ``live`` masks the group elements that move some colorable element
@@ -236,7 +245,7 @@ class _Search:
         self.live = 0
         moved: dict[tuple[int, int], int] = {}
         fixed: dict[int, int] = {}
-        if kind in _DISTINGUISHING:
+        if spec.distinguishing:
             group = automorphisms(g)
             # Masks held: up to n per vertex while building, then the live
             # one and one per colorable element and pair; a bit per element.
@@ -266,19 +275,18 @@ class _Search:
         # when the universe is large.  Branching on the newest color first
         # makes the leftmost path color-diverse, which empties the live list
         # almost immediately on satisfiable levels.
-        self.newest_first = kind in ("D", "Dp", "Dpp")
+        self.newest_first = spec.distinguishing and not (spec.proper or spec.avd or spec.dominating)
 
-        if kind in ("D", "Dp", "Dpp"):
+        if self.newest_first:
             # Largest orbits first: an element's orbit is itself and the
             # elements it is paired with.
             orbit = Counter(e for pair in moved for e in pair)
             order = sorted(universe, key=lambda e: (-orbit[e], e))
-        elif kind == "chi2a":
-            order = self._avd_order()
-        elif kind in ("chi2", "chi2D"):
-            order = self._conflict_order()
         else:
-            order = sorted(universe, key=lambda v: (-g.degree(v), v))
+            # Most conflicts first, after the AVD lead for an AVD kind.
+            order = sorted(universe, key=lambda e: (-len(conflicts[e]), e))
+            if spec.avd:
+                order = self._avd_lead(order)
         self.order = order
         self.N = len(order)
 
@@ -299,7 +307,7 @@ class _Search:
         for p in range(self.N - 1, -1, -1):
             self.settled[p] = self.settled[p + 1] & fixed.get(order[p], 0)
 
-        if kind == "chi2a":
+        if spec.avd:
             self.close_pos = [0] * n
             self.closing: list[list[int]] = [[] for _ in range(self.N)]
             for v in range(n):
@@ -310,7 +318,7 @@ class _Search:
                 for v in range(n)
             ]
 
-        if kind == "chitd":
+        if spec.dominating:
             if any(g.degree(v) == 0 for v in range(n)):
                 raise NotApplicableError(
                     "total domination is impossible with an isolated vertex"
@@ -319,31 +327,16 @@ class _Search:
                 tuple(u for u in range(n) if not g.has_edge(v, u)) for v in range(n)
             ]
 
-    def _conflict_order(self) -> list[int]:
-        return sorted(self.universe, key=lambda e: (-len(self.conflicts[e]), e))
-
-    def _avd_order(self) -> list[int]:
+    def _avd_lead(self, base: list[int]) -> list[int]:
         # Seed with an adjacent same-degree pair of highest degree: their
         # profiles close earliest, which is where AVD refutations live.
         g = self.g
-        best = None
-        for u, v in self.edges_list:
-            if g.degree(u) == g.degree(v):
-                key = (g.degree(u), -u, -v)
-                if best is None or key > best[0]:
-                    best = (key, u, v)
-        base = self._conflict_order()
-        if best is None:
+        pairs = [(u, v) for u, v in g.edges() if g.degree(u) == g.degree(v)]
+        if not pairs:
             return base
-        _, u, v = best
-        head = [u, v]
-        for e in self.universe:
-            if e >= self.n:
-                a, b = self.edges_list[e - self.n]
-                if a in (u, v) or b in (u, v):
-                    head.append(e)
-        seen = set(head)
-        return head + [e for e in base if e not in seen]
+        u, v = min(pairs, key=lambda uv: (-g.degree(uv[0]), uv))
+        head = [u, v, *sorted(set(self.incident[u] + self.incident[v]))]
+        return list(dict.fromkeys(head + base))
 
     # -- the DFS -----------------------------------------------------------
 
@@ -368,7 +361,7 @@ class _Search:
         self.collected: list[tuple[int, tuple[int, ...]]] | None = (
             [] if stop_depth is not None else None
         )
-        if self.kind == "chitd":
+        if self.dominating:
             # poison[u] has bit c-1 once class c holds a vertex outside N(u);
             # free[u] counts the uncolored neighbors of u.
             self.poison = [0] * self.n
@@ -417,9 +410,9 @@ class _Search:
                 self.maxused = c
             ok = True
             trail: list[tuple[int, int]] = []
-            if self.kind == "chitd":
+            if self.dominating:
                 ok = self._poison_place(e, c, trail)
-            elif self.kind == "chi2a":
+            elif self.avd:
                 ok = self._closure_ok(p)
             new_live = live
             if ok and live:
@@ -447,7 +440,7 @@ class _Search:
                 return True
             if ok and self._dfs(p + 1, new_live):
                 return True
-            if self.kind == "chitd":
+            if self.dominating:
                 for v, bit in trail:
                     self.poison[v] ^= bit
                 for u in self.conflicts[e]:
@@ -492,20 +485,14 @@ class _Search:
 
 def _witness_from(g: Graph, kind: str, assignment: tuple[int, ...]):
     n = g.n
-    edges = g.edges()
+    spec = _KINDS[kind]
     if kind == "chitd":
         classes: dict[int, set[int]] = {}
         for v in range(n):
             classes.setdefault(assignment[v], set()).add(v)
-        return TDCPartition(
-            tuple(frozenset(classes[c]) for c in sorted(classes))
-        )
-    vertex_part = tuple(assignment[:n])
-    edge_part = {edges[k]: assignment[n + k] for k in range(len(edges))}
-    if kind == "D":
-        return TotalColoring(vertex_part, None)
-    if kind == "Dp":
-        return TotalColoring(None, edge_part)
+        return TDCPartition(tuple(classes[c] for c in sorted(classes)))
+    vertex_part = tuple(assignment[:n]) if spec.vertices else None
+    edge_part = dict(zip(g.edges(), assignment[n:])) if spec.edges else None
     return TotalColoring(vertex_part, edge_part)
 
 
@@ -573,33 +560,35 @@ def _run_level(
     return (_UNSAT, None, above + below)
 
 
-def _default_cap(g: Graph, kind: str) -> int:
-    if kind in ("D", "chitd"):
-        return g.n
-    if kind == "Dp":
-        return max(g.edge_count(), 1)
-    return g.n + g.edge_count()
-
-
 def _solve(
     g: Graph,
     kind: str,
     lo: int | None,
-    hi: int,
+    hi: int | None,
     message: str,
     budget: int | None,
     workers: int,
 ):
     """Search ``kind`` at levels lo..hi in order up to the first satisfiable one.
 
-    Levels below 1 are skipped.  ``lo`` None starts at a sound lower bound.
-    Returns (level, witness, nodes), with level and witness None when every
-    level is refuted.  Raises BudgetExceededError, with ``message`` filled in
+    Levels below 1 are skipped.  ``lo`` None starts at a sound lower bound,
+    and ``hi`` None stops at the trivial all-distinct bound.  Returns
+    (level, witness, nodes), with level and witness None when every level is
+    refuted.  Raises BudgetExceededError, with ``message`` filled in
     for the level it stopped at, when the node budget, which also bounds each
     group lookup, runs out.
     """
-    if kind not in PARAM_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown parameter kind {kind!r}")
+    spec = _KINDS[kind]
+    if lo is None:
+        # No class of a total dominator coloring dominates its own members;
+        # a proper total coloring gives a vertex and its edges distinct colors.
+        lo = 2 if spec.dominating else g.max_degree() + 1 if spec.proper and spec.edges else 1
+    if hi is None:
+        # One color per colored element, and at least one for an edge kind.
+        hi = g.n * spec.vertices + g.edge_count() * spec.edges
+        hi = hi if spec.vertices else max(hi, 1)
     budget = _resolve_budget(budget)
     nodes = 0
     pool = None
@@ -609,11 +598,6 @@ def _solve(
 
         pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(budget,))
 
-    if lo is None and kind == "chitd":
-        # No class of a total dominator coloring dominates its own members.
-        lo = 2
-    elif lo is None:
-        lo = g.max_degree() + 1 if kind in ("chi2", "chi2D", "chi2a") else 1
     levels = range(max(lo, 1), hi + 1)
     data = None
     token = _check_budget.set(budget)
@@ -656,7 +640,7 @@ def exact_parameter(
     """
     start = time.perf_counter()
     level, witness, nodes = _solve(
-        g, kind, None, _default_cap(g, kind) if cap is None else cap,
+        g, kind, None, cap,
         "searching {kind} at {level} colors; all levels below {level} are refuted",
         budget, workers,
     )

@@ -476,6 +476,28 @@ def test_sweep_corrupt_cache_entry_recomputed(capsys, tmp_path):
             assert new == old
 
 
+def test_sweep_recomputes_a_cache_entry_with_an_unknown_verdict(capsys, tmp_path, monkeypatch):
+    # A journal record whose verdict no check gives is discarded like any
+    # other corrupt entry, and its graph recomputed; with every record's
+    # seconds pinned, the report matches a clean run byte for byte.
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    report = tmp_path / "r.jsonl"
+    args = ["sweep", "--check", "3.2", "--min-order", "4", "--max-order", "4",
+            "--report", str(report)]
+    _, summary, _ = run_cli(capsys, *args)
+    clean = report.read_bytes()
+    (journal,) = (tmp_path / "r.cache").glob("*.jsonl")
+    entries = journal.read_text().splitlines(keepends=True)
+    record = json.loads(entries[0])
+    record["verdict"] = "bogus"
+    journal.write_text("".join([json.dumps(record, sort_keys=True) + "\n"] + entries[1:]))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert "discarding corrupt cache entry" in err
+    assert out == summary
+    assert report.read_bytes() == clean
+
+
 def test_sweep_resumes_after_interrupt(capsys, tmp_path, monkeypatch):
     def args(report):
         return ["sweep", "--check", "3.2", "--min-order", "4", "--max-order", "4",

@@ -3,8 +3,8 @@
 Each digest is SHA-256 over a JSON line per case, so a change to the search
 that keeps every group but moves a generator, a transversal, a node count,
 a verifier's first automorphism or a family representative shows here, and
-so does a change to a distinguishing oracle that keeps its values but moves
-a witness or a node count.
+so does a change to an oracle that keeps its values but moves a witness or
+a node count.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ VERIFIER_DIGEST = "9da4a36eab320ff3a8f0884a3e2012d9c1b27680c3a7eaa0eb3c24cf395f0
 FAMILIES_DIGEST = "99812f5dce38769955b7f363e1973f238dcd41bbbfd0cf395be29f92424bd3e2"
 ORACLES_DIGEST = "0dc66a881ecebfd141dda7ad41a2f3e680721720ccc48fba86bc360501c7056c"
 ORACLE_NODES_DIGEST = "0fbbef68f59a8777f4c18e3f25d9296afd843785dc41c8b79381f38a931df49c"
+PROPER_ORACLES_DIGEST = "7011da4b26fc7e711b0c18a0cc96cce1a83ac0c41a6208515a298efcfde6002e"
 
 
 def _digest(rows) -> str:
@@ -102,12 +103,15 @@ def test_family_representatives_are_pinned():
     assert _digest(rows) == FAMILIES_DIGEST
 
 
+def _oracle_graphs():
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    return graphs + [petersen_graph(), central(star_graph(7)).graph, central(cycle_graph(5)).graph]
+
+
 @functools.cache
 def _oracle_rows():
-    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
-    graphs += [petersen_graph(), central(star_graph(7)).graph, central(cycle_graph(5)).graph]
     rows = []
-    for g in graphs:
+    for g in _oracle_graphs():
         for kind in ("D", "Dp", "Dpp", "chi2D"):
             try:
                 r = exact_parameter(g, kind)
@@ -131,3 +135,16 @@ def test_distinguishing_oracle_nodes_are_pinned():
     # The nodes each of those searches took.
     rows = _oracle_rows()
     assert _digest([*row[:2], nodes] for row, nodes in rows) == ORACLE_NODES_DIGEST
+
+
+def test_proper_oracles_are_pinned():
+    # chi2, chi2a and chitd on the same graphs: value, witness (a coloring,
+    # or chitd's partition) and nodes.
+    rows = []
+    for g in _oracle_graphs():
+        for kind in ("chi2", "chi2a", "chitd"):
+            doc = exact_parameter(g, kind).to_json(g)
+            del doc["seconds"]
+            rows.append([encode_graph6(g), doc])
+    assert len(rows) == 435
+    assert _digest(rows) == PROPER_ORACLES_DIGEST

@@ -426,10 +426,13 @@ def test_distinguishing_number_of_central_stars_is_ceil_sqrt():
 
 
 def test_bad_kind():
-    with pytest.raises(ValueError):
-        exact_parameter(path_graph(3), "chromatic")
-    with pytest.raises(ValueError):
-        lower_bound_certificate(path_graph(3), "X", 2)
+    # Every public entry refuses an unknown kind, with or without a cap.
+    for call in (lambda: exact_parameter(path_graph(3), "chromatic"),
+                 lambda: exact_parameter(path_graph(3), "chromatic", cap=3),
+                 lambda: lower_bound_certificate(path_graph(3), "X", 2),
+                 lambda: upper_bound_witness(path_graph(3), "X", 2)):
+        with pytest.raises(ValueError, match="unknown parameter kind"):
+            call()
 
 
 def test_chitd_budget_covers_its_own_levels():

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -273,3 +274,81 @@ def test_cli_asks_an_oracle_only_in_the_oracle_command():
     }
     assert readers == {"_cmd_oracle"}
     assert "_oracle_witness" not in {getattr(stmt, "name", None) for stmt in tree.body}
+
+
+def kind_name_tests(source: str, kinds: Sequence[str]) -> list[str]:
+    """Where ``source`` tests a parameter kind's name: each comparison with
+    a name or attribute called ``kind``, or with a string of ``kinds``, as
+    "function: comparison"; and each other string of ``kinds``, as
+    "function: 'string'".  The keys of the module-level ``_KINDS`` table
+    are its declaration, not a test."""
+    tree = ast.parse(source)
+    declared = {
+        id(key)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["_KINDS"]
+        and isinstance(stmt.value, ast.Dict)
+        for key in stmt.value.keys
+    }
+
+    def is_kind(node: ast.expr) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "kind"
+                or isinstance(node, ast.Attribute) and node.attr == "kind")
+
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(is_kind(x) for x in operands) or any(
+                    isinstance(c, ast.Constant) and c.value in kinds
+                    for x in operands for c in ast.walk(x)):
+                found.append(f"{where or 'module'}: {ast.unparse(node)}")
+                return
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in kinds and id(node) not in declared):
+            found.append(f"{where or 'module'}: {node.value!r}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_kind_name_tests_are_found():
+    source = (
+        "_KINDS = {'A': 1, 'B': 2}\n"
+        "_PLAIN = frozenset({'A'})\n"
+        "class S:\n"
+        "    def __init__(self, kind):\n"
+        "        self.kind = kind\n"
+        "        if kind == 'A' or kind in _KINDS:\n"
+        "            pass\n"
+        "    def run(self):\n"
+        "        return self.kind != 'B', f'{self.kind}: A'\n"
+        "def f(name):\n"
+        "    return name in ('A', 'C')\n"
+    )
+    assert kind_name_tests(source, ("A", "B")) == [
+        "module: 'A'",
+        "S.__init__: kind == 'A'",
+        "S.__init__: kind in _KINDS",
+        "S.run: self.kind != 'B'",
+        "f: name in ('A', 'C')",
+    ]
+
+
+def test_oracles_test_a_kind_name_only_where_the_table_cannot_say():
+    # Each kind is declared once, in oracles._KINDS: what it colors and the
+    # rules it keeps.  Only Dp's not-applicable rule, chitd's partition
+    # witness and the unknown-kind error still read the name.
+    from symcol.oracles import PARAM_KINDS
+
+    source = next(p for p in SOURCES if p.stem == "oracles").read_text()
+    assert kind_name_tests(source, PARAM_KINDS) == [
+        "_Search.__init__: kind == 'Dp'",
+        "_witness_from: kind == 'chitd'",
+        "_solve: kind not in _KINDS",
+    ]
