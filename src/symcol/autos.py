@@ -25,8 +25,8 @@ exact pool.  The second graph is refined alone, and each of its steps is
 checked against the path's step through the step's trace, the cell ids,
 counts and fragment sizes of its splits, which stops the node at the first
 difference and otherwise gives both sides the same layout.
-Every complete leaf is edge-checked, so refinement only prunes, it never
-decides.
+Every complete leaf is edge-checked but the path's own, the identity by
+construction, so refinement only prunes, it never decides.
 
 ``automorphisms`` returns a group as a stabilizer chain read off the search's
 first path: generators, plus one transversal per base point.  Its order is
@@ -311,14 +311,16 @@ class _Path:
     a step's count tells every label's count apart (each is below n+1).
     Unlabelled, or with every label 0, ``layers`` is None.  A labelled path
     is searched against its own graph only.  ``nodes`` counts the nodes of
-    all its searches, which raise past ``budget``.
+    all its searches, which raise past ``budget``.  The path starts from the
+    partition of ``colors`` (one cell if None), or from ``start``, a
+    partition (cell ids, cells, wide cells, queue) it may refine in place.
     """
 
     __slots__ = ("graph", "layers", "parts", "queue", "traces", "ends", "targets",
                  "points", "base", "nodes", "budget")
 
     def __init__(self, g: Graph, colors: list[int] | None = None, labels: list[int] | None = None,
-                 budget: float = math.inf, base: Sequence[int] = ()) -> None:
+                 budget: float = math.inf, base: Sequence[int] = (), start: tuple | None = None) -> None:
         self.graph, self.nodes, self.budget, self.layers, self.base = g, 0, budget, None, base
         if any(labels or ()):
             rows = [[0] * g.n for _ in range(max(labels) + 1)]
@@ -332,7 +334,9 @@ class _Path:
         # cell (None at the leaf) and its steps' end in ``traces``; the next
         # depth starts with the depth's point, a vertex of that cell,
         # individualized.
-        *part, self.queue = _partition([0] * g.n if colors is None else colors)
+        if start is None:
+            start = _partition([0] * g.n if colors is None else colors)
+        *part, self.queue = start
         self.parts = [tuple(part)]
         self.traces: list = []
         self.ends: list[int] = []
@@ -409,6 +413,9 @@ def _walk(path: _Path, depth: int, adj_h: Sequence[int], part: tuple | None,
                 return
             i += 1
     c = path.target(depth)
+    if c is None and same:
+        yield tuple(range(len(adj_h)))  # the path's own leaf
+        return
     if c is None:
         # All cells are singletons: read off the bijection offset by offset.
         # The edge counts agree, so it is an isomorphism if each label's edges map into h.

@@ -5,12 +5,18 @@ exhaustive generation", J. Algorithms 26, 1998).  Each graph of order n is
 made from the representatives of order n-1 by adding a vertex v joined to a
 mask of the parent's vertices, one mask per orbit of the parent's group on
 masks.  A child is accepted only if v lies in its canonical cell: refine the
-child's adjacency masks (the parent's, with v's bit added) to stability from
-one cell with the automorphism search's own step, and take the deletable
-vertices (those whose removal leaves a graph of the family) of the highest
-cell among them.  The cells are ordered by isomorphism-invariant counts and
-refine the degree order, so a deletable vertex of higher degree than v
-rejects the child before any refinement.
+child's adjacency masks to stability with the automorphism search's own
+step, and take the deletable vertices (those whose removal leaves a graph of
+the family) of the highest cell among them.  The cells are ordered by
+isomorphism-invariant counts and refine the degree order, so each candidate
+first meets a degree test read off the parent: one vertex mask per degree
+threshold gives, for a mask of size d, the parent's vertices of degree above
+d in the child and those of degree d.  A deletable one of higher degree
+rejects the child before it is built; at order 8 that is three candidates
+in four.  With no deletable one of degree d, v's cell is {v}.  Else the
+refinement starts from the degree partition, laid out and queued as the
+first step from one cell leaves it, and stops once v's cell holds no other
+deletable vertex or one ranks above it.
 
 When that cell is one orbit of the child's group, McKay's argument shows that
 exactly one accepted child falls in each isomorphism class, so the child is
@@ -20,11 +26,15 @@ to a pool that keeps the first of each class by an exact isomorphism test.
 Of the connected graphs, 1 class of order 7 goes there (2 children) and 19
 of order 8 (43 children).
 
-Whether an automorphism maps v to another vertex of the cell is one search
-on the child's masks, from v individualized against that vertex.
-Representatives are the accepted children in the order of their parents and
-masks.  This scales to order 8 (11117 connected graphs), which covers
-everything the built-in sweeps need.
+A cell of more than one vertex is a cell of the child's stable partition,
+where the refinement ended.  Whether an automorphism maps v to another
+vertex w of it is one search from that partition with v individualized,
+against it with w individualized, so the partition is refined once per
+candidate child, not again for each pair.  Representatives are the accepted
+children in the order of their parents and masks; their tables are
+symmetric by construction, so they skip the Graph constructor's check.  This
+scales to order 8 (11117 connected graphs), which covers everything the
+built-in sweeps need.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from typing import Callable, Iterable, Sequence
 from .autos import (
     Permutation,
     _first_isomorphism,
+    _individualize,
     _partition,
     _Path,
     _stabilizer_chain,
@@ -85,50 +96,74 @@ def _mask_orbit_reps(parent: Graph, masks: Sequence[int]) -> list[int]:
     return reps
 
 
-def _canonical_cell(
-    adj: list[int], mask: int, deletable: Callable[[int, int], bool]
-) -> list[int] | None:
-    """The deletable vertices of the highest stable cell, if the new vertex
-    (the last) is among them; else None.
+def _degree_masks(adj: Sequence[int]) -> list[int]:
+    """``at_least[k]``, the vertices of degree at least k, for k = 0..n+1."""
+    at_least = [0] * (len(adj) + 2)
+    for u, m in enumerate(adj):
+        for k in range(m.bit_count() + 1):
+            at_least[k] |= 1 << u
+    return at_least
 
-    Cell ids are offsets, and each step lays a cell's fragments out inside
-    its own offset range, so a vertex ranked above another stays above it:
-    the refinement stops as soon as no deletable vertex shares v's cell, or
-    one is ranked above it.  The first step splits the one cell by degree,
-    so a deletable vertex of higher degree rejects the child before any step
-    is run.
+
+def _canonical_cell(
+    parent_adj: Sequence[int], at_least: list[int], mask: int, deletable: Callable[[int, int], bool]
+) -> tuple[list[int], list[int], tuple | None] | None:
+    """The child's adjacency, the deletable vertices of its highest stable
+    cell, and its stable partition (cell ids, cells, wide cells), if the new
+    vertex v (the last) is among those vertices; else None.
+
+    The child joins v to ``mask`` of the parent, whose ``_degree_masks`` are
+    ``at_least``.  The cells refine the degree order, so a deletable vertex
+    of higher degree than v rejects the child before it is built, and the
+    refinement starts from the degree partition.  Cell ids are offsets, and
+    each step lays a cell's fragments out inside its own offset range, so a
+    vertex ranked above another stays above it: the refinement stops as soon
+    as no deletable vertex shares v's cell, or one is ranked above it.  When
+    the cell has more than one vertex, the refinement has ended on an empty
+    queue, so the partition is stable; when the cell is {v} it may be None.
     """
-    v = len(adj) - 1
-    degree = mask.bit_count()
-    rivals = []
-    for w in range(v):
-        if adj[w].bit_count() >= degree and deletable(mask, w):
-            if adj[w].bit_count() > degree:
-                return None
-            rivals.append(w)
-    ids, cells, wide, queue = _partition([0] * len(adj))
+    d = mask.bit_count()
+    higher = at_least[d + 1] | at_least[d] & mask
+    if any(deletable(mask, w) for w in iter_bits(higher)):
+        return None
+    rivals = [w for w in iter_bits((at_least[d] | at_least[d - 1] & mask) & ~higher) if deletable(mask, w)]
+    v = len(parent_adj)
+    bit = 1 << v
+    adj = [m | bit if mask >> u & 1 else m for u, m in enumerate(parent_adj)]
+    adj.append(mask)
+    if not rivals:
+        return adj, [v], None
+    # The degree partition, laid out and queued as the first step from one
+    # cell leaves it: every fragment queued but the first largest, and none
+    # when the graph is regular or the partition discrete.
+    ids, cells, wide, queue = _partition([m.bit_count() for m in adj])
+    if len(queue) == 1 or not wide:
+        queue.clear()
+    else:
+        del queue[max(queue, key=lambda c: cells[c].bit_count())]
     while rivals and queue:
         _step(adj, None, ids, cells, wide, queue)
         top = ids[v]
         if any(ids[w] > top for w in rivals):
             return None
         rivals = [w for w in rivals if ids[w] == top]
-    return [v, *rivals]
+    return adj, [v, *rivals], (ids, cells, wide)
 
 
-def _one_orbit(g: Graph, cell: list[int]) -> bool:
-    """Whether the vertices of ``cell`` form one orbit of Aut(g)."""
+def _one_orbit(g: Graph, cell: list[int], stable: tuple | None) -> bool:
+    """Whether the vertices of ``cell``, a cell of g's ``stable`` partition
+    (not read when the cell is one vertex), form one orbit of Aut(g)."""
     if len(cell) == 1:
         return True
     v = cell[0]
-    path = _Path(g, [int(u == v) for u in range(g.n)])
+    path = _Path(g, start=_individualize(*stable, v))
     found: list[Permutation] = []
     orbits = list(range(g.n))
     for w in cell[1:]:
         if orbits[w] == orbits[v]:
             continue
         # The first automorphism mapping v to w, if any.
-        phi = next(_walk(path, 0, g.adj, _partition([int(u == w) for u in range(g.n)]), False), None)
+        phi = next(_walk(path, 0, g.adj, _individualize(*stable, w), False), None)
         if phi is None:
             return False
         found.append(phi)
@@ -144,17 +179,16 @@ def _augment(parents: Iterable[Graph], masks: Sequence[int], deletable: Deletabl
     # Pooled children by degree sequence.
     pool: dict[tuple, list[_Path]] = {}
     for parent in parents:
-        v = parent.n
-        bit = 1 << v
+        at_least = _degree_masks(parent.adj)
         may_delete = deletable(parent)
         for mask in _mask_orbit_reps(parent, masks):
-            adj = [m | bit if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
-            adj.append(mask)
-            cell = _canonical_cell(adj, mask, may_delete)
-            if cell is None:
+            found = _canonical_cell(parent.adj, at_least, mask, may_delete)
+            if found is None:
                 continue
-            child = Graph(v + 1, tuple(adj))
-            if not _one_orbit(child, cell):
+            adj, cell, stable = found
+            # The table is symmetric and loop-free by construction.
+            child = Graph._unchecked(len(adj), tuple(adj))
+            if not _one_orbit(child, cell, stable):
                 bucket = pool.setdefault(tuple(sorted(m.bit_count() for m in adj)), [])
                 if any(_first_isomorphism(seen, child) is not None for seen in bucket):
                     continue

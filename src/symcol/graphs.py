@@ -91,9 +91,16 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        return Graph._unchecked(n, tuple(adj))
+
+    @staticmethod
+    def _unchecked(n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph of a table its builder knows to be valid (n entries,
+        symmetric, loop-free, in range), without ``__post_init__``'s
+        re-check."""
         g = object.__new__(Graph)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(adj))
+        object.__setattr__(g, "adj", adj)
         return g
 
     def __repr__(self) -> str:
@@ -417,4 +424,5 @@ def parse_graph6(text: str) -> Graph:
                     j += 1
             elif bit:
                 raise Graph6Error("nonzero padding bit", start + k)
-    return Graph(n, tuple(adj))
+    # Each bit sets both ends of a pair i < j < n: the table is valid.
+    return Graph._unchecked(n, tuple(adj))

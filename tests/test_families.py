@@ -3,6 +3,7 @@ forms that do not use the library's isomorphism search, and sanity checks."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from collections import defaultdict
@@ -10,13 +11,15 @@ from collections import defaultdict
 import pytest
 
 from symcol import families
-from symcol.autos import find_isomorphism
+from symcol.autos import automorphisms, find_isomorphism, vertex_orbits
 from symcol.families import all_graphs, all_trees, connected_graphs, regular_graphs
-from symcol.graphs import complete_graph, cycle_graph, path_graph, star_graph
+from symcol.graphs import complete_graph, cycle_graph, encode_graph6, path_graph, star_graph
 
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# SHA-256 of connected_graphs(8)'s graph6 strings, one a line.
+CONNECTED_8_DIGEST = "1c0794317c1ee7d1f0ea5722ca93e9de54d8ea6de29e07199f087942ef381e8b"
 
 
 def test_all_graph_counts():
@@ -51,7 +54,7 @@ def test_exact_pool_alone_gives_the_same_classes(monkeypatch):
     graphs, trees = connected_graphs(7), all_trees(8)
     pooled = []
 
-    def never_one_orbit(g, cell):
+    def never_one_orbit(g, cell, stable):
         pooled.append(g)
         return False
 
@@ -145,14 +148,62 @@ def test_canonical_cell_is_invariant_under_relabelling():
                 for position, y in enumerate([*rest, x]):
                     perm[y] = position
                 h = g.relabel(perm)
-                cell = families._canonical_cell(list(h.adj), h.adj[n - 1], lambda mask, w: True)
-                if cell is not None:
+                parent = [m & ~(1 << (n - 1)) for m in h.adj[:-1]]
+                child = families._canonical_cell(parent, families._degree_masks(parent), h.adj[n - 1],
+                                                 lambda mask, w: True)
+                if child is not None:
+                    cell = child[1]
                     found[x] = {y for y in range(n) if perm[y] in cell}
             assert found and all(back == found.keys() for back in found.values()), g
 
 
 def test_connected_graph_count_order_8():
     assert len(connected_graphs(8)) == 11117
+
+
+def test_connected_graphs_of_order_8_are_pinned():
+    lines = "".join(encode_graph6(g) + "\n" for g in connected_graphs(8))
+    assert hashlib.sha256(lines.encode()).hexdigest() == CONNECTED_8_DIGEST
+
+
+def _orbit_verdicts(monkeypatch, build):
+    """(child, cell, verdict) for every child whose cell ``_one_orbit``
+    judges while ``build()`` runs, and what ``build()`` returned."""
+    real = families._one_orbit
+    verdicts = []
+
+    def recorded(g, cell, stable):
+        verdict = real(g, cell, stable)
+        verdicts.append((g, cell, verdict))
+        return verdict
+
+    monkeypatch.setattr(families, "_one_orbit", recorded)
+    return verdicts, build()
+
+
+def test_one_orbit_matches_the_orbits_of_the_group(monkeypatch):
+    # The orbit test from the stable partition against the vertex orbits of
+    # the full group, on every accepted child of orders up to 7.
+    wide = 0
+    for family in (connected_graphs, all_trees):
+        for n in range(2, 8):
+            verdicts, _ = _orbit_verdicts(monkeypatch, lambda: family.__wrapped__(n))
+            for g, cell, verdict in verdicts:
+                orbit = vertex_orbits(automorphisms(g).generators, g.n)
+                assert verdict == (len({orbit[u] for u in cell}) == 1), (encode_graph6(g), cell)
+                wide += len(cell) > 1
+    assert wide > 100
+
+
+@pytest.mark.parametrize("n, children, classes", [(7, 2, 1), (8, 43, 19)])
+def test_exact_pool_sizes(monkeypatch, n, children, classes):
+    # The children whose canonical cell is not one orbit, and the classes
+    # the pool keeps of them, as the module docstring gives them.
+    verdicts, out = _orbit_verdicts(monkeypatch, lambda: connected_graphs.__wrapped__(n))
+    pooled = [g for g, _, verdict in verdicts if not verdict]
+    kept = {id(g) for g in out}
+    assert len(pooled) == children
+    assert sum(id(g) in kept for g in pooled) == classes
 
 
 def test_no_duplicates_order_6():

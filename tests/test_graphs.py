@@ -9,6 +9,7 @@ import types
 import pytest
 
 from symcol.errors import Graph6Error
+from symcol.families import connected_graphs
 from symcol.graphs import (
     Graph,
     complete_bipartite,
@@ -223,6 +224,16 @@ def test_graph6_round_trip_at_both_header_widths():
         assert parse_graph6(text) == g
 
     check()
+
+
+def test_parsed_graph6_tables_pass_the_validating_constructor():
+    # parse_graph6 builds its graph without the re-check: its tables must
+    # still be ones the checked constructor accepts.
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            parsed = parse_graph6(encode_graph6(g))
+            assert parsed == g
+            assert Graph(g.n, parsed.adj) == parsed
 
 
 def test_graph6_error_offsets():
