@@ -6,7 +6,8 @@ The engine is classic individualization-refinement on ordered partitions
 per vertex, the cell's start offset; one vertex mask per cell offset; and the
 set of ids of the cells with more than one vertex, so it is discrete when
 that set is empty.  Vertices start in one cell, or in the cells of a given
-starting coloring laid out in increasing color order.  Refinement runs from a
+starting coloring laid out in increasing color order; unlabelled, one cell's
+first step lays it out by degree at once.  Refinement runs from a
 queue of splitter cells: a step pops one and splits every cell whose vertices
 have different numbers of neighbors in it, into fragments laid out in
 increasing count order inside the cell's own offset range; a singleton {w}
@@ -186,6 +187,21 @@ def _partition(colors: list[int]) -> tuple[list[int], list[int], set[int], dict[
     return [classes[c] for c in colors], cells, wide, queue
 
 
+def _degree_start(adj: Sequence[int]) -> tuple:
+    """The partition (cell ids, cells, wide cells, queue) that the first step
+    from one cell leaves, laid out from the degrees directly, and that step's
+    traces (none at order 0): every class queued but the first largest, and
+    none when the graph is regular or the partition discrete."""
+    degrees = [m.bit_count() for m in adj]
+    ids, cells, wide, queue = _partition(degrees)
+    if len(queue) < 2:
+        return ids, cells, wide, {}, [()] * len(queue)
+    sizes = tuple(cells[c].bit_count() for c in queue)
+    keep = list(queue)[sizes.index(max(sizes))]
+    queue = dict.fromkeys(c for c in queue if wide and c != keep)
+    return ids, cells, wide, queue, [((0, tuple(sorted(set(degrees))), sizes),)]
+
+
 def _step(adj: Sequence[int], layers: list | None, ids: list[int], cells: list[int],
           wide: set[int], queue: dict[int, None]) -> tuple:
     """One refinement step of an ordered partition, in place.
@@ -312,8 +328,9 @@ class _Path:
     Unlabelled, or with every label 0, ``layers`` is None.  A labelled path
     is searched against its own graph only.  ``nodes`` counts the nodes of
     all its searches, which raise past ``budget``.  The path starts from the
-    partition of ``colors`` (one cell if None), or from ``start``, a
-    partition (cell ids, cells, wide cells, queue) it may refine in place.
+    partition of ``colors`` (one cell if None; unlabelled, the one cell's
+    first step is ``_degree_start``), or from ``start``, a partition (cell
+    ids, cells, wide cells, queue) it may refine in place.
     """
 
     __slots__ = ("graph", "layers", "parts", "queue", "traces", "ends", "targets",
@@ -334,11 +351,11 @@ class _Path:
         # cell (None at the leaf) and its steps' end in ``traces``; the next
         # depth starts with the depth's point, a vertex of that cell,
         # individualized.
-        if start is None:
-            start = _partition([0] * g.n if colors is None else colors)
-        *part, self.queue = start
-        self.parts = [tuple(part)]
         self.traces: list = []
+        if start is None and colors is None and self.layers is None:
+            *start, self.traces = _degree_start(g.adj)
+        *part, self.queue = start or _partition(colors or [0] * g.n)
+        self.parts = [tuple(part)]
         self.ends: list[int] = []
         self.targets: list[int | None] = []
         self.points: list[int] = []

@@ -11,7 +11,6 @@ rerun, or a killed run resumed, recomputes only what it lacks.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import hashlib
 import json
@@ -431,6 +430,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             journal.write((json.dumps(record, sort_keys=True) + "\n").encode())
 
         if todo and args.workers > 1:
+            # Imported here, so that a one-worker run never loads the pool.
+            import concurrent.futures
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
                 futures = [pool.submit(run_check, graph6, args.check, args.budget)
                            for graph6 in todo]

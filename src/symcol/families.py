@@ -44,9 +44,9 @@ from typing import Callable, Iterable, Sequence
 
 from .autos import (
     Permutation,
+    _degree_start,
     _first_isomorphism,
     _individualize,
-    _partition,
     _Path,
     _stabilizer_chain,
     _step,
@@ -133,14 +133,7 @@ def _canonical_cell(
     adj.append(mask)
     if not rivals:
         return adj, [v], None
-    # The degree partition, laid out and queued as the first step from one
-    # cell leaves it: every fragment queued but the first largest, and none
-    # when the graph is regular or the partition discrete.
-    ids, cells, wide, queue = _partition([m.bit_count() for m in adj])
-    if len(queue) == 1 or not wide:
-        queue.clear()
-    else:
-        del queue[max(queue, key=lambda c: cells[c].bit_count())]
+    ids, cells, wide, queue, _ = _degree_start(adj)
     while rivals and queue:
         _step(adj, None, ids, cells, wide, queue)
         top = ids[v]

@@ -576,10 +576,12 @@ def _solve(
     (level, witness, nodes), with level and witness None when every level is
     refuted.  Raises BudgetExceededError, with ``message`` filled in
     for the level it stopped at, when the node budget, which also bounds each
-    group lookup, runs out.
+    group lookup, runs out, and NotApplicableError on the order-0 graph.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown parameter kind {kind!r}")
+    if not g.n:
+        raise NotApplicableError(f"{kind}: the order-0 graph has nothing to color")
     spec = _KINDS[kind]
     if lo is None:
         # No class of a total dominator coloring dominates its own members;

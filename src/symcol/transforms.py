@@ -4,12 +4,19 @@ Label layout is fixed so colorings built on the transformed graphs are
 reproducible: original vertices keep labels 0..n-1 (part1), added vertices
 follow at n.. (part2).  Subdivided vertices appear in the column-major order
 of their source edges; the endline pendant of vertex v is n+v.
+
+Each transform is read off G's rows in one pass.  In S(G) original vertex
+v's row is the mask of the subdivision vertices n + k of its edges, and n + k's
+the mask of edge k's two ends.  C(G) adds v's non-neighbours to v's row.  Row
+k of L(G) holds the edges sharing an end with edge k, and M(G) adds it, shifted
+by n, to n + k's row.  G+ adds pendant n + v to v's row.  No row is re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .graphs import Graph, encode_graph6
 
@@ -58,66 +65,55 @@ class TaggedGraph:
         }
 
 
-def _subdivision_parts(g: Graph) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int] | int]]:
+def _incidence(g: Graph, line: bool) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """g's edges, each vertex's mask of its edges and, if ``line``, L(G)'s rows."""
     edges = g.edges()
-    origin: dict[int, tuple[int, int] | int] = {g.n + k: e for k, e in enumerate(edges)}
-    sub_edges = []
+    at = [0] * g.n
     for k, (u, v) in enumerate(edges):
-        w = g.n + k
-        sub_edges.append((u, w))
-        sub_edges.append((v, w))
-    return sub_edges, origin
+        at[u] |= 1 << k
+        at[v] |= 1 << k
+    return edges, at, [(at[u] | at[v]) & ~(1 << k) if line else 0 for k, (u, v) in enumerate(edges)]
+
+
+def _subdivided(g: Graph, joins: Sequence[int] = (), line: bool = False) -> TaggedGraph:
+    """S(G), plus ``joins[v]`` on v's row and, if ``line``, M(G)'s edges."""
+    n = g.n
+    edges, at, links = _incidence(g, line)
+    rows = [row << n | extra for row, extra in zip(at, joins or [0] * n)]
+    rows += [1 << u | 1 << v | link << n for (u, v), link in zip(edges, links)]
+    origin: dict[int, tuple[int, int] | int] = {n + k: e for k, e in enumerate(edges)}
+    return TaggedGraph(Graph._unchecked(len(rows), tuple(rows)), g, tuple(range(n)), tuple(origin), origin)
 
 
 def subdivision(g: Graph) -> TaggedGraph:
     """Replace every edge {u, v} by a path u - w_{u,v} - v."""
-    sub_edges, origin = _subdivision_parts(g)
-    graph = Graph.from_edges(g.n + g.edge_count(), sub_edges)
-    return TaggedGraph(graph, g, tuple(range(g.n)), tuple(sorted(origin)), origin)
+    return _subdivided(g)
 
 
 def central(g: Graph) -> TaggedGraph:
     """Subdivide every edge, then join every non-adjacent original pair."""
-    sub_edges, origin = _subdivision_parts(g)
-    comp = [(i, j) for j in range(g.n) for i in range(j) if not g.has_edge(i, j)]
-    graph = Graph.from_edges(g.n + g.edge_count(), sub_edges + comp)
-    return TaggedGraph(graph, g, tuple(range(g.n)), tuple(sorted(origin)), origin)
+    full = (1 << g.n) - 1
+    return _subdivided(g, [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 def middle(g: Graph) -> TaggedGraph:
     """Subdivide every edge, then join subdivided vertices of adjacent edges."""
-    sub_edges, origin = _subdivision_parts(g)
-    extra = [(g.n + a, g.n + b) for a, b in _incidence_pairs(g)]
-    graph = Graph.from_edges(g.n + g.edge_count(), sub_edges + extra)
-    return TaggedGraph(graph, g, tuple(range(g.n)), tuple(sorted(origin)), origin)
+    return _subdivided(g, line=True)
 
 
 def endline(g: Graph) -> TaggedGraph:
     """Attach one new pendant vertex to every original vertex."""
-    pend = [(v, g.n + v) for v in range(g.n)]
-    graph = Graph.from_edges(2 * g.n, g.edges() + pend)
-    origin: dict[int, tuple[int, int] | int] = {g.n + v: v for v in range(g.n)}
-    return TaggedGraph(graph, g, tuple(range(g.n)), tuple(range(g.n, 2 * g.n)), origin)
+    n = g.n
+    rows = tuple(row | 1 << (n + v) for v, row in enumerate(g.adj)) + tuple(1 << v for v in range(n))
+    origin: dict[int, tuple[int, int] | int] = {n + v: v for v in range(n)}
+    return TaggedGraph(Graph._unchecked(2 * n, rows), g, tuple(range(n)), tuple(range(n, 2 * n)), origin)
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Line graph plus the vertex labeling map.
-
-    Vertex k of the result stands for edge labels[k] of the input; two
-    vertices are adjacent iff their edges share an endpoint.
-    """
-    return Graph.from_edges(g.edge_count(), _incidence_pairs(g)), tuple(g.edges())
-
-
-def _incidence_pairs(g: Graph) -> list[tuple[int, int]]:
-    """The pairs (a, b), a < b, of indices into ``g.edges()`` whose edges
-    share an endpoint: the edges of the line graph."""
-    # The edges at each vertex form a clique; two edges share one end at most.
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for k, (u, v) in enumerate(g.edges()):
-        incident[u].append(k)
-        incident[v].append(k)
-    return [(a, b) for ks in incident for i, b in enumerate(ks) for a in ks[:i]]
+    """Line graph plus the vertex labeling map: vertex k of the result stands
+    for edge labels[k] of the input, adjacent to the edges sharing an end."""
+    edges, _, rows = _incidence(g, True)
+    return Graph._unchecked(len(edges), tuple(rows)), tuple(edges)
 
 
 def middle_to_line_of_endline(g: Graph) -> tuple[int, ...]:

@@ -170,6 +170,21 @@ def test_kept_paths_find_exactly_the_isomorphisms():
                     assert found is None or g.relabel(found) == target
 
 
+def test_unit_start_is_the_first_step_from_one_cell():
+    # An unlabelled path started from one cell lays out the degree
+    # partition itself; it must be the partition, queue and trace the
+    # generic first step leaves, orders 0 and 1 and regular graphs included.
+    graphs = [Graph(0, ())] + [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs += connected_graphs(7)
+    assert any(g.is_regular() and g.n > 1 for g in graphs)
+    for g in graphs:
+        ids, cells, wide, queue = autos._partition([0] * g.n)
+        traces = [autos._step(g.adj, None, ids, cells, wide, queue)] if queue else []
+        path = autos._Path(g)
+        assert path.parts == [(ids, cells, wide)], g
+        assert list(path.queue) == list(queue) and path.traces == traces, g
+
+
 def _transforms(g):
     return (g, line_graph(g)[0], subdivision(g).graph, central(g).graph,
             middle(g).graph, endline(g).graph)
@@ -301,14 +316,15 @@ def test_chain_check_builds_no_elements(monkeypatch):
 
 
 def test_chain_check_builds_the_line_graph_once(monkeypatch):
+    # Every Graph but those of the validating constructor is built here.
     built = []
-    real = Graph.from_edges
+    real = Graph._unchecked
 
-    def counted(n, edges):
-        built.append(real(n, edges))
+    def counted(n, adj):
+        built.append(real(n, adj))
         return built[-1]
 
-    monkeypatch.setattr(Graph, "from_edges", staticmethod(counted))
+    monkeypatch.setattr(Graph, "_unchecked", staticmethod(counted))
     for g in (complete_graph(5), path_graph(6), star_graph(5), petersen_graph()):
         line = line_graph(g)[0]
         built.clear()

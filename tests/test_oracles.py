@@ -39,6 +39,7 @@ from symcol.graphs import (
     star_graph,
 )
 from symcol.oracles import (
+    PARAM_KINDS,
     OracleResult,
     exact_parameter,
     lower_bound_certificate,
@@ -435,6 +436,19 @@ def test_bad_kind():
             call()
 
 
+@pytest.mark.parametrize("kind", PARAM_KINDS)
+def test_order_0_is_not_applicable_to_any_kind(kind):
+    # The order-0 graph has nothing to color, whatever the entry point, cap
+    # or bound; it once gave Dp value 1 with an empty coloring and the other
+    # kinds None.
+    g = Graph(0, ())
+    for call in (lambda: exact_parameter(g, kind), lambda: exact_parameter(g, kind, cap=2),
+                 lambda: lower_bound_certificate(g, kind, 1),
+                 lambda: upper_bound_witness(g, kind, 1)):
+        with pytest.raises(NotApplicableError, match="order-0 graph"):
+            call()
+
+
 def test_chitd_budget_covers_its_own_levels():
     # chitd starts at 2 colors: K4 refutes 2 and 3 in 2 + 3 nodes, and level
     # 4 takes 4 more.  A budget of 5 stops at the first node of level 4.
@@ -479,14 +493,15 @@ def test_workers_take_the_budget_of_the_call(monkeypatch):
 
 
 def test_one_worker_runs_load_no_process_pool():
-    # The pool's module pulls in multiprocessing; only a run with more than
-    # one worker should pay for it.
-    probe = ("import sys, symcol.cli; "
-             "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)")
+    # The pool's module pulls in multiprocessing, and concurrent.futures
+    # pulls in logging; only a run with more than one worker should pay for
+    # them.
+    probe = ("import sys, symcol.cli; print(*(name in sys.modules for name in "
+             "('concurrent.futures.process', 'multiprocessing', 'concurrent.futures', 'logging')))")
     src = str(Path(oracles.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False"] * 4
 
 
 def test_group_lookup_is_held_to_the_budget_cold_and_warm(monkeypatch):

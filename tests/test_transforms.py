@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
 
-from symcol.families import all_graphs
+from symcol.families import all_graphs, connected_graphs
 from symcol.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    encode_graph6,
     path_graph,
+    petersen_graph,
     random_graph,
     star_graph,
 )
@@ -171,3 +174,49 @@ def test_tagged_graph_json():
     assert isinstance(doc["graph6"], str)
     with pytest.raises(KeyError):
         subdivision(path_graph(3)).subdivided(0, 2)
+
+
+def _pinned_graphs() -> list[Graph]:
+    rng = random.Random(35)
+    out = [Graph(0, ())]
+    for n in range(1, 7):
+        out += all_graphs(n)
+    out += connected_graphs(7)
+    out += [complete_graph(12), petersen_graph()]
+    out += [random_graph(n, rng.uniform(0.05, 0.3), rng) for n in range(30, 61, 6)]
+    return out
+
+
+def test_transforms_follow_their_edge_rules():
+    # Each transform against the graph from_edges builds from its rule,
+    # written out here: subdivision vertex n + k sits on edge k of
+    # g.edges(), pendant n + v hangs off v.
+    for g in _pinned_graphs():
+        n, edges = g.n, g.edges()
+        m = len(edges)
+        sub = [(x, n + k) for k, e in enumerate(edges) for x in e]
+        meets = [(a, b) for b in range(m) for a in range(b) if set(edges[a]) & set(edges[b])]
+        gaps = [(i, j) for j in range(n) for i in range(j) if not g.has_edge(i, j)]
+        origin = {n + k: e for k, e in enumerate(edges)}
+        cases = [
+            (subdivision(g), sub, origin),
+            (central(g), sub + gaps, origin),
+            (middle(g), sub + [(n + a, n + b) for a, b in meets], origin),
+            (endline(g), edges + [(v, n + v) for v in range(n)], {n + v: v for v in range(n)}),
+        ]
+        for t, rule, added in cases:
+            h = Graph.from_edges(n + len(added), rule)
+            assert t.graph == h and Graph(h.n, t.graph.adj) == h, g
+            assert (t.base, t.part1, t.part2) == (g, tuple(range(n)), tuple(added))
+            assert t.origin == added and list(t.origin) == list(added)
+            for w, e in added.items():
+                if isinstance(e, tuple):
+                    assert t.subdivided(*e) == t.subdivided(*reversed(e)) == w
+            if n:
+                doc = {"graph6": encode_graph6(h), "part1": list(range(n)),
+                       "origin": {str(w): list(e) if isinstance(e, tuple) else e
+                                  for w, e in added.items()}}
+                assert json.dumps(t.to_json()) == json.dumps(doc)
+        line, labels = line_graph(g)
+        h = Graph.from_edges(m, meets)
+        assert line == h and Graph(h.n, line.adj) == h and labels == tuple(edges), g
